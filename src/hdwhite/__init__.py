@@ -55,9 +55,8 @@ from .harness import (
     emit_table,
     run_experiment,
 )
-from .linalg import sym_sqrt, trace_product
+from .linalg import sym_sqrt
 from .panel import (
-    LaggedMatrix,
     TimeSeriesPanel,
     read_panel_csv,
     sample_autocorrelation,
@@ -97,7 +96,6 @@ __all__ = [
     "HdwhiteError",
     "Innovation",
     "LagError",
-    "LaggedMatrix",
     "MaxResult",
     "NonstationaryDrawError",
     "NotPsdError",
@@ -143,6 +141,5 @@ __all__ = [
     "sum_power",
     "sum_test",
     "sym_sqrt",
-    "trace_product",
     "write_panel_csv",
 ]

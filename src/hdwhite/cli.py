@@ -14,50 +14,18 @@ Exit codes: 0 success, 2 bad configuration or usage, 3 bad input data,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError
 from .factor import build_factor_data, ols_residuals, sliding_window_rates
 from .harness import ExperimentConfig, ExperimentKind, emit_power_curve, emit_table, run_experiment
-from .panel import read_panel_csv
+from .panel import read_csv_array, read_panel_csv
 from .power import PowerInputs, sum_power
 from .statistics import run_all
 
 __all__ = ["main"]
-
-
-def _read_matrix_csv(path: str) -> np.ndarray:
-    """Read a headerless numeric CSV as a 2-d array."""
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            parsed = []
-            for col, cell in enumerate(row, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"could not parse {cell.strip()!r} as a number",
-                        row=lineno, column=col,
-                    ) from None
-            rows.append(parsed)
-    if not rows:
-        raise DataError(f"{path} contains no numeric rows")
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ParseError(f"expected {width} fields, got {len(row)}", row=i + 1)
-    out = np.array(rows, dtype=np.float64)
-    if not np.isfinite(out).all():
-        raise DataError(f"{path} contains non-finite values")
-    return out
 
 
 def _cmd_test(args) -> int:
@@ -109,8 +77,8 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_power_theory(args) -> int:
-    a0 = _read_matrix_csv(args.a0)
-    a1 = _read_matrix_csv(args.a1)
+    _, _, a0 = read_csv_array(args.a0)
+    _, _, a1 = read_csv_array(args.a1)
     inputs = PowerInputs(a0=a0, a1=a1, n=args.n, nu4=args.nu4, alpha=args.alpha)
     print(sum_power(inputs).to_json())
     return 0
@@ -143,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of lags to test (1..n-2)")
     p_test.add_argument("--alpha", type=float, default=0.05)
     p_test.add_argument("--header", action="store_true",
-                        help="first CSV row is a header")
+                        help="first non-blank CSV line is a header")
     p_test.add_argument("--center", action="store_true",
                         help="subtract column means before testing")
     p_test.add_argument("--format", choices=("json", "csv"), default="json")

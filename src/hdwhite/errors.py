@@ -19,7 +19,7 @@ class DataError(HdwhiteError):
 
 
 class ParseError(DataError):
-    """A text input could not be parsed.  Carries row/column location."""
+    """A text input could not be parsed.  Carries its 1-based file line and column."""
 
     def __init__(self, message: str, row: int | None = None, column: int | None = None):
         self.row = row

@@ -8,15 +8,14 @@ a chosen length, summarizing how often each test rejects.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import ConfigError, DataError, ParseError
-from .panel import TimeSeriesPanel
+from .errors import ConfigError, DataError
+from .panel import TimeSeriesPanel, read_csv_array
 from .statistics import run_all
 
 __all__ = [
@@ -123,55 +122,14 @@ class SlidingWindowSummary:
         return json.dumps(self.to_dict())
 
 
-def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
-    """Read a headed CSV, returning (header, data rows), skipping blanks."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = []
-        header = None
-        for lineno, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if header is None:
-                header = [cell.strip() for cell in row]
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(row)}", row=lineno
-                )
-            rows.append(row)
-    if header is None:
-        raise DataError(f"{path} is empty")
-    if not rows:
-        raise DataError(f"{path} has a header but no data rows")
-    return header, rows
-
-
-def _parse_float(cell: str, lineno: int, col: int) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise ParseError(
-            f"could not parse {cell.strip()!r} as a number", row=lineno, column=col
-        ) from None
-    if not np.isfinite(value):
-        raise ParseError(f"non-finite value {cell.strip()!r}", row=lineno, column=col)
-    return value
-
-
 def read_returns_csv(path: str) -> tuple[list[str], list[str], np.ndarray]:
     """Read a returns file: a date column then one column per asset.
 
     Returns (dates, asset names from the header, T x p values).
     """
-    header, rows = _read_rows(path)
+    header, dates, values = read_csv_array(path, header=True, labels=True)
     if len(header) < 2:
         raise DataError(f"{path} needs a date column plus at least one asset column")
-    dates = [row[0].strip() for row in rows]
-    values = np.empty((len(rows), len(header) - 1))
-    for i, row in enumerate(rows):
-        for j, cell in enumerate(row[1:], start=2):
-            values[i, j - 2] = _parse_float(cell, i + 2, j)
     return dates, header[1:], values
 
 
@@ -180,17 +138,12 @@ def read_factors_csv(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
 
     Returns (dates, T x 3 factor matrix, length-T risk-free vector).
     """
-    header, rows = _read_rows(path)
+    header, dates, values = read_csv_array(path, header=True, labels=True)
     if len(header) != 5:
         raise DataError(
             f"{path} must have exactly 5 columns "
             f"(date, market excess, SMB, HML, risk-free), got {len(header)}"
         )
-    dates = [row[0].strip() for row in rows]
-    values = np.empty((len(rows), 4))
-    for i, row in enumerate(rows):
-        for j, cell in enumerate(row[1:], start=2):
-            values[i, j - 2] = _parse_float(cell, i + 2, j)
     return dates, values[:, :3], values[:, 3]
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .dgp import DgpSpec, Innovation, Scenario, gen_alternative_panel, gen_null_panel
 from .errors import ConfigError, DataError, NonstationaryDrawError
+from .panel import check_lag_budget
 from .statistics import run_all
 
 __all__ = [
@@ -69,10 +70,7 @@ class GridCell:
             seed=0,
             m=self.m,
         )
-        if not 1 <= self.lags <= self.n - 2:
-            raise ConfigError(
-                f"number of lags must lie in [1, n-2] = [1, {self.n - 2}], got {self.lags}"
-            )
+        check_lag_budget(self.n, self.lags)
 
     def key(self) -> int:
         """Stable 32-bit id of the cell, used to derive RNG streams."""

@@ -51,18 +51,3 @@ def sym_sqrt(s: np.ndarray) -> np.ndarray:
     # Symmetrize away rounding asymmetry from the two matrix products.
     return (root + root.T) / 2.0
 
-
-def trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace of the matrix product ``a @ b`` without forming the product.
-
-    ``a`` must be (m, k) and ``b`` (k, m) so that the product is square.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("trace_product expects two 2-d arrays")
-    if a.shape[1] != b.shape[0] or a.shape[0] != b.shape[1]:
-        raise ValueError(
-            f"shapes {a.shape} and {b.shape} do not form a square product"
-        )
-    return float(np.einsum("ij,ji->", a, b))

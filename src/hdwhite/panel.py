@@ -9,6 +9,7 @@ place the mean is ever touched.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,19 +69,15 @@ class TimeSeriesPanel:
         return cls(values)
 
 
-@dataclass(frozen=True)
-class LaggedMatrix:
-    """A p x p sample moment matrix together with the lag it was taken at."""
-
-    lag: int
-    values: np.ndarray = field(repr=False)
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[0]
+def check_lag_budget(n: int, lags: int) -> None:
+    """Require a lag budget K with 1 <= K <= n - 2 for an n-row panel."""
+    if not isinstance(lags, (int, np.integer)):
+        raise LagError(f"number of lags must be an integer, got {lags!r}")
+    if lags < 1 or lags > n - 2:
+        raise LagError(f"number of lags {lags} out of range [1, {n - 2}] for n={n}")
 
 
-def sample_autocovariance(panel: TimeSeriesPanel, lag: int) -> LaggedMatrix:
+def sample_autocovariance(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
     """Lag-k sample autocovariance matrix with divisor n.
 
     Entry (i, j) is (1/n) * sum_{t=1}^{n-k} x[t+k, i] * x[t, j].  The
@@ -94,13 +91,11 @@ def sample_autocovariance(panel: TimeSeriesPanel, lag: int) -> LaggedMatrix:
         raise LagError(f"lag {lag} out of range [0, {n - 1}] for n={n}")
     if lag == 0:
         cov = x.T @ x / n
-        cov = (cov + cov.T) / 2.0
-    else:
-        cov = x[lag:].T @ x[: n - lag] / n
-    return LaggedMatrix(lag=int(lag), values=cov)
+        return (cov + cov.T) / 2.0
+    return x[lag:].T @ x[: n - lag] / n
 
 
-def sample_autocorrelation(panel: TimeSeriesPanel, lag: int) -> LaggedMatrix:
+def sample_autocorrelation(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
     """Lag-k sample autocorrelation matrix.
 
     The lag-k autocovariance is scaled on both sides by the inverse square
@@ -108,8 +103,7 @@ def sample_autocorrelation(panel: TimeSeriesPanel, lag: int) -> LaggedMatrix:
     ``DEGENERATE_VARIANCE_TOL`` makes the scaling meaningless and raises,
     naming the first offending column (1-based).
     """
-    cov0 = sample_autocovariance(panel, 0).values
-    d = np.diagonal(cov0)
+    d = np.diagonal(sample_autocovariance(panel, 0))
     low = np.nonzero(d <= DEGENERATE_VARIANCE_TOL)[0]
     if low.size:
         col = int(low[0]) + 1
@@ -118,51 +112,73 @@ def sample_autocorrelation(panel: TimeSeriesPanel, lag: int) -> LaggedMatrix:
             "autocorrelations are undefined"
         )
     inv_scale = 1.0 / np.sqrt(d)
-    cov_k = sample_autocovariance(panel, lag).values
-    corr = cov_k * np.outer(inv_scale, inv_scale)
-    return LaggedMatrix(lag=int(lag), values=corr)
+    return sample_autocovariance(panel, lag) * np.outer(inv_scale, inv_scale)
+
+
+def read_csv_array(path, header: bool = False, labels: bool = False):
+    """Read a numeric CSV into a float array.
+
+    Blank lines are skipped.  ``header=True`` takes the first non-blank
+    line as column names; ``labels=True`` takes the first column of every
+    data line as a text label (a date, say) rather than a number.  Every
+    non-blank line must have the same number of fields.  Decimal separator
+    is '.', encoding UTF-8.
+
+    Returns (header names or None, row labels or None, values).  A ragged
+    line, or a cell that does not parse as a finite number, raises
+    ParseError with its 1-based file line and column.
+    """
+    names: list[str] | None = None
+    row_labels: list[str] = []
+    rows: list[list[float]] = []
+    width: int | None = None
+    skip = 1 if labels else 0
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        for raw in reader:
+            if not any(cell.strip() for cell in raw):
+                continue
+            lineno = reader.line_num
+            if width is None:
+                width = len(raw)
+            elif len(raw) != width:
+                raise ParseError(f"expected {width} fields, got {len(raw)}", row=lineno)
+            if header and names is None:
+                names = [cell.strip() for cell in raw]
+                continue
+            parsed = []
+            for colno, cell in enumerate(raw[skip:], start=skip + 1):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"could not parse {cell.strip()!r} as a number",
+                        row=lineno, column=colno,
+                    ) from None
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"non-finite value {cell.strip()!r}", row=lineno, column=colno
+                    )
+                parsed.append(value)
+            if labels:
+                row_labels.append(raw[0].strip())
+            rows.append(parsed)
+    if header and names is None:
+        raise DataError(f"{path} is empty")
+    if not rows:
+        raise DataError(f"{path} has no data rows")
+    return names, (row_labels if labels else None), np.array(rows, dtype=np.float64)
 
 
 def read_panel_csv(path, header: bool = False, center: bool = False) -> TimeSeriesPanel:
     """Read a panel from CSV: one row per time point, p numeric columns.
 
-    Decimal separator is '.', encoding UTF-8.  ``header=True`` skips the
-    first row.  Malformed cells raise ParseError with 1-based row and
-    column locations (row numbers count the header row if present).
+    ``header=True`` skips the first non-blank line.  Malformed cells raise
+    ParseError with the 1-based file line and column (see
+    ``read_csv_array``).
     """
-    rows: list[list[float]] = []
-    width: int | None = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, raw in enumerate(reader, start=1):
-            if header and lineno == 1:
-                continue
-            if not raw or all(cell.strip() == "" for cell in raw):
-                continue
-            if width is None:
-                width = len(raw)
-            elif len(raw) != width:
-                raise ParseError(
-                    f"expected {width} columns, found {len(raw)}", row=lineno
-                )
-            parsed = []
-            for colno, cell in enumerate(raw, start=1):
-                text = cell.strip()
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise ParseError(
-                        f"could not parse {text!r} as a number", row=lineno, column=colno
-                    ) from None
-                if not np.isfinite(value):
-                    raise ParseError(
-                        f"non-finite value {text!r}", row=lineno, column=colno
-                    )
-                parsed.append(value)
-            rows.append(parsed)
-    if not rows:
-        raise DataError(f"no data rows found in {path}")
-    return TimeSeriesPanel.from_array(np.array(rows, dtype=np.float64), center=center)
+    _, _, values = read_csv_array(path, header=header)
+    return TimeSeriesPanel.from_array(values, center=center)
 
 
 def write_panel_csv(panel: TimeSeriesPanel, path, header: bool = False) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .distributions import chi2_4_sf, gumbel_sf, std_normal_sf
 from .errors import ConfigError, DataError
-from .panel import TimeSeriesPanel, sample_autocorrelation
+from .panel import TimeSeriesPanel, check_lag_budget, sample_autocorrelation
 
 # Guard against log(0) when a p-value underflows to exactly zero.
 P_VALUE_FLOOR = 1e-300
@@ -49,13 +49,6 @@ class SumResult:
     K: int
 
 
-def _check_lags(n: int, lags: int) -> None:
-    if not isinstance(lags, (int, np.integer)):
-        raise ConfigError(f"number of lags must be an integer, got {lags!r}")
-    if lags < 1 or lags > n - 2:
-        raise ConfigError(f"number of lags {lags} out of range [1, {n - 2}] for n={n}")
-
-
 def max_test(panel: TimeSeriesPanel, lags: int) -> MaxResult:
     """Max test over lags 1..lags.  Lag 0 never enters.
 
@@ -64,12 +57,12 @@ def max_test(panel: TimeSeriesPanel, lags: int) -> MaxResult:
     defined.
     """
     n, p = panel.n, panel.p
-    _check_lags(n, lags)
+    check_lag_budget(n, lags)
     if p < 2:
         raise ConfigError(f"max test needs at least 2 columns, got p={p}")
     largest = 0.0
     for k in range(1, lags + 1):
-        corr = sample_autocorrelation(panel, k).values
+        corr = sample_autocorrelation(panel, k)
         largest = max(largest, float(np.abs(corr).max()))
     t_max = math.sqrt(n) * largest
     log_np = math.log(lags * p * p)
@@ -91,7 +84,7 @@ def sum_test(panel: TimeSeriesPanel, lags: int) -> SumResult:
     n = panel.n
     if n < 4:
         raise ConfigError(f"sum test needs at least 4 rows, got n={n}")
-    _check_lags(n, lags)
+    check_lag_budget(n, lags)
     x = panel.values
     gram = x @ x.T
     diag = np.diagonal(gram)

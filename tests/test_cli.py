@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from hdwhite.cli import main
-from hdwhite.panel import TimeSeriesPanel, write_panel_csv
+from hdwhite.errors import ParseError
+from hdwhite.factor import read_factors_csv, read_returns_csv
+from hdwhite.panel import TimeSeriesPanel, read_panel_csv, write_panel_csv
 from hdwhite.statistics import REPORT_COLUMNS
 
 
@@ -213,6 +215,18 @@ class TestPowerTheorySubcommand:
         )
         assert code == 2
 
+    def test_one_by_one_matrices(self, tmp_path, capsys):
+        a0_path = tmp_path / "a0.csv"
+        a1_path = tmp_path / "a1.csv"
+        self.write_matrix(a0_path, np.eye(1))
+        self.write_matrix(a1_path, 0.3 * np.eye(1))
+        code, out, _ = run_cli(
+            capsys, "power-theory", "--a0", str(a0_path), "--a1", str(a1_path),
+            "--n", "100",
+        )
+        assert code == 0
+        assert 0.0 < json.loads(out)["beta_sum"] < 1.0
+
     def test_bad_matrix_cell(self, tmp_path, capsys):
         a0_path = tmp_path / "a0.csv"
         a0_path.write_text("1.0,0.0\nx,1.0\n")
@@ -288,3 +302,55 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+# Each malformed file as a list of lines after the first: None is a blank
+# line, otherwise the four cells after the leading column.  Then the
+# expected (file line, column) of the error; column None for a ragged row.
+GOOD = ["0.1", "0.2", "0.3", "0.4"]
+MALFORMED = {
+    "unparsable-after-blanks": (
+        [None, None, GOOD, ["0.1", "0.2", "oops", "0.4"]], 5, 4),
+    "ragged-after-blank": ([None, GOOD, ["0.1", "0.2", "0.3"]], 4, None),
+    "inf": ([GOOD, ["0.1", "inf", "0.3", "0.4"]], 3, 3),
+    "nan": ([GOOD, GOOD, ["0.1", "0.2", "0.3", "nan"]], 4, 5),
+}
+
+
+def render(lines, first, lead):
+    """CSV text: ``first`` as line 1, then each row behind a ``lead`` cell."""
+    out = [first]
+    for cells in lines:
+        out.append("" if cells is None else ",".join([lead] + cells))
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_every_reader_reports_the_same_file_location(case, tmp_path, capsys):
+    lines, row, column = MALFORMED[case]
+    # The same layout twice: headed and dated for the factor readers,
+    # all numeric for the panel and matrix readers.
+    headed = tmp_path / "headed.csv"
+    headed.write_text(render(lines, "date,mkt,smb,hml,rf", "2020-01-01"))
+    numeric = tmp_path / "numeric.csv"
+    numeric.write_text(render(lines, "1.0,2.0,3.0,4.0,5.0", "0.5"))
+
+    messages = set()
+    for reader, path in (
+        (read_panel_csv, numeric),
+        (read_returns_csv, headed),
+        (read_factors_csv, headed),
+    ):
+        with pytest.raises(ParseError) as exc:
+            reader(str(path))
+        assert (exc.value.row, exc.value.column) == (row, column), reader.__name__
+        messages.add(str(exc.value))
+    code, _, err = run_cli(
+        capsys, "power-theory", "--a0", str(numeric), "--a1", str(numeric),
+        "--n", "100",
+    )
+    assert code == 3
+    messages.add(err.strip().removeprefix("error: "))
+    assert len(messages) == 1, messages
+    location = f"(row {row})" if column is None else f"(row {row}, column {column})"
+    assert messages.pop().endswith(location)

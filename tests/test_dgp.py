@@ -283,7 +283,7 @@ class TestExplicitMovingAverage:
         a0 = np.eye(3)
         a1 = np.array([[0.5, 0.2, 0.0], [0.0, -0.3, 0.1], [0.2, 0.0, 0.4]])
         panel = gen_ma_panel(a0, a1, 200_000, 91)
-        got = sample_autocovariance(panel, 1).values
+        got = sample_autocovariance(panel, 1)
         assert np.abs(got - a1).max() < 0.02
 
     def test_shape_and_determinism(self):
@@ -296,7 +296,7 @@ class TestExplicitMovingAverage:
     def test_zero_lag_matrix_gives_instant_mix(self):
         a0 = np.array([[2.0, 0.0], [0.0, 1.0]])
         panel = gen_ma_panel(a0, np.zeros((2, 2)), 100_000, 15)
-        got = sample_autocovariance(panel, 0).values
+        got = sample_autocovariance(panel, 0)
         assert abs(got[0, 0] - 4.0) < 0.1
         assert abs(got[1, 1] - 1.0) < 0.05
 

@@ -1,10 +1,10 @@
-"""Symmetric square roots and trace products."""
+"""Symmetric square roots."""
 
 import numpy as np
 import pytest
 
 from hdwhite.errors import NotPsdError, NotSymmetricError
-from hdwhite.linalg import sym_sqrt, trace_product
+from hdwhite.linalg import sym_sqrt
 
 
 class TestSymSqrt:
@@ -55,31 +55,3 @@ class TestSymSqrt:
         with pytest.raises(NotSymmetricError):
             sym_sqrt(np.zeros((2, 3)))
 
-
-class TestTraceProduct:
-    def test_identity_pair(self):
-        assert trace_product(np.eye(2), np.eye(2)) == 2.0
-
-    def test_hand_example(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert trace_product(a, b) == 5.0
-
-    def test_zero_factor(self):
-        a = np.random.default_rng(0).standard_normal((3, 3))
-        assert trace_product(a, np.zeros((3, 3))) == 0.0
-
-    def test_matches_explicit_product(self):
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            m, k = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-            a = rng.standard_normal((m, k))
-            b = rng.standard_normal((k, m))
-            want = float(np.trace(a @ b))
-            got = trace_product(a, b)
-            denom = max(1.0, abs(want))
-            assert abs(got - want) / denom < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            trace_product(np.zeros((2, 3)), np.zeros((2, 3)))

@@ -71,17 +71,17 @@ class TestAutocovariance:
         # n=3 series (1, 2, 3): lag-1 value (1/3)(2*1 + 3*2) = 8/3.
         panel = TimeSeriesPanel(np.array([[1.0], [2.0], [3.0]]))
         cov1 = sample_autocovariance(panel, 1)
-        assert cov1.lag == 1
-        assert cov1.values[0, 0] == pytest.approx(8.0 / 3.0, abs=1e-15)
+        assert cov1.shape == (1, 1)
+        assert cov1[0, 0] == pytest.approx(8.0 / 3.0, abs=1e-15)
 
     def test_all_zero_panel(self):
         panel = TimeSeriesPanel(np.zeros((6, 3)))
         for k in (0, 1, 5):
-            assert np.all(sample_autocovariance(panel, k).values == 0.0)
+            assert np.all(sample_autocovariance(panel, k) == 0.0)
 
     def test_lag0_two_basis_rows(self):
         panel = TimeSeriesPanel(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        cov0 = sample_autocovariance(panel, 0).values
+        cov0 = sample_autocovariance(panel, 0)
         assert np.allclose(cov0, np.eye(2) / 2.0, atol=1e-15)
 
     def test_divisor_stays_n_at_every_lag(self):
@@ -89,19 +89,19 @@ class TestAutocovariance:
         # value must be (n-k)/n, not 1.
         panel = TimeSeriesPanel(np.ones((4, 1)))
         for k in range(4):
-            got = sample_autocovariance(panel, k).values[0, 0]
+            got = sample_autocovariance(panel, k)[0, 0]
             assert got == pytest.approx((4 - k) / 4.0, abs=1e-15), f"lag {k}"
 
     def test_lag0_is_symmetric(self):
         rng = np.random.default_rng(11)
         panel = TimeSeriesPanel(rng.standard_normal((30, 6)))
-        cov0 = sample_autocovariance(panel, 0).values
+        cov0 = sample_autocovariance(panel, 0)
         assert np.array_equal(cov0, cov0.T), "lag-0 matrix must be exactly symmetric"
 
     def test_lag0_is_psd(self):
         rng = np.random.default_rng(12)
         panel = TimeSeriesPanel(rng.standard_normal((25, 5)))
-        w = np.linalg.eigvalsh(sample_autocovariance(panel, 0).values)
+        w = np.linalg.eigvalsh(sample_autocovariance(panel, 0))
         assert w.min() > -1e-10, f"lag-0 covariance has eigenvalue {w.min()}"
 
     def test_matches_bruteforce(self):
@@ -112,7 +112,7 @@ class TestAutocovariance:
             x = rng.standard_normal((n, p))
             panel = TimeSeriesPanel(x)
             for lag in range(min(n, 4)):
-                got = sample_autocovariance(panel, lag).values
+                got = sample_autocovariance(panel, lag)
                 want = brute_autocovariance(x, lag)
                 assert np.allclose(got, want, rtol=1e-12, atol=1e-14), (
                     f"mismatch at n={n} p={p} lag={lag}"
@@ -135,21 +135,21 @@ class TestAutocorrelation:
     def test_lag0_diagonal_is_one(self):
         rng = np.random.default_rng(9)
         panel = TimeSeriesPanel(rng.standard_normal((40, 5)))
-        corr0 = sample_autocorrelation(panel, 0).values
+        corr0 = sample_autocorrelation(panel, 0)
         assert np.abs(np.diagonal(corr0) - 1.0).max() < 1e-12
 
     def test_duplicated_scaled_column(self):
         rng = np.random.default_rng(10)
         base = rng.standard_normal(30)
         panel = TimeSeriesPanel(np.column_stack([base, 2.0 * base]))
-        corr0 = sample_autocorrelation(panel, 0).values
+        corr0 = sample_autocorrelation(panel, 0)
         assert corr0[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_univariate_hand_example(self):
         # (1, 2, 3): lag-1 autocovariance 8/3, lag-0 14/3, ratio 4/7.
         panel = TimeSeriesPanel(np.array([[1.0], [2.0], [3.0]]))
         corr1 = sample_autocorrelation(panel, 1)
-        assert corr1.values[0, 0] == pytest.approx(4.0 / 7.0, abs=1e-15)
+        assert corr1[0, 0] == pytest.approx(4.0 / 7.0, abs=1e-15)
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(5)
@@ -157,7 +157,7 @@ class TestAutocorrelation:
             x = rng.standard_normal((10, 3))
             panel = TimeSeriesPanel(x)
             for lag in (0, 1, 2):
-                got = sample_autocorrelation(panel, lag).values
+                got = sample_autocorrelation(panel, lag)
                 want = brute_autocorrelation(x, lag)
                 assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
@@ -175,10 +175,10 @@ class TestAutocorrelation:
     )
     def test_invariant_under_column_rescaling(self, seed, scales, lag):
         x = np.random.default_rng(seed).standard_normal((12, 3))
-        base = sample_autocorrelation(TimeSeriesPanel(x), lag).values
+        base = sample_autocorrelation(TimeSeriesPanel(x), lag)
         scaled = sample_autocorrelation(
             TimeSeriesPanel(x * np.asarray(scales)), lag
-        ).values
+        )
         assert np.abs(base - scaled).max() < 1e-10, (
             "autocorrelation must ignore per-column positive scaling"
         )
