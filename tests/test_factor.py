@@ -15,6 +15,7 @@ from hdwhite.factor import (
     sliding_window_rates,
 )
 from hdwhite.panel import TimeSeriesPanel
+from hdwhite.statistics import run_all
 
 
 def synthetic_data(t=40, p=6, seed=42, noise=1.0):
@@ -189,6 +190,42 @@ class TestSlidingWindowRates:
         assert summary.rate_sum >= summary.rate_max + 0.5, (
             f"sum {summary.rate_sum} vs max {summary.rate_max}"
         )
+
+    def test_residuals_come_from_one_full_sample_fit(self):
+        # Persistent factors whose loadings flip sign half way through:
+        # one full-sample fit leaves the factors in every window's
+        # residuals, while a refit inside each window removes them.
+        rng = np.random.default_rng(31)
+        t, p, window, lags = 240, 8, 40, 1
+        factors = np.zeros((t, 3))
+        shocks = rng.standard_normal((t, 3))
+        for i in range(1, t):
+            factors[i] = 0.9 * factors[i - 1] + shocks[i]
+        loading = np.where(np.arange(t)[:, None] < t // 2, 1.0, -1.0)
+        returns = loading * (factors @ rng.standard_normal((3, p)))
+        returns += rng.standard_normal((t, p))
+        design = np.column_stack([np.ones(t), factors])
+
+        def residuals(rows):
+            coef, *_ = np.linalg.lstsq(design[rows], returns[rows], rcond=None)
+            return returns[rows] - design[rows] @ coef
+
+        def rates(window_residuals):
+            reports = [run_all(TimeSeriesPanel(r), lags, 0.05) for r in window_residuals]
+            return tuple(
+                sum(getattr(rep, name) for rep in reports) / len(reports)
+                for name in ("reject_max", "reject_sum", "reject_fc")
+            )
+
+        starts = range(t - window)
+        full = residuals(slice(0, t))
+        full_sample = rates(full[s : s + window] for s in starts)
+        per_window = rates(residuals(slice(s, s + window)) for s in starts)
+        assert min(full_sample) - max(per_window) > 0.5, (full_sample, per_window)
+
+        data = FactorData(excess_returns=returns, factors=factors)
+        summary = sliding_window_rates(ols_residuals(data), window, lags)
+        assert (summary.rate_max, summary.rate_sum, summary.rate_fc) == full_sample
 
     def test_summary_serialization(self):
         summary = SlidingWindowSummary(

@@ -2,11 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from hdwhite import statistics
 from hdwhite.distributions import chi2_4_cdf, gumbel_sf, std_normal_sf
 from hdwhite.errors import ConfigError, DataError, DegenerateColumnError
 from hdwhite.panel import TimeSeriesPanel
@@ -19,6 +21,38 @@ from hdwhite.statistics import (
 )
 
 from oracles import brute_max_stat, brute_sum_stat, brute_trace_sq
+
+
+# (n, p, K) shapes that reach each of sum_test's two routes on purpose:
+# cross products when (K+1) p < n, the Gram matrix otherwise.
+ROUTE_SHAPES = [
+    (12, 3, 2, "cross"),  # below (K+1) p = n
+    (12, 4, 2, "gram"),   # on it
+    (12, 5, 2, "gram"),   # above it
+    (10, 1, 8, "cross"),  # K = n - 2
+    (10, 2, 8, "gram"),   # K = n - 2
+    (9, 1, 3, "cross"),   # p = 1, which always takes the cross route
+    (6, 4, 3, "gram"),
+]
+
+
+def sum_test_by_route(monkeypatch, panel, lags, route):
+    """Run sum_test and check that it took ``route`` ("cross" or "gram")."""
+    taken = []
+    with monkeypatch.context() as patch:
+        for name, fn in (
+            ("cross", statistics._pair_sums_from_cross_products),
+            ("gram", statistics._pair_sums_from_gram),
+        ):
+            def spy(x, k, name=name, fn=fn):
+                taken.append(name)
+                return fn(x, k)
+
+            patch.setattr(statistics, fn.__name__, spy)
+        try:
+            return sum_test(panel, lags)
+        finally:
+            assert taken == [route]
 
 
 def orthogonal_signal_free_panel() -> TimeSeriesPanel:
@@ -111,13 +145,18 @@ class TestSumTest:
         assert result.z_score == 0.0
         assert result.p_value == 0.5
 
-    def test_integer_panel_bitwise_equal_to_bruteforce(self):
-        x = np.array([[1.0, 2.0], [0.0, 1.0], [2.0, 0.0], [1.0, 1.0], [0.0, 2.0]])
-        result = sum_test(TimeSeriesPanel(x), 1)
-        assert result.t_sum == brute_sum_stat(x, 1), (
-            "integer-valued panel must agree exactly in floating point"
-        )
-        assert result.trace_sq_hat == brute_trace_sq(x)
+    def test_integer_panel_bitwise_equal_to_bruteforce(self, monkeypatch):
+        hand = np.array([[1.0, 2.0], [0.0, 1.0], [2.0, 0.0], [1.0, 1.0], [0.0, 2.0]])
+        panels = [(hand, 1, "cross")]
+        rng = np.random.default_rng(17)
+        for n, p, lags, route in ROUTE_SHAPES:
+            panels.append((rng.integers(-3, 4, size=(n, p)).astype(np.float64), lags, route))
+        for x, lags, route in panels:
+            result = sum_test_by_route(monkeypatch, TimeSeriesPanel(x), lags, route)
+            assert result.t_sum == brute_sum_stat(x, lags), (
+                f"integer-valued panel {x.shape}, K={lags} must agree exactly in floating point"
+            )
+            assert result.trace_sq_hat == brute_trace_sq(x), (x.shape, lags)
 
     def test_identical_rows_trace_estimate(self):
         x = np.tile(np.array([[1.0, 0.0, 0.0]]), (8, 1))
@@ -126,18 +165,18 @@ class TestSumTest:
         assert result.t_sum == pytest.approx((8 - 2) / 8, abs=1e-15)
         assert result.sigma_s_hat == pytest.approx(math.sqrt(2.0 / 56.0), abs=1e-15)
 
-    def test_matches_bruteforce_on_random_panels(self):
+    def test_matches_bruteforce_on_random_panels(self, monkeypatch):
         rng = np.random.default_rng(18)
-        for _ in range(25):
-            n = int(rng.integers(5, 13))
-            p = int(rng.integers(1, 5))
-            lags = int(rng.integers(1, min(4, n - 1)))
-            x = rng.standard_normal((n, p))
-            got = sum_test(TimeSeriesPanel(x), lags)
-            want = brute_sum_stat(x, lags)
-            assert abs(got.t_sum - want) / max(abs(want), 1e-12) < 1e-10
-            want_tr = brute_trace_sq(x)
-            assert abs(got.trace_sq_hat - want_tr) / max(abs(want_tr), 1e-12) < 1e-10
+        for n, p, lags, route in ROUTE_SHAPES:
+            for _ in range(4):
+                x = rng.standard_normal((n, p))
+                got = sum_test_by_route(monkeypatch, TimeSeriesPanel(x), lags, route)
+                want = brute_sum_stat(x, lags)
+                assert abs(got.t_sum - want) / max(abs(want), 1e-12) < 1e-10, (n, p, lags)
+                want_tr = brute_trace_sq(x)
+                assert abs(got.trace_sq_hat - want_tr) / max(abs(want_tr), 1e-12) < 1e-10, (
+                    n, p, lags,
+                )
 
     def test_result_internal_consistency(self):
         rng = np.random.default_rng(19)
@@ -158,9 +197,26 @@ class TestSumTest:
             a, b = getattr(base, name), getattr(rotated, name)
             assert abs(a - b) / max(abs(a), 1e-12) < 1e-8, name
 
-    def test_orthogonal_rows_cannot_be_studentized(self):
-        with pytest.raises(DataError, match="studentized"):
-            sum_test(TimeSeriesPanel(np.eye(4)), 1)
+    def test_orthogonal_rows_cannot_be_studentized(self, monkeypatch):
+        # The tall panel takes the cross-product route, where
+        # ||X'X||_F^2 - |x_6|^4 leaves a positive rounding residue.
+        one_nonzero_row = np.zeros((12, 3))
+        one_nonzero_row[5] = [0.1, 0.3, 0.4]
+        for values, route in ((np.eye(4), "gram"), (one_nonzero_row, "cross")):
+            with pytest.raises(DataError, match="studentized"):
+                sum_test_by_route(monkeypatch, TimeSeriesPanel(values), 1, route)
+
+    def test_tall_panel_peak_memory(self):
+        # The Gram route would hold a 2000 x 2000 matrix (about 31 MiB)
+        # and its temporaries; the cross products need p x p.
+        panel = TimeSeriesPanel(np.random.default_rng(30).standard_normal((2000, 50)))
+        tracemalloc.start()
+        try:
+            sum_test(panel, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"peak traced allocation {peak / 2**20:.2f} MiB"
 
     def test_needs_four_rows(self):
         with pytest.raises(ConfigError, match="at least 4 rows"):
@@ -255,6 +311,27 @@ class TestRunAll:
         assert len(row) == len(REPORT_COLUMNS)
         assert row[0] == "30"
         assert row[-1] in ("0", "1")
+
+    @pytest.mark.parametrize("n, p, lags", [
+        (50, 1000, 3),   # p >> n: Gram route
+        (3000, 3, 5),    # n >> p: cross-product route
+        (30, 4, 28),     # K = n - 2, Gram route
+        (30, 1, 28),     # K = n - 2, cross route, which needs p = 1 there
+    ], ids=["p-much-larger", "n-much-larger", "K-n-2-gram", "K-n-2-cross"])
+    def test_route_extremes(self, n, p, lags):
+        panel = TimeSeriesPanel(np.random.default_rng(n * p + lags).standard_normal((n, p)))
+        result = sum_test(panel, lags)
+        assert math.isfinite(result.t_sum) and math.isfinite(result.z_score)
+        assert 0.0 <= result.p_value <= 1.0
+        if p < 2:
+            with pytest.raises(ConfigError, match="at least 2 columns"):
+                run_all(panel, lags, 0.05)
+        else:
+            flat = run_all(panel, lags, 0.05).to_flat_dict()
+            for key in ("t_max", "gumbel_y", "t_sum", "z", "t_fc"):
+                assert math.isfinite(flat[key]), key
+            for key in ("p_max", "p_sum", "p_fc"):
+                assert 0.0 <= flat[key] <= 1.0, key
 
     def test_alpha_domain(self):
         panel = TimeSeriesPanel(np.random.default_rng(29).standard_normal((20, 3)))
