@@ -5,7 +5,9 @@ covariance; alternative scenarios put serial dependence in an m x m
 top-left block through first-order autoregressive or moving-average
 recursions.  Generation is deterministic given the spec, including its
 seed: every random draw flows from one generator in a fixed order
-(coefficient matrix first, then innovations).
+(coefficient matrix first, then innovations).  Only the m x m block
+carries a recursion, so only the block is computed, by recursive doubling
+rather than a step loop; see ``gen_alternative_panel``.
 """
 
 from __future__ import annotations
@@ -209,6 +211,24 @@ def _spectral_radius(a: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvals(a)).max())
 
 
+def _run_recursion(b: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Rows x_t = B x_{t-1} + u_t for t = 0..N-1, started from x_{-1} = 0.
+
+    Recursive doubling: after the pass with stride s, row t holds
+    sum_{k < 2s} B^k u_{t-k}, so ceil(log2 N) passes of one matmul each
+    reach every lag.  This costs O(N m^2 log N) flops for an N x m
+    input, in about log2 N numpy calls instead of N interpreter steps.
+    """
+    x = u.copy()
+    power = b
+    stride = 1
+    while stride < x.shape[0]:
+        x[stride:] += x[:-stride] @ power.T
+        power = power @ power
+        stride *= 2
+    return x
+
+
 def gen_alternative_panel(spec: DgpSpec) -> TimeSeriesPanel:
     """Generate a panel with block serial dependence.
 
@@ -218,15 +238,25 @@ def gen_alternative_panel(spec: DgpSpec) -> TimeSeriesPanel:
 
     The coefficient matrix is drawn first, then checked against the
     stationarity limit; a draw at or beyond it raises and the caller may
-    retry with fresh randomness.
+    retry with fresh randomness.  The innovations are drawn next, as
+    n + 1 (vma1), BURN_IN + n (var1) or BURN_IN + n + 1 (varma1) rows.
+
+    A is zero outside its top-left m x m block, so columns m+1..p are the
+    innovations themselves and only the block is computed: one matmul for
+    vma1, and for var1 and varma1 the block recursion over all
+    BURN_IN + n = N steps by recursive doubling, O(N m^2 log N) flops in
+    about ten numpy calls.  It agrees with a step-by-step loop to
+    rounding, and outside the block bit for bit.
     """
     if spec.scenario.is_null:
         raise ConfigError(f"{spec.scenario.value} is not an alternative scenario")
     rng = np.random.default_rng(spec.seed)
-    coeff = make_coeff_matrix(spec.scenario, spec.p, spec.m, rng)
+    m = spec.m
+    block = make_coeff_matrix(spec.scenario, spec.p, m, rng)[:m, :m]
 
     if spec.scenario is not Scenario.VMA1:
-        recursion = coeff if spec.scenario is Scenario.VAR1 else 0.5 * coeff
+        recursion = block if spec.scenario is Scenario.VAR1 else 0.5 * block
+        # Every eigenvalue outside the block is exactly zero.
         radius = _spectral_radius(recursion)
         if radius >= SPECTRAL_RADIUS_LIMIT:
             raise NonstationaryDrawError(
@@ -237,27 +267,18 @@ def gen_alternative_panel(spec: DgpSpec) -> TimeSeriesPanel:
     n, p = spec.n, spec.p
     if spec.scenario is Scenario.VMA1:
         z = draw_innovations(rng, n + 1, p, spec.innovation)
-        return TimeSeriesPanel(z[1:] + z[:-1] @ coeff.T)
+        out = z[1:].copy()
+        out[:, :m] += z[:-1, :m] @ block.T
+        return TimeSeriesPanel(out)
 
     if spec.scenario is Scenario.VAR1:
         z = draw_innovations(rng, BURN_IN + n, p, spec.innovation)
-        x = np.zeros(p)
-        out = np.empty((n, p))
-        for t in range(BURN_IN + n):
-            x = coeff @ x + z[t]
-            if t >= BURN_IN:
-                out[t - BURN_IN] = x
-        return TimeSeriesPanel(out)
-
-    # varma1
-    half = 0.5 * coeff
-    z = draw_innovations(rng, BURN_IN + n + 1, p, spec.innovation)
-    x = np.zeros(p)
-    out = np.empty((n, p))
-    for t in range(1, BURN_IN + n + 1):
-        x = half @ x + z[t] + half @ z[t - 1]
-        if t > BURN_IN:
-            out[t - BURN_IN - 1] = x
+        u = z[:, :m]
+    else:
+        z = draw_innovations(rng, BURN_IN + n + 1, p, spec.innovation)
+        u = z[1:, :m] + z[:-1, :m] @ recursion.T
+    out = z[-n:].copy()
+    out[:, :m] = _run_recursion(recursion, u)[BURN_IN:]
     return TimeSeriesPanel(out)
 
 

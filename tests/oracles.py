@@ -127,3 +127,46 @@ def lyapunov_covariance(a: np.ndarray, sz: np.ndarray) -> np.ndarray:
     lhs = np.eye(p * p) - np.kron(a, a)
     vec = np.linalg.solve(lhs, np.asarray(sz, dtype=np.float64).reshape(-1))
     return vec.reshape(p, p)
+
+
+def stepwise_recursion(b: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Rows x_t = B x_{t-1} + u_t from x_{-1} = 0, one step at a time."""
+    x = np.zeros(u.shape[1])
+    out = np.empty_like(u)
+    for t in range(u.shape[0]):
+        x = b @ x + u[t]
+        out[t] = x
+    return out
+
+
+def stepwise_alternative(scenario: str, coeff: np.ndarray, z: np.ndarray,
+                         burn_in: int) -> np.ndarray:
+    """Full p x p step loops for the var1, varma1 and vma1 alternatives.
+
+    ``coeff`` is the p x p coefficient matrix and ``z`` the innovation
+    rows, drawn in the generator's order: n + 1 rows for vma1,
+    burn_in + n for var1, burn_in + n + 1 for varma1.
+    """
+    p = coeff.shape[0]
+    if scenario == "vma1":
+        return z[1:] + z[:-1] @ coeff.T
+    if scenario == "var1":
+        n = z.shape[0] - burn_in
+        x = np.zeros(p)
+        out = np.empty((n, p))
+        for t in range(burn_in + n):
+            x = coeff @ x + z[t]
+            if t >= burn_in:
+                out[t - burn_in] = x
+        return out
+    if scenario == "varma1":
+        n = z.shape[0] - burn_in - 1
+        half = 0.5 * coeff
+        x = np.zeros(p)
+        out = np.empty((n, p))
+        for t in range(1, burn_in + n + 1):
+            x = half @ x + z[t] + half @ z[t - 1]
+            if t > burn_in:
+                out[t - burn_in - 1] = x
+        return out
+    raise ValueError(f"no step loop for {scenario}")

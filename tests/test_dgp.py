@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from hdwhite.dgp import (
+    BURN_IN,
     DgpSpec,
     Innovation,
     Scenario,
+    _run_recursion,
     draw_innovations,
     fourth_moment,
     gen_alternative_panel,
@@ -20,7 +22,7 @@ from hdwhite.errors import ConfigError, NonstationaryDrawError
 from hdwhite.panel import TimeSeriesPanel, sample_autocovariance
 from hdwhite.statistics import sum_test
 
-from oracles import lyapunov_covariance
+from oracles import lyapunov_covariance, stepwise_alternative, stepwise_recursion
 
 
 class TestMakeSigma:
@@ -251,19 +253,21 @@ class TestAlternativePanels:
 
     def test_nonstationary_draw_raises(self):
         # Frozen seed whose 2 x 2 autoregression draw has spectral
-        # radius at or above the stationarity limit.
-        spec = DgpSpec(
-            scenario=Scenario.VAR1,
-            innovation=Innovation.GAUSSIAN,
-            n=20,
-            p=2,
-            seed=43,
-            m=2,
-        )
-        coeff = make_coeff_matrix(Scenario.VAR1, 2, 2, np.random.default_rng(43))
-        assert np.abs(np.linalg.eigvals(coeff)).max() >= 0.999
-        with pytest.raises(NonstationaryDrawError):
-            gen_alternative_panel(spec)
+        # radius at or above the stationarity limit.  The block does not
+        # depend on p, so a wider panel must raise as well.
+        for p in (2, 6):
+            spec = DgpSpec(
+                scenario=Scenario.VAR1,
+                innovation=Innovation.GAUSSIAN,
+                n=20,
+                p=p,
+                seed=43,
+                m=2,
+            )
+            coeff = make_coeff_matrix(Scenario.VAR1, p, 2, np.random.default_rng(43))
+            assert np.abs(np.linalg.eigvals(coeff)).max() >= 0.999
+            with pytest.raises(NonstationaryDrawError):
+                gen_alternative_panel(spec)
 
     def test_moving_average_never_checks_stationarity(self):
         spec = DgpSpec(
@@ -276,6 +280,58 @@ class TestAlternativePanels:
         )
         panel = gen_alternative_panel(spec)
         assert panel.values.shape == (20, 2)
+
+
+class TestBlockGeneration:
+    """The block-only generator against the full p x p step loops."""
+
+    ROWS = {
+        Scenario.VMA1: lambda n: n + 1,
+        Scenario.VAR1: lambda n: BURN_IN + n,
+        Scenario.VARMA1: lambda n: BURN_IN + n + 1,
+    }
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 10])
+    @pytest.mark.parametrize("scenario", [Scenario.VAR1, Scenario.VARMA1, Scenario.VMA1])
+    def test_matches_step_loop(self, scenario, m):
+        n, p = 40, 12
+        checked = 0
+        for seed in range(30):
+            spec = DgpSpec(scenario, Innovation.GAUSSIAN, n, p, 7000 + seed, m)
+            try:
+                got = gen_alternative_panel(spec).values
+            except NonstationaryDrawError:
+                continue
+            # Same draws in the same order: coefficients, then innovations.
+            rng = np.random.default_rng(spec.seed)
+            coeff = make_coeff_matrix(scenario, p, m, rng)
+            z = draw_innovations(rng, self.ROWS[scenario](n), p, Innovation.GAUSSIAN)
+            want = stepwise_alternative(scenario.value, coeff, z, BURN_IN)
+            assert np.array_equal(got[:, m:], want[:, m:])
+            scale = np.abs(want[:, :m]).max()
+            assert np.abs(got[:, :m] - want[:, :m]).max() <= 1e-12 * scale
+            checked += 1
+        assert checked >= 25
+
+    def test_recursion_reaches_every_lag(self):
+        # A rotation never decays, so a missing doubling pass would drop
+        # terms of full size; lengths straddle powers of two.
+        angle = 0.3
+        b = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        rng = np.random.default_rng(90)
+        for length in (1, 2, 3, 37, 64, 65):
+            u = rng.standard_normal((length, 2))
+            want = stepwise_recursion(b, u)
+            assert np.abs(_run_recursion(b, u) - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_long_nonnormal_recursion(self):
+        # A defective block near the unit circle: B^k peaks near 33 at
+        # k = 100 before it decays, and 100,300 steps need 17 doublings.
+        b = np.array([[0.99, 0.9], [0.0, 0.99]])
+        u = np.random.default_rng(91).standard_normal((100_300, 2))
+        want = stepwise_recursion(b, u)
+        got = _run_recursion(b, u)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestExplicitMovingAverage:

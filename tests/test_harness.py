@@ -204,7 +204,7 @@ class TestRunExperiment:
         assert [r.rate_fc for r in first] == [r.rate_fc for r in second]
 
     def test_worker_count_does_not_change_results(self, tmp_path):
-        raw = {
+        size_grid = {
             "kind": "size",
             "scenarios": ["null-i", "null-iii"],
             "n": [30],
@@ -213,15 +213,26 @@ class TestRunExperiment:
             "replications": 12,
             "master_seed": 70,
         }
-        serial = run_experiment(ExperimentConfig.from_mapping(raw))
-        parallel = run_experiment(
-            ExperimentConfig.from_mapping(raw, workers_override=2)
-        )
-        path_a = tmp_path / "serial.csv"
-        path_b = tmp_path / "parallel.csv"
-        emit_table(serial, str(path_a))
-        emit_table(parallel, str(path_b))
-        assert path_a.read_bytes() == path_b.read_bytes()
+        power_grid = {
+            "kind": "power",
+            "scenarios": ["var1", "varma1", "vma1"],
+            "n": [30],
+            "p": [6],
+            "K": [1],
+            "m": [1, 3],
+            "replications": 8,
+            "master_seed": 71,
+        }
+        for raw in (size_grid, power_grid):
+            serial = run_experiment(ExperimentConfig.from_mapping(raw))
+            parallel = run_experiment(
+                ExperimentConfig.from_mapping(raw, workers_override=2)
+            )
+            path_a = tmp_path / f"{raw['kind']}-serial.csv"
+            path_b = tmp_path / f"{raw['kind']}-parallel.csv"
+            emit_table(serial, str(path_a))
+            emit_table(parallel, str(path_b))
+            assert path_a.read_bytes() == path_b.read_bytes()
 
     def test_replication_accounting(self):
         cfg = small_size_config(replications=17)

@@ -11,7 +11,7 @@ import scipy.stats
 from hdwhite import statistics
 from hdwhite.distributions import chi2_4_cdf, gumbel_sf, std_normal_sf
 from hdwhite.errors import ConfigError, DataError, DegenerateColumnError
-from hdwhite.panel import TimeSeriesPanel
+from hdwhite.panel import DEGENERATE_VARIANCE_TOL, TimeSeriesPanel
 from hdwhite.statistics import (
     REPORT_COLUMNS,
     fisher_combine,
@@ -311,6 +311,37 @@ class TestRunAll:
         assert len(row) == len(REPORT_COLUMNS)
         assert row[0] == "30"
         assert row[-1] in ("0", "1")
+
+    def test_common_offset_needs_centering(self):
+        # The tests assume mean zero: an uncentred offset is a constant
+        # autocovariance at every lag, so all three reject every panel.
+        raw = np.zeros(3)
+        centred = np.zeros(3)
+        for rep in range(200):
+            x = np.random.default_rng(rep).standard_normal((200, 30)) + 3.0
+            for panel, tally in ((TimeSeriesPanel(x), raw),
+                                 (TimeSeriesPanel.from_array(x, center=True), centred)):
+                report = run_all(panel, 2, 0.05)
+                tally += (report.reject_max, report.reject_sum, report.reject_fc)
+        assert (raw == 200).all()
+        rates = centred / 200
+        assert ((0.01 <= rates) & (rates <= 0.10)).all(), f"centred size {rates}"
+
+    def test_near_degenerate_column(self):
+        x = np.random.default_rng(29).standard_normal((200, 30))
+        base = run_all(TimeSeriesPanel(x), 2, 0.05)
+        for variance in (2.0 * DEGENERATE_VARIANCE_TOL, 0.5 * DEGENERATE_VARIANCE_TOL):
+            y = x.copy()
+            y[:, 4] *= math.sqrt(variance / np.mean(x[:, 4] ** 2))
+            if variance <= DEGENERATE_VARIANCE_TOL:
+                with pytest.raises(DegenerateColumnError, match="column 5"):
+                    run_all(TimeSeriesPanel(y), 2, 0.05)
+                continue
+            report = run_all(TimeSeriesPanel(y), 2, 0.05)
+            flat = report.to_flat_dict()
+            assert all(math.isfinite(v) for v in flat.values())
+            # MAX uses autocorrelations, which do not see a column's scale.
+            assert report.max.t_max == pytest.approx(base.max.t_max, rel=1e-12)
 
     @pytest.mark.parametrize("n, p, lags", [
         (50, 1000, 3),   # p >> n: Gram route
