@@ -39,7 +39,8 @@ def _cmd_test(args) -> int:
     return 0
 
 
-def _load_config(args, kind: ExperimentKind) -> ExperimentConfig:
+def _cmd_experiment(args) -> int:
+    kind = ExperimentKind(args.command)
     cfg = ExperimentConfig.from_json_file(
         args.config,
         seed_override=args.seed,
@@ -50,25 +51,10 @@ def _load_config(args, kind: ExperimentKind) -> ExperimentConfig:
         raise ConfigError(
             f'config "kind" is {cfg.kind.value!r} but the {kind.value} subcommand was invoked'
         )
-    return cfg
-
-
-def _cmd_size(args) -> int:
-    cfg = _load_config(args, ExperimentKind.SIZE)
     if cfg.out_path is None:
         raise ConfigError('no output path: set "out" in the config or pass --out')
     results = run_experiment(cfg)
-    emit_table(results, cfg.out_path, format=args.format)
-    print(f"wrote {len(results)} cells to {cfg.out_path}")
-    return 0
-
-
-def _cmd_power(args) -> int:
-    cfg = _load_config(args, ExperimentKind.POWER)
-    if cfg.out_path is None:
-        raise ConfigError('no output path: set "out" in the config or pass --out')
-    results = run_experiment(cfg)
-    if args.curve:
+    if kind is ExperimentKind.POWER and args.curve:
         emit_power_curve(results, cfg.out_path)
     else:
         emit_table(results, cfg.out_path, format=args.format)
@@ -132,9 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "power":
             p_run.add_argument("--curve", action="store_true",
                                help="emit a per-m power-curve CSV instead of the flat table")
-            p_run.set_defaults(func=_cmd_power)
-        else:
-            p_run.set_defaults(func=_cmd_size)
+        p_run.set_defaults(func=_cmd_experiment)
 
     p_pt = sub.add_parser("power-theory", help="closed-form sum-test power under a one-lag MA")
     p_pt.add_argument("--a0", required=True, help="CSV of the lag-0 coefficient matrix")

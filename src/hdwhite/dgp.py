@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, NonstationaryDrawError
-from .linalg import sym_sqrt
+from .linalg import psd_projection_root, sym_sqrt
 from .panel import TimeSeriesPanel
 
 # Settle-in period discarded before sampling autoregressive recursions.
@@ -116,20 +116,6 @@ def make_sigma(scenario: Scenario, p: int) -> np.ndarray:
         )
     np.fill_diagonal(sigma, 1.0)
     return sigma
-
-
-def psd_projection_root(sigma: np.ndarray) -> np.ndarray:
-    """Square root of the nearest positive semidefinite matrix.
-
-    Eigendecomposes, floors every eigenvalue at zero, and roots the
-    result.  Unlike sym_sqrt this never rejects an indefinite input; the
-    product M @ M equals the PSD projection of ``sigma``, not ``sigma``
-    itself, whenever negative eigenvalues were present.
-    """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    w, v = np.linalg.eigh((sigma + sigma.T) / 2.0)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    return (root + root.T) / 2.0
 
 
 _ROOT_CACHE: dict[tuple[Scenario, int], np.ndarray] = {}

@@ -3,7 +3,9 @@
 An experiment is a grid of cells (scenario, innovation, n, p, K, and a
 block size m for alternatives).  Every cell runs R replications; each
 replication owns an RNG stream derived purely from (master seed, cell,
-replication index), so results are byte-identical for any worker count.
+replication index).  One loop runs every cell; the worker count only
+picks its map (the builtin one or a process pool's), so results are
+byte-identical for any worker count.
 Outputs are a flat CSV, a grouped markdown table, and per-m power-curve
 CSVs.
 """
@@ -12,12 +14,13 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+from functools import partial
+from itertools import product, repeat
 
 import numpy as np
 
@@ -263,7 +266,6 @@ class CellResult:
     se_max: float
     se_sum: float
     se_fc: float
-    wall_time: float
 
     def __post_init__(self):
         for name in ("rate_max", "rate_sum", "rate_fc"):
@@ -272,9 +274,7 @@ class CellResult:
                 raise ConfigError(f"{name} must lie in [0, 1], got {r}")
 
     @classmethod
-    def from_counts(
-        cls, cell: GridCell, counts: tuple[int, int, int], reps: int, wall_time: float
-    ) -> "CellResult":
+    def from_counts(cls, cell: GridCell, counts: tuple[int, int, int], reps: int) -> "CellResult":
         def se(k):
             r = k / reps
             return float(np.sqrt(r * (1.0 - r) / reps))
@@ -288,7 +288,6 @@ class CellResult:
             se_max=se(counts[0]),
             se_sum=se(counts[1]),
             se_fc=se(counts[2]),
-            wall_time=wall_time,
         )
 
 
@@ -298,19 +297,20 @@ def derive_seed(master_seed: int, cell_key: int, rep: int, attempt: int = 0) -> 
     return int.from_bytes(seq.generate_state(4, np.uint32).tobytes(), "little")
 
 
-def _replicate(args: tuple) -> tuple[bool, bool, bool]:
+def _replicate(
+    cell: GridCell, cell_key: int, rep: int, master_seed: int, alpha: float
+) -> tuple[bool, bool, bool]:
     """Run one replication; top-level so process pools can pickle it."""
-    (scenario, innovation, n, p, lags, m, master_seed, cell_key, rep, alpha) = args
+    # Resolved per call, so a replaced module attribute takes effect.
+    generate = gen_null_panel if cell.scenario.is_null else gen_alternative_panel
     for attempt in range(MAX_REDRAWS):
         seed = derive_seed(master_seed, cell_key, rep, attempt)
         spec = DgpSpec(
-            scenario=scenario, innovation=innovation, n=n, p=p, seed=seed, m=m
+            scenario=cell.scenario, innovation=cell.innovation,
+            n=cell.n, p=cell.p, seed=seed, m=cell.m,
         )
         try:
-            if spec.scenario.is_null:
-                panel = gen_null_panel(spec)
-            else:
-                panel = gen_alternative_panel(spec)
+            panel = generate(spec)
             break
         except NonstationaryDrawError:
             continue
@@ -319,17 +319,8 @@ def _replicate(args: tuple) -> tuple[bool, bool, bool]:
             f"exceeded {MAX_REDRAWS} coefficient redraws for cell key {cell_key}, "
             f"replication {rep}"
         )
-    report = run_all(panel, lags, alpha)
+    report = run_all(panel, cell.lags, alpha)
     return (report.reject_max, report.reject_sum, report.reject_fc)
-
-
-def _cell_args(cell: GridCell, cfg: ExperimentConfig):
-    key = cell.key()
-    for rep in range(cfg.replications):
-        yield (
-            cell.scenario, cell.innovation, cell.n, cell.p, cell.lags, cell.m,
-            cfg.master_seed, key, rep, cfg.alpha,
-        )
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[CellResult]:
@@ -340,39 +331,33 @@ def run_experiment(cfg: ExperimentConfig) -> list[CellResult]:
     output is identical for any worker count.
     """
     results = []
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for cell in cfg.grid:
-                start = time.perf_counter()
-                chunk = max(1, cfg.replications // (cfg.workers * 4))
-                outcomes = list(
-                    pool.map(_replicate, _cell_args(cell, cfg), chunksize=chunk)
-                )
-                results.append(_tally(cell, cfg, outcomes, start))
-    else:
+    with ExitStack() as stack:
+        mapper = map
+        if cfg.workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.workers))
+            chunk = max(1, cfg.replications // (cfg.workers * 4))
+            mapper = partial(pool.map, chunksize=chunk)
         for cell in cfg.grid:
-            start = time.perf_counter()
-            outcomes = [_replicate(args) for args in _cell_args(cell, cfg)]
-            results.append(_tally(cell, cfg, outcomes, start))
+            outcomes = mapper(
+                _replicate, repeat(cell), repeat(cell.key()), range(cfg.replications),
+                repeat(cfg.master_seed), repeat(cfg.alpha),
+            )
+            counts = [0, 0, 0]
+            for rejects in outcomes:
+                for i, rejected in enumerate(rejects):
+                    counts[i] += rejected
+            results.append(CellResult.from_counts(cell, tuple(counts), cfg.replications))
     return results
-
-
-def _tally(cell, cfg, outcomes, start) -> CellResult:
-    counts = [0, 0, 0]
-    for rej in outcomes:
-        for i in range(3):
-            counts[i] += int(rej[i])
-    return CellResult.from_counts(
-        cell, tuple(counts), cfg.replications, time.perf_counter() - start
-    )
 
 
 # -- emission ----------------------------------------------------------------
 
-RESULT_COLUMNS = (
-    "scenario", "innovation", "n", "p", "K", "m", "replications",
-    "rate_max", "rate_sum", "rate_fc", "se_max", "se_sum", "se_fc",
-)
+RATE_COLUMNS = ("rate_max", "rate_sum", "rate_fc", "se_max", "se_sum", "se_fc")
+RESULT_COLUMNS = ("scenario", "innovation", "n", "p", "K", "m", "replications") + RATE_COLUMNS
+
+
+def _rate_cells(res: CellResult) -> list[str]:
+    return [repr(getattr(res, name)) for name in RATE_COLUMNS]
 
 
 def _result_row(res: CellResult) -> list:
@@ -380,9 +365,7 @@ def _result_row(res: CellResult) -> list:
     return [
         c.scenario.value, c.innovation.value, c.n, c.p, c.lags,
         "" if c.m is None else c.m, res.replications_used,
-        repr(res.rate_max), repr(res.rate_sum), repr(res.rate_fc),
-        repr(res.se_max), repr(res.se_sum), repr(res.se_fc),
-    ]
+    ] + _rate_cells(res)
 
 
 def emit_table(results: list[CellResult], out_path: str, format: str = "csv") -> str:
@@ -390,8 +373,8 @@ def emit_table(results: list[CellResult], out_path: str, format: str = "csv") ->
 
     The markdown layout mirrors the size-table shape: one block per
     (scenario, innovation), rows ordered by (n, p), and per tested lag
-    count a MAX/SUM/FC rate column triple.  Wall times are deliberately
-    not emitted so output files are reproducible byte for byte.
+    count a MAX/SUM/FC rate column triple.  No timings are emitted, so
+    output files are reproducible byte for byte.
     """
     if not results:
         raise ConfigError("refusing to emit an empty result table")
@@ -473,13 +456,7 @@ def emit_power_curve(results: list[CellResult], out_path: str) -> str:
         )
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ("m", "rate_max", "rate_sum", "rate_fc", "se_max", "se_sum", "se_fc")
-        )
+        writer.writerow(("m",) + RATE_COLUMNS)
         for m, res in by_m.items():
-            writer.writerow([
-                m,
-                repr(res.rate_max), repr(res.rate_sum), repr(res.rate_fc),
-                repr(res.se_max), repr(res.se_sum), repr(res.se_fc),
-            ])
+            writer.writerow([m] + _rate_cells(res))
     return out_path

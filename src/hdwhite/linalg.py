@@ -46,8 +46,23 @@ def sym_sqrt(s: np.ndarray) -> np.ndarray:
         raise NotPsdError(
             f"matrix is not positive semidefinite: smallest eigenvalue {float(w[0]):.3e}"
         )
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.T
+    return _eigen_root(w, v)
+
+
+def psd_projection_root(sigma: np.ndarray) -> np.ndarray:
+    """Square root of the nearest positive semidefinite matrix.
+
+    Eigendecomposes, floors every eigenvalue at zero, and roots the
+    result.  Unlike sym_sqrt this never rejects an indefinite input; the
+    product M @ M equals the PSD projection of ``sigma``, not ``sigma``
+    itself, whenever negative eigenvalues were present.
+    """
+    sigma = np.asarray(sigma, dtype=np.float64)
+    return _eigen_root(*np.linalg.eigh((sigma + sigma.T) / 2.0))
+
+
+def _eigen_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """V diag(sqrt(max(w, 0))) V' from the eigendecomposition V diag(w) V'."""
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
     # Symmetrize away rounding asymmetry from the two matrix products.
     return (root + root.T) / 2.0
-

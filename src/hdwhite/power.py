@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .distributions import std_normal_cdf, std_normal_quantile
+from .distributions import gumbel_quantile, std_normal_cdf, std_normal_quantile
 from .errors import ConfigError
 
 __all__ = [
@@ -233,8 +233,6 @@ def max_power_bounds(
         raise ConfigError(f"n must be at least 2, got {n}")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    from .distributions import gumbel_quantile
-
     log_np = math.log(lags * p * p)
     x_alpha = 2.0 * log_np - math.log(log_np) + gumbel_quantile(alpha)
     root = math.sqrt(x_alpha)

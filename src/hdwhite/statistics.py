@@ -75,19 +75,21 @@ def max_test(panel: TimeSeriesPanel, lags: int) -> MaxResult:
 def _pair_sums_from_gram(x: np.ndarray, lags: int) -> tuple[float, float, float]:
     """The three sums ``sum_test`` needs, from the n x n Gram matrix X X'.
 
-    Returns ||X'X||_F^2 (which equals ||X X'||_F^2), sum_t |x_t|^4, and
-    the sum over lags l = 1..K and pairs t != s of x_t'x_s x_{t+l}'x_{s+l}.
+    Returns the sum over pairs t != s of (x_t'x_s)^2, ||X'X||_F^2, and the
+    sum over lags l = 1..K and pairs t != s of x_t'x_s x_{t+l}'x_{s+l}.
+    Zeroing the Gram diagonal drops the t = s terms from every sum.
     O(n^2 (p + K)) time and O(n^2) memory.
     """
     n = x.shape[0]
     gram = x @ x.T
     diag = np.diagonal(gram)
+    quartic = float((diag * diag).sum())
+    np.fill_diagonal(gram, 0.0)
+    off_diagonal = float((gram * gram).sum())
     total = 0.0
     for l in range(1, lags + 1):
-        a = gram[: n - l, : n - l]
-        b = gram[l:, l:]
-        total += float((a * b).sum()) - float((a.diagonal() * b.diagonal()).sum())
-    return float((gram * gram).sum()), float((diag * diag).sum()), total
+        total += float((gram[: n - l, : n - l] * gram[l:, l:]).sum())
+    return off_diagonal, off_diagonal + quartic, total
 
 
 def _pair_sums_from_cross_products(x: np.ndarray, lags: int) -> tuple[float, float, float]:
@@ -103,14 +105,16 @@ def _pair_sums_from_cross_products(x: np.ndarray, lags: int) -> tuple[float, flo
     for l in range(1, lags + 1):
         cross = x[l:].T @ x[: n - l]
         total += float(np.square(cross).sum()) - float(sq[l:] @ sq[: n - l])
-    return float(np.square(x.T @ x).sum()), float(sq @ sq), total
+    frob = float(np.square(x.T @ x).sum())
+    return frob - float(sq @ sq), frob, total
 
 
-# The studentizer's pair sum is ||X'X||_F^2 minus sum_t |x_t|^4 on either
-# route.  When every pair of rows is orthogonal, rounding still leaves a
-# residue of a few machine epsilons of ||X'X||_F^2 (at most 8e-16 of it
-# over 23,000 random such panels), so a difference below this fraction of
-# it counts as zero.
+# The cross route forms the studentizer's pair sum as ||X'X||_F^2 minus
+# sum_t |x_t|^4.  When every pair of rows is orthogonal, rounding still
+# leaves a residue of a few machine epsilons of ||X'X||_F^2 (at most 8e-16
+# of it over 23,000 random such panels), so a pair sum below this fraction
+# of it counts as zero.  The Gram route's sum of squared off-diagonal
+# entries leaves a residue of order epsilon squared, far below it.
 SCALE_RESOLUTION = 1e-12
 
 
@@ -135,10 +139,9 @@ def sum_test(panel: TimeSeriesPanel, lags: int) -> SumResult:
         raise ConfigError(f"sum test needs at least 4 rows, got n={n}")
     check_lag_budget(n, lags)
     if (lags + 1) * panel.p < n:
-        frob, quartic, total = _pair_sums_from_cross_products(panel.values, lags)
+        off_diagonal, frob, total = _pair_sums_from_cross_products(panel.values, lags)
     else:
-        frob, quartic, total = _pair_sums_from_gram(panel.values, lags)
-    off_diagonal = frob - quartic
+        off_diagonal, frob, total = _pair_sums_from_gram(panel.values, lags)
     pairs = n * (n - 1)
     trace_sq_hat = off_diagonal / pairs
     t_sum = total / pairs

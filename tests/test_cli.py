@@ -98,6 +98,10 @@ class TestTestSubcommand:
         assert exc.value.code == 2
 
 
+# Grid keys that turn the size config below into a power one.
+POWER_CELL = {"size": {}, "power": {"scenarios": "vma1", "m": 1}}
+
+
 class TestExperimentSubcommands:
     def write_config(self, tmp_path, **extra):
         raw = {
@@ -136,19 +140,28 @@ class TestExperimentSubcommands:
         assert code == 0
         assert "## null-i, gaussian innovations" in out_path.read_text()
 
-    def test_size_without_output_path(self, tmp_path, capsys):
-        cfg = self.write_config(tmp_path)
-        code, _, err = run_cli(capsys, "size", "--config", str(cfg))
+    @pytest.mark.parametrize("kind", ["size", "power"])
+    def test_without_output_path(self, tmp_path, capsys, kind):
+        cfg = self.write_config(tmp_path, kind=kind, **POWER_CELL[kind])
+        code, _, err = run_cli(capsys, kind, "--config", str(cfg))
         assert code == 2
         assert "no output path" in err
 
-    def test_kind_mismatch(self, tmp_path, capsys):
-        cfg = self.write_config(tmp_path)
+    @pytest.mark.parametrize("kind, other", [("size", "power"), ("power", "size")])
+    def test_kind_mismatch(self, tmp_path, capsys, kind, other):
+        cfg = self.write_config(tmp_path, kind=kind, **POWER_CELL[kind])
         code, _, err = run_cli(
-            capsys, "power", "--config", str(cfg), "--out", str(tmp_path / "x.csv")
+            capsys, other, "--config", str(cfg), "--out", str(tmp_path / "x.csv")
         )
         assert code == 2
-        assert "subcommand" in err
+        assert f"config \"kind\" is '{kind}' but the {other} subcommand was invoked" in err
+
+    def test_curve_is_power_only(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["size", "--config", str(cfg), "--out", str(tmp_path / "x.csv"), "--curve"])
+        assert exc.value.code == 2
+        assert "--curve" in capsys.readouterr().err
 
     def test_power_curve(self, tmp_path, capsys):
         cfg = self.write_config(

@@ -238,7 +238,6 @@ class TestRunExperiment:
         cfg = small_size_config(replications=17)
         results = run_experiment(cfg)
         assert [r.replications_used for r in results] == [17]
-        assert results[0].wall_time > 0.0
 
     def test_single_replication_degenerate_rates(self):
         cfg = small_size_config(replications=1)
@@ -388,7 +387,7 @@ class TestEmitters:
 class TestCellResult:
     def test_from_counts(self):
         cell = GridCell(Scenario.NULL_I, Innovation.GAUSSIAN, 30, 5, 1)
-        res = CellResult.from_counts(cell, (2, 5, 3), 10, wall_time=0.5)
+        res = CellResult.from_counts(cell, (2, 5, 3), 10)
         assert res.rate_max == 0.2
         assert res.rate_sum == 0.5
         assert res.se_sum == pytest.approx(np.sqrt(0.25 / 10), rel=1e-12)
@@ -396,4 +395,4 @@ class TestCellResult:
     def test_rate_bounds_checked(self):
         cell = GridCell(Scenario.NULL_I, Innovation.GAUSSIAN, 30, 5, 1)
         with pytest.raises(ConfigError):
-            CellResult(cell, 1.2, 0.1, 0.1, 10, 0.0, 0.0, 0.0, 0.1)
+            CellResult(cell, 1.2, 0.1, 0.1, 10, 0.0, 0.0, 0.0)

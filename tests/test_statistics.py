@@ -206,6 +206,21 @@ class TestSumTest:
             with pytest.raises(DataError, match="studentized"):
                 sum_test_by_route(monkeypatch, TimeSeriesPanel(values), 1, route)
 
+    @pytest.mark.parametrize("n, p", [(120, 100), (150, 60)])
+    @pytest.mark.parametrize("scale", [1e3, 1e4, 1e5])
+    def test_gram_route_one_large_row(self, monkeypatch, n, p, scale):
+        # One dominant row makes sum_t |x_t|^4 nearly all of ||X X'||_F^2,
+        # so a pair sum formed as their difference cancels.  The Gram
+        # route sums squared off-diagonal entries and must stay accurate.
+        x = np.random.default_rng(31).standard_normal((n, p))
+        x[n // 3] *= scale
+        result = sum_test_by_route(monkeypatch, TimeSeriesPanel(x), 3, "gram")
+        xl = x.astype(np.longdouble)
+        gram = xl @ xl.T
+        np.fill_diagonal(gram, 0.0)
+        want = float((gram * gram).sum() / (n * (n - 1)))
+        assert abs(result.trace_sq_hat - want) / want < 1e-13
+
     def test_tall_panel_peak_memory(self):
         # The Gram route would hold a 2000 x 2000 matrix (about 31 MiB)
         # and its temporaries; the cross products need p x p.
