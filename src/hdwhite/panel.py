@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,12 +24,18 @@ DEGENERATE_VARIANCE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TimeSeriesPanel:
-    """Immutable n x p panel of observations, rows indexed by time."""
+    """Immutable n x p panel of observations, rows indexed by time.
+
+    The constructor stores a C-contiguous, read-only float64 copy of the
+    input, so the panel never aliases the caller's array.  The lag-0
+    autocovariance is formed on first use and kept for the panel's
+    lifetime: p^2 more floats, paid once however many tests read it.
+    """
 
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        values = np.array(self.values, dtype=np.float64, order="C")
         if values.ndim != 2:
             raise DataError(f"panel must be 2-dimensional, got {values.ndim} dims")
         n, p = values.shape
@@ -36,15 +43,23 @@ class TimeSeriesPanel:
             raise DataError(f"panel needs at least 2 rows, got {n}")
         if p < 1:
             raise DataError("panel needs at least 1 column")
-        bad = np.argwhere(~np.isfinite(values))
-        if bad.size:
-            r, c = bad[0]
+        if not np.isfinite(values).all():
+            r, c = np.argwhere(~np.isfinite(values))[0]
             raise DataError(
                 f"panel contains a non-finite value at row {int(r) + 1}, column {int(c) + 1}"
             )
-        values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
+
+    @cached_property
+    def _lag0_autocovariance(self) -> np.ndarray:
+        # cached_property stores into the instance __dict__, which a frozen
+        # dataclass allows.  Read-only, since every caller shares it.
+        x = self.values
+        cov = x.T @ x / self.n
+        cov = (cov + cov.T) / 2.0
+        cov.flags.writeable = False
+        return cov
 
     @property
     def n(self) -> int:
@@ -82,6 +97,11 @@ def sample_autocovariance(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
 
     Entry (i, j) is (1/n) * sum_{t=1}^{n-k} x[t+k, i] * x[t, j].  The
     divisor stays n for every lag, and no mean is subtracted.
+
+    Lag 0 is symmetrized, (X'X/n + (X'X/n)')/2, and cached on the panel:
+    every call returns the same read-only array, which holds p^2 floats
+    for as long as the panel lives.  Copy it before writing into it.
+    Every other lag is a fresh, writable p x p product.
     """
     x = panel.values
     n = panel.n
@@ -90,8 +110,7 @@ def sample_autocovariance(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
     if lag < 0 or lag > n - 1:
         raise LagError(f"lag {lag} out of range [0, {n - 1}] for n={n}")
     if lag == 0:
-        cov = x.T @ x / n
-        return (cov + cov.T) / 2.0
+        return panel._lag0_autocovariance
     return x[lag:].T @ x[: n - lag] / n
 
 
@@ -99,9 +118,10 @@ def sample_autocorrelation(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
     """Lag-k sample autocorrelation matrix.
 
     The lag-k autocovariance is scaled on both sides by the inverse square
-    roots of the lag-0 diagonal.  A diagonal entry at or below
-    ``DEGENERATE_VARIANCE_TOL`` makes the scaling meaningless and raises,
-    naming the first offending column (1-based).
+    roots of the lag-0 diagonal.  The lag-0 matrix comes from the panel's
+    cache, so each call forms one p x p product, not two.  A diagonal
+    entry at or below ``DEGENERATE_VARIANCE_TOL`` makes the scaling
+    meaningless and raises, naming the first offending column (1-based).
     """
     d = np.diagonal(sample_autocovariance(panel, 0))
     low = np.nonzero(d <= DEGENERATE_VARIANCE_TOL)[0]

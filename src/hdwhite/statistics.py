@@ -50,11 +50,13 @@ class SumResult:
 
 
 def max_test(panel: TimeSeriesPanel, lags: int) -> MaxResult:
-    """Max test over lags 1..lags.  Lag 0 never enters.
+    """Max test over lags 1..lags.  Lag 0 enters only through the scaling.
 
     The max runs over all p^2 entries of each autocorrelation matrix,
     diagonal included.  Requires p >= 2 so the recentring constants are
-    defined.
+    defined.  Cost: K+1 p x p products per panel, the K lag products
+    and the lag-0 product, which the panel computes once and caches (see
+    ``sample_autocovariance``).
     """
     n, p = panel.n, panel.p
     check_lag_budget(n, lags)
@@ -63,7 +65,7 @@ def max_test(panel: TimeSeriesPanel, lags: int) -> MaxResult:
     largest = 0.0
     for k in range(1, lags + 1):
         corr = sample_autocorrelation(panel, k)
-        largest = max(largest, float(np.abs(corr).max()))
+        largest = max(largest, float(corr.max()), -float(corr.min()))
     t_max = math.sqrt(n) * largest
     log_np = math.log(lags * p * p)
     y = t_max * t_max - 2.0 * log_np + math.log(log_np)

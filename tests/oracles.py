@@ -1,7 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately written the slow, obvious way (explicit
-loops, plain bisection) so it shares no code path with the package.
+loops, plain bisection) so it shares no code path with the package.  The
+one exception, ``per_lag_max_stat``, keeps an earlier vectorized form of
+a statistic so that tests can demand bit-for-bit equality with it.
 """
 
 from __future__ import annotations
@@ -46,6 +48,27 @@ def brute_max_stat(x: np.ndarray, lags: int) -> float:
         for row in corr:
             for value in row:
                 largest = max(largest, abs(value))
+    return math.sqrt(n) * largest
+
+
+def per_lag_max_stat(x: np.ndarray, lags: int) -> float:
+    """The max statistic as the package computed it before the lag-0
+    moment was cached: a fresh lag-0 product for every lag, each lag
+    scaled by the outer product of inverse roots, then ``abs().max()``.
+
+    Same matmuls in the same order as the package, so the two must agree
+    bit for bit; the brute-force ``brute_max_stat`` checks the value.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    largest = 0.0
+    for k in range(1, lags + 1):
+        cov0 = x.T @ x / n
+        cov0 = (cov0 + cov0.T) / 2.0
+        inv_scale = 1.0 / np.sqrt(np.diagonal(cov0))
+        covk = x[k:].T @ x[: n - k] / n
+        corr = covk * np.outer(inv_scale, inv_scale)
+        largest = max(largest, float(np.abs(corr).max()))
     return math.sqrt(n) * largest
 
 

@@ -18,6 +18,7 @@ from hdwhite.panel import (
     sample_autocovariance,
     write_panel_csv,
 )
+from hdwhite.statistics import run_all
 
 from oracles import brute_autocorrelation, brute_autocovariance
 
@@ -52,6 +53,33 @@ class TestPanelConstruction:
         panel = TimeSeriesPanel(source)
         source[0, 0] = 99.0
         assert panel.values[0, 0] == 1.0, "panel must not alias caller memory"
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            np.asfortranarray,
+            lambda a: np.repeat(a, 3, axis=1)[:, ::3],
+            lambda a: np.rint(a * 10).astype(np.int64),
+            lambda a: np.lib.stride_tricks.as_strided(a, writeable=False),
+        ],
+        ids=["fortran", "strided-view", "integer", "read-only-view"],
+    )
+    def test_stores_c_contiguous_read_only_float_copy(self, make):
+        source = make(np.random.default_rng(5).standard_normal((9, 4)))
+        panel = TimeSeriesPanel(source)
+        got = panel.values
+        assert got.dtype == np.float64
+        assert got.flags.c_contiguous and not got.flags.writeable
+        assert not np.shares_memory(got, source), "panel must not alias caller memory"
+        assert np.array_equal(got, source)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_first_nonfinite_in_row_major_order(self, order):
+        values = np.zeros((5, 6), order=order)
+        values[2, 1] = np.nan   # row 3, column 2
+        values[1, 3] = np.inf   # row 2, column 4: earlier in row-major order
+        with pytest.raises(DataError, match="row 2, column 4"):
+            TimeSeriesPanel(values)
 
     def test_center_flag_zeroes_column_means(self):
         rng = np.random.default_rng(3)
@@ -103,6 +131,35 @@ class TestAutocovariance:
         panel = TimeSeriesPanel(rng.standard_normal((25, 5)))
         w = np.linalg.eigvalsh(sample_autocovariance(panel, 0))
         assert w.min() > -1e-10, f"lag-0 covariance has eigenvalue {w.min()}"
+
+    def test_lag0_is_cached_and_read_only(self):
+        x = np.random.default_rng(21).standard_normal((40, 7))
+        panel = TimeSeriesPanel(x)
+        cov0 = sample_autocovariance(panel, 0)
+        fresh = x.T @ x / 40
+        fresh = (fresh + fresh.T) / 2.0
+        assert cov0.tobytes() == fresh.tobytes()
+        assert sample_autocovariance(panel, 0) is cov0
+        with pytest.raises(ValueError):
+            cov0[0, 0] = 1.0
+
+    def test_lag0_formed_once_per_panel(self, monkeypatch):
+        cached = TimeSeriesPanel.__dict__["_lag0_autocovariance"]
+        formed = []
+
+        def spy(panel, fn=cached.func):
+            formed.append(panel)
+            return fn(panel)
+
+        monkeypatch.setattr(cached, "func", spy)
+        rng = np.random.default_rng(22)
+        panels = [TimeSeriesPanel(rng.standard_normal((30, 6))) for _ in range(2)]
+        for panel in panels:
+            run_all(panel, 3, 0.05)
+            for lag in range(4):
+                sample_autocorrelation(panel, lag)
+        assert len(formed) == len(panels)
+        assert all(a is b for a, b in zip(formed, panels))
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(4)

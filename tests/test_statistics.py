@@ -20,7 +20,7 @@ from hdwhite.statistics import (
     sum_test,
 )
 
-from oracles import brute_max_stat, brute_sum_stat, brute_trace_sq
+from oracles import brute_max_stat, brute_sum_stat, brute_trace_sq, per_lag_max_stat
 
 
 # (n, p, K) shapes that reach each of sum_test's two routes on purpose:
@@ -88,6 +88,15 @@ class TestMaxTest:
             got = max_test(TimeSeriesPanel(x), lags).t_max
             want = brute_max_stat(x, lags)
             assert abs(got - want) / max(abs(want), 1e-12) < 1e-10
+
+    @pytest.mark.parametrize("lags", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n, p", [(200, 20), (60, 40)], ids=["cross", "gram"])
+    def test_bitwise_equal_to_per_lag_max(self, n, p, lags):
+        # One lag-0 product per panel must give exactly the bits of one
+        # per lag, on SUM's cross-route and Gram-route shapes alike.
+        rng = np.random.default_rng(100 * lags + p)
+        for x in (rng.standard_normal((n, p)), rng.standard_t(3, (n, p))):
+            assert max_test(TimeSeriesPanel(x), lags).t_max == per_lag_max_stat(x, lags)
 
     def test_result_internal_consistency(self):
         rng = np.random.default_rng(15)
