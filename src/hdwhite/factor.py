@@ -33,9 +33,12 @@ MIN_ROWS = 10
 FACTOR_COLUMNS = ("market_excess", "smb", "hml")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorData:
-    """Aligned excess returns and factor observations."""
+    """Aligned excess returns and factor observations.
+
+    Equality and hashing are by identity, as for any object.
+    """
 
     excess_returns: np.ndarray = field(repr=False)
     factors: np.ndarray = field(repr=False)

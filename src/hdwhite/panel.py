@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,7 +23,7 @@ from .errors import DataError, DegenerateColumnError, LagError, ParseError
 DEGENERATE_VARIANCE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeriesPanel:
     """Immutable n x p panel of observations, rows indexed by time.
 
@@ -30,6 +31,7 @@ class TimeSeriesPanel:
     input, so the panel never aliases the caller's array.  The lag-0
     autocovariance is formed on first use and kept for the panel's
     lifetime: p^2 more floats, paid once however many tests read it.
+    Equality and hashing are by identity, as for any object.
     """
 
     values: np.ndarray = field(repr=False)
@@ -138,22 +140,95 @@ def sample_autocorrelation(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
 def read_csv_array(path, header: bool = False, labels: bool = False):
     """Read a numeric CSV into a float array.
 
-    Blank lines are skipped.  ``header=True`` takes the first non-blank
-    line as column names; ``labels=True`` takes the first column of every
-    data line as a text label (a date, say) rather than a number.  Every
-    non-blank line must have the same number of fields.  Decimal separator
-    is '.', encoding UTF-8.
+    Blank lines (only commas and whitespace) are skipped.  ``header=True``
+    takes the first non-blank line as column names; ``labels=True`` takes
+    the first column of every data line as a text label (a date, say)
+    rather than a number.  Every non-blank line must have the same number
+    of fields.  Decimal separator is '.', encoding UTF-8; a leading
+    byte-order mark is dropped.
 
     Returns (header names or None, row labels or None, values).  A ragged
     line, or a cell that does not parse as a finite number, raises
     ParseError with its 1-based file line and column.
+
+    A plain file, with no quote character and only finite numbers in
+    ``float``'s ASCII spelling, is parsed by numpy's C reader.  Any other
+    file, and any file that reader refuses or warns on, is read again by
+    the per-cell loop, which alone decides what is accepted and where an
+    error is: quoted cells, digit groups such as ``1_000``, non-ASCII
+    digits, non-finite or unparsable cells, a width that does not match,
+    and files with no data rows.  Both give the same result on every file.
     """
+    parsed = _read_plain_csv(path, header, labels)
+    if parsed is None:
+        parsed = _read_csv_cells(path, header, labels)
+    return parsed
+
+
+def _read_plain_csv(path, header: bool, labels: bool):
+    """The fast step of ``read_csv_array``: numpy's C reader, or None.
+
+    Python applies the loop's line rules (blank lines, the header, labels)
+    and refuses any quote or over-long field; ``np.loadtxt`` parses every
+    cell.  numpy parses a number exactly as ``float`` does, and refuses the
+    spellings ``float`` reads that it does not (``1_000``, non-ASCII
+    digits), so every disagreement with the loop ends here with None.
+    """
+    skip = 1 if labels else 0
+    names: list[str] | None = None
+    row_labels: list[str] = []
+    commas: int | None = None
+    rows = 0
+    field_limit = csv.field_size_limit()
+
+    def data_lines(fh):
+        nonlocal names, commas, rows
+        for line in fh:
+            # The loop's blank rule, tested in full only when the first
+            # character could start a blank line.
+            if (line[0] == "," or line[0].isspace()) and not line.replace(",", "").strip():
+                continue
+            if '"' in line:
+                raise ValueError("quoted cells are left to the per-cell loop")
+            # The csv module refuses a field longer than its limit.
+            if len(line) > field_limit and max(map(len, line.split(","))) > field_limit:
+                raise ValueError("an over-long field is left to the per-cell loop")
+            if commas is None:
+                commas = line.count(",")
+                if header:
+                    names = [cell.strip() for cell in line.split(",")]
+                    continue
+            if labels:
+                label, _, line = line.partition(",")
+                row_labels.append(label.strip())
+            rows += 1
+            yield line
+
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = np.loadtxt(
+                    data_lines(fh), delimiter=",", comments=None, dtype=np.float64, ndmin=2
+                )
+        except (ValueError, Warning):
+            return None
+    # numpy requires the data lines to agree in width.  This holds them to
+    # the first line's width, and catches a line numpy skipped as empty (a
+    # label with nothing after it), which the loop reports.
+    if values.shape != (rows, commas + 1 - skip) or not np.isfinite(values).all():
+        return None
+    return names, (row_labels if labels else None), values
+
+
+def _read_csv_cells(path, header: bool, labels: bool):
+    """The per-cell loop of ``read_csv_array``: the reference for what it accepts."""
     names: list[str] | None = None
     row_labels: list[str] = []
     rows: list[list[float]] = []
     width: int | None = None
     skip = 1 if labels else 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         for raw in reader:
             if not any(cell.strip() for cell in raw):

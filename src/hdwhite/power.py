@@ -31,9 +31,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerInputs:
-    """Alternative-hypothesis description for the sum-test power formula."""
+    """Alternative-hypothesis description for the sum-test power formula.
+
+    Equality and hashing are by identity, as for any object.
+    """
 
     a0: np.ndarray = field(repr=False)
     a1: np.ndarray = field(repr=False)

@@ -1,8 +1,11 @@
 """Panel construction, lagged sample moments, and CSV round trips."""
 
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hdwhite.errors import (
@@ -11,13 +14,17 @@ from hdwhite.errors import (
     LagError,
     ParseError,
 )
+from hdwhite import panel as panel_module
+from hdwhite.factor import FactorData, read_returns_csv
 from hdwhite.panel import (
     TimeSeriesPanel,
+    read_csv_array,
     read_panel_csv,
     sample_autocorrelation,
     sample_autocovariance,
     write_panel_csv,
 )
+from hdwhite.power import PowerInputs
 from hdwhite.statistics import run_all
 
 from oracles import brute_autocorrelation, brute_autocovariance
@@ -294,3 +301,216 @@ class TestPanelCsv:
         path.write_text("1.0,10.0\n3.0,10.0\n5.0,13.0\n")
         panel = read_panel_csv(path, center=True)
         assert np.abs(panel.values.mean(axis=0)).max() < 1e-12
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff1.0,2.0\n3.0,4.0\n", encoding="utf-8")
+        assert np.array_equal(read_panel_csv(path).values, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeffdate,a1\n2020-01-01,0.5\n", encoding="utf-8")
+        names, labels, _ = read_csv_array(path, header=True, labels=True)
+        assert names == ["date", "a1"] and labels == ["2020-01-01"]
+
+
+# The differential check of read_csv_array: the C step must give what the
+# per-cell loop alone gives, on every file.
+
+
+def outcome(path, header, labels):
+    """What read_csv_array does with a file: its result, or its error."""
+    try:
+        names, row_labels, values = read_csv_array(path, header=header, labels=labels)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+    assert values.dtype == np.float64 and values.flags.c_contiguous
+    return names, row_labels, values.shape, values.tobytes()
+
+
+def outcome_by_loop(path, header, labels):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(panel_module, "_read_plain_csv", lambda *args: None)
+        return outcome(path, header, labels)
+
+
+def takes_c_step(path, header, labels):
+    return panel_module._read_plain_csv(path, header, labels) is not None
+
+
+FLAG_COMBINATIONS = [(False, False), (True, False), (False, True), (True, True)]
+TOKENS = list('0123456789.e+-_, "#') + ["nan", "inf", "\n", "\r\n", "\r"]
+NOISE = st.lists(st.sampled_from(TOKENS), max_size=5).map("".join)
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_texts(draw):
+    """Mostly rectangular grids of finite numbers, some with noise cells, or pure noise."""
+    if draw(st.integers(0, 4)) == 0:
+        return "".join(draw(st.lists(st.sampled_from(TOKENS), max_size=40)))
+    width = draw(st.integers(1, 4))
+    cell = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    if draw(st.booleans()):
+        cell = st.one_of(cell, NOISE)
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=6))
+    if draw(st.booleans()):
+        # One line of any width, blank included.
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.lists(cell, max_size=width + 1)))
+    return "".join(",".join(cells) + draw(LINE_ENDS) for cells in rows)
+
+
+@settings(
+    derandomize=True, max_examples=400, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=csv_texts())
+def test_c_step_agrees_with_the_loop(tmp_path, text):
+    path = tmp_path / "random.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for header, labels in FLAG_COMBINATIONS:
+        assert outcome(path, header, labels) == outcome_by_loop(path, header, labels), (
+            text, header, labels,
+        )
+
+
+# (text, flags, whether the C step reads it).  Every refusal is one the loop
+# settles: a quote, a digit group, a non-finite cell, no data, a width that
+# does not match the header.
+NAMED_FILES = {
+    "empty": ("", FLAG_COMBINATIONS, False),
+    "blank-lines-only": ("\n \r\n\n", FLAG_COMBINATIONS, False),
+    "header-only": ("a,b\n", [(True, False), (True, True)], False),
+    "single-row": ("1.5,-2,3e-4\n", [(False, False), (False, True)], True),
+    "single-column": ("1\n2\n3\n", [(False, False), (True, False)], True),
+    "one-by-one": ("7.25", [(False, False)], True),
+    "byte-order-mark": ("\ufeff1,2\r\n3,4\r\n5,6\r\n", FLAG_COMBINATIONS, True),
+    "whitespace-lines": ("1,2\n  \n\t\n3,4\n", [(False, False), (True, False)], True),
+    "lone-cr-ends": ("d,x\r1,2\r3,4\r", [(True, False), (True, True)], True),
+    "comma-only-line": ("1,2\n,\n3,4\n", [(False, False), (False, True)], True),
+    "comma-only-before-header": (",,\nd,a,b\n1,2,3\n", [(True, False), (True, True)], True),
+    "digit-group": ("1_000,2\n3,4\n", [(False, False)], False),
+    "quoted-cell": ('1,"2"\n3,4\n', [(False, False)], False),
+    "quoted-label": ('d,a\n"2020-01-01",0.5\n', [(True, True)], False),
+    "quote-spans-lines": ('d,a\n"x\n1",0.5\n2,3\n', [(True, True)], False),
+    "ragged-row": ("1,2\n3\n", FLAG_COMBINATIONS, False),
+    "labelled-row-wider-than-header": (
+        "date,a,b\n2020-01-01,1,2\n2020-01-02,3,4,5\n", [(True, True)], False),
+    "labelled-first-row-wider-than-header": (
+        "date,a\n2020-01-01,1,2\n2020-01-02,3,4\n", [(True, True)], False),
+    "data-wider-than-header": ("a,b\n1,2,3\n4,5,6\n", [(True, False)], False),
+    "data-narrower-than-header": ("a,b,c\n1,2\n", [(True, False)], False),
+    "label-column-only": ("2020-01-01\n2020-01-02\n", [(False, True)], False),
+    "label-then-nothing": ("d,a\n2020-01-01,\n2020-01-02,1\n", [(True, True)], False),
+    "label-line-without-comma": ("d,a\n2020-01-01\n2020-01-02,1\n", [(True, True)], False),
+    "blank-label-line": ("d,a\n ,\n2020-01-02,1\n", [(True, True)], True),
+    "nan-cell": ("1,2\n3,nan\n", FLAG_COMBINATIONS, False),
+    "overflow-cell": ("1,1e400\n", [(False, False)], False),
+    "comment-sign": ("1,2#\n", [(False, False)], False),
+    "nul-in-label": ("d,a\nx\x00y,1\n", [(True, True)], True),
+    "non-ascii-digit": ("\u0661,2\n", [(False, False)], False),
+    "unicode-space": ("1\xa0,\u20282\n", [(False, False)], True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_FILES))
+def test_named_files_agree_with_the_loop(case, tmp_path):
+    text, flags, fast = NAMED_FILES[case]
+    path = tmp_path / f"{case}.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for header, labels in flags:
+        assert takes_c_step(path, header, labels) is fast, (header, labels)
+        assert outcome(path, header, labels) == outcome_by_loop(path, header, labels), (
+            header, labels,
+        )
+
+
+def test_field_over_the_csv_limit_goes_to_the_loop(tmp_path):
+    long_number = tmp_path / "long-number.csv"
+    long_number.write_text("1,0." + "0" * 60 + "1\n2,3\n")
+    long_line = tmp_path / "long-line.csv"
+    long_line.write_text(",".join(["0.25"] * 20) + "\n")
+    old = csv.field_size_limit(40)
+    try:
+        assert not takes_c_step(long_number, False, False)
+        assert outcome(long_number, False, False) == outcome_by_loop(long_number, False, False)
+        assert takes_c_step(long_line, False, False), "short fields on a long line"
+    finally:
+        csv.field_size_limit(old)
+
+
+def forbid_the_loop(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a plain file reached the per-cell loop")
+
+    monkeypatch.setattr(panel_module, "_read_csv_cells", refuse)
+
+
+def test_plain_panel_skips_the_loop(tmp_path, monkeypatch):
+    panel = TimeSeriesPanel(np.random.default_rng(8).standard_normal((2000, 50)))
+    path = tmp_path / "panel.csv"
+    write_panel_csv(panel, path)
+    forbid_the_loop(monkeypatch)
+    assert np.array_equal(read_panel_csv(path).values, panel.values)
+
+
+def test_plain_returns_file_skips_the_loop(tmp_path, monkeypatch):
+    rng = np.random.default_rng(9)
+    values = rng.standard_normal((300, 20)) * 0.02
+    dates = [str(np.datetime64("2000-01-03") + i) for i in range(300)]
+    path = tmp_path / "returns.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date"] + [f"a{j + 1}" for j in range(20)])
+        for date, row in zip(dates, values):
+            writer.writerow([date] + [repr(float(v)) for v in row])
+    forbid_the_loop(monkeypatch)
+    got_dates, names, got = read_returns_csv(str(path))
+    assert got_dates == dates and names == [f"a{j + 1}" for j in range(20)]
+    assert np.array_equal(got, values)
+
+
+def test_tall_panel_read_peak_memory(tmp_path):
+    # The per-cell loop holds a Python float per cell (about 4 MiB here);
+    # the C step holds the 0.8 MB array and the panel's copy of it.
+    path = tmp_path / "panel.csv"
+    write_panel_csv(TimeSeriesPanel(np.random.default_rng(31).standard_normal((2000, 50))), path)
+    tracemalloc.start()
+    try:
+        read_panel_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, f"peak traced allocation {peak / 2**20:.2f} MiB"
+
+
+def identity_pair(kind):
+    """Two distinct objects of one type built from equal values."""
+    rng = np.random.default_rng(12)
+    if kind is TimeSeriesPanel:
+        x = rng.standard_normal((6, 3))
+        return TimeSeriesPanel(x), TimeSeriesPanel(x.copy())
+    if kind is FactorData:
+        y, f = rng.standard_normal((12, 4)), rng.standard_normal((12, 3))
+        return FactorData(y, f), FactorData(y.copy(), f.copy())
+    a0, a1 = np.eye(3), 0.5 * np.eye(3)
+    return (
+        PowerInputs(a0=a0, a1=a1, n=50, nu4=3.0, alpha=0.05),
+        PowerInputs(a0=a0.copy(), a1=a1.copy(), n=50, nu4=3.0, alpha=0.05),
+    )
+
+
+@pytest.mark.parametrize("kind", [TimeSeriesPanel, FactorData, PowerInputs])
+def test_equality_and_hash_are_by_identity(kind):
+    a, b = identity_pair(kind)
+    assert a == a and not (a != a)
+    assert a != b and not (a == b)
+    assert b in [b] and a not in [b]
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
+def test_lag0_cache_survives_identity_equality():
+    a, b = identity_pair(TimeSeriesPanel)
+    assert sample_autocovariance(a, 0) is sample_autocovariance(a, 0)
+    assert sample_autocovariance(b, 0) is not sample_autocovariance(a, 0)
+    assert np.array_equal(sample_autocovariance(b, 0), sample_autocovariance(a, 0))
