@@ -327,6 +327,8 @@ MALFORMED = {
     "ragged-after-blank": ([None, GOOD, ["0.1", "0.2", "0.3"]], 4, None),
     "inf": ([GOOD, ["0.1", "inf", "0.3", "0.4"]], 3, 3),
     "nan": ([GOOD, GOOD, ["0.1", "0.2", "0.3", "nan"]], 4, 5),
+    # Longer than csv.field_size_limit(); the csv module names no column.
+    "field-over-limit": ([GOOD, GOOD, ["0.1", "1" * 200_000, "0.3", "0.4"]], 4, None),
 }
 
 

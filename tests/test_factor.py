@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from hdwhite.dgp import DgpSpec, Innovation, Scenario, gen_alternative_panel
-from hdwhite.errors import ConfigError, DataError, ParseError
+from hdwhite import factor
+from hdwhite.errors import ConfigError, DataError, DegenerateColumnError, LagError, ParseError
 from hdwhite.factor import (
     FactorData,
     SlidingWindowSummary,
+    _window_panels,
     build_factor_data,
     ols_residuals,
     read_factors_csv,
     read_returns_csv,
     sliding_window_rates,
 )
-from hdwhite.panel import TimeSeriesPanel
+from hdwhite.panel import TimeSeriesPanel, sample_autocovariance
 from hdwhite.statistics import run_all
 
 
@@ -335,3 +337,135 @@ class TestCsvLoading:
         dates, names, values = read_returns_csv(str(path))
         assert dates == ["2020-01-01", "2020-01-02"]
         assert values.shape == (2, 2)
+
+
+# Shapes that put SUM's window engine on each route: the Gram route when
+# (K+1) p >= window, cross products otherwise.  Each has 70 windows, so the
+# products are formed from scratch at window 64 and rolled on either side.
+ENGINE_ROUTES = {"gram": (16, 30), "cross": (4, 30)}
+ENGINE_LAGS = [1, 2, 5]
+NUM_ENGINE_WINDOWS = 70
+
+
+def engine_panel(route, seed=70):
+    p, window = ENGINE_ROUTES[route]
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((window + NUM_ENGINE_WINDOWS, p)), window
+
+
+def assert_close(got, want, what, scale=1.0):
+    assert abs(got - want) <= 1e-10 * max(abs(want), scale), (what, got, want)
+
+
+def assert_windows_match(values, window, lags):
+    """Every engine window against ``run_all`` on a fresh panel of its rows."""
+    panel = TimeSeriesPanel(values)
+    starts = 0
+    for start, piece in enumerate(_window_panels(panel, window, lags)):
+        rows = values[start : start + window]
+        assert np.shares_memory(piece.values, panel.values)
+        np.testing.assert_array_equal(piece.values, rows)
+        got = run_all(piece, lags, 0.05)
+        want = run_all(TimeSeriesPanel(rows), lags, 0.05)
+        got_flat, want_flat = got.to_flat_dict(), want.to_flat_dict()
+        for name, value in want_flat.items():
+            if isinstance(value, float):
+                # t_sum is studentized by sigma_s_hat, its natural scale.
+                scale = want.sum.sigma_s_hat if name == "t_sum" else 1.0
+                assert_close(got_flat[name], value, (start, name), scale)
+            else:
+                assert got_flat[name] == value, (start, name)
+        assert_close(got.sum.trace_sq_hat, want.sum.trace_sq_hat, (start, "trace_sq_hat"))
+        starts += 1
+    assert starts == values.shape[0] - window
+
+
+class TestWindowEngine:
+    @pytest.mark.parametrize("lags", ENGINE_LAGS)
+    @pytest.mark.parametrize("route", sorted(ENGINE_ROUTES))
+    def test_every_window_matches_a_fresh_panel(self, route, lags):
+        values, window = engine_panel(route)
+        p = values.shape[1]
+        assert ((lags + 1) * p >= window) == (route == "gram")
+        assert_windows_match(values, window, lags)
+
+    @pytest.mark.parametrize("scale", [1e3, 1e5])
+    @pytest.mark.parametrize("route", sorted(ENGINE_ROUTES))
+    def test_outlying_row_entering_and_leaving(self, route, scale):
+        # Row 50 enters at window 21 and leaves after window 50, both
+        # inside the first block of 64, so every step past it is rolled.
+        values, window = engine_panel(route, seed=71)
+        values[50] *= scale
+        assert_windows_match(values, window, 2)
+
+    @pytest.mark.parametrize("route", sorted(ENGINE_ROUTES))
+    def test_column_zero_inside_some_windows(self, route):
+        # Column 3 is zero on rows 40-79, so windows 40-50 hold none of it.
+        values, window = engine_panel(route, seed=72)
+        values[:40, 2] *= 1e3
+        values[40:80, 2] = 0.0
+        with pytest.raises(DegenerateColumnError) as per_window:
+            for start in range(values.shape[0] - window):
+                run_all(TimeSeriesPanel(values[start : start + window]), 2, 0.05)
+        assert start == 40
+        with pytest.raises(DegenerateColumnError) as engine:
+            sliding_window_rates(TimeSeriesPanel(values), window, 2)
+        assert str(engine.value) == str(per_window.value)
+        assert "column 3 has sample variance 0.000e+00" in str(engine.value)
+
+    @pytest.mark.parametrize("p, lags, alpha, error", [
+        (4, 0, 0.05, LagError),
+        (4, 29, 0.05, LagError),
+        (4, 1.5, 0.05, LagError),
+        (4, 2, 0.0, ConfigError),
+        (4, 2, 1.5, ConfigError),
+        (1, 2, 0.05, ConfigError),
+    ])
+    def test_argument_errors_come_before_any_window(self, monkeypatch, p, lags, alpha, error):
+        values = np.random.default_rng(73).standard_normal((100, p))
+        with pytest.raises(error) as per_window:
+            run_all(TimeSeriesPanel(values[:30]), lags, alpha)
+
+        def no_windows(*args):
+            raise AssertionError("a window was formed")
+
+        monkeypatch.setattr(factor, "_window_panels", no_windows)
+        with pytest.raises(error) as engine:
+            sliding_window_rates(TimeSeriesPanel(values), 30, lags, alpha)
+        assert str(engine.value) == str(per_window.value)
+
+    @pytest.mark.parametrize("route", sorted(ENGINE_ROUTES))
+    def test_window_panels_stay_read_only_and_unchanged(self, route):
+        values, window = engine_panel(route, seed=74)
+        panel = TimeSeriesPanel(values)
+        pieces, snapshots = [], []
+        for piece in _window_panels(panel, window, 2):
+            run_all(piece, 2, 0.05)
+            pieces.append(piece)
+            snapshots.append((
+                piece.values.copy(),
+                piece._moments.products.copy(),
+                sample_autocovariance(piece, 0).copy(),
+            ))
+        for piece, (rows, products, lag0) in zip(pieces, snapshots):
+            for array in (piece.values, piece._moments.products, sample_autocovariance(piece, 0)):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0, 0] = 1.0
+            np.testing.assert_array_equal(piece.values, rows)
+            np.testing.assert_array_equal(piece._moments.products, products)
+            np.testing.assert_array_equal(sample_autocovariance(piece, 0), lag0)
+        np.testing.assert_array_equal(panel.values, values)
+
+    def test_window_panels_are_not_rebuilt(self, monkeypatch):
+        # No copy and no finiteness scan per window: the constructor runs
+        # only for the parent panel.
+        values, window = engine_panel("gram", seed=75)
+        panel = TimeSeriesPanel(values)
+        built = []
+        original = TimeSeriesPanel.__post_init__
+        monkeypatch.setattr(
+            TimeSeriesPanel, "__post_init__", lambda self: built.append(original(self))
+        )
+        sliding_window_rates(panel, window, 2)
+        assert built == []

@@ -215,6 +215,30 @@ class TestSumTest:
             with pytest.raises(DataError, match="studentized"):
                 sum_test_by_route(monkeypatch, TimeSeriesPanel(values), 1, route)
 
+    def test_rounded_orthogonal_rows_cannot_be_studentized(self, monkeypatch):
+        # Rows of a computed orthogonal basis, rotated and scaled over 16
+        # decades: orthogonal only to rounding, on the Gram route.
+        rng = np.random.default_rng(33)
+        for p in (5, 30, 80):
+            q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+            rotation, _ = np.linalg.qr(rng.standard_normal((p, p)))
+            values = (q[: p - 1] * 10.0 ** rng.uniform(-8, 8, (p - 1, 1))) @ rotation
+            with pytest.raises(DataError, match="studentized"):
+                sum_test_by_route(monkeypatch, TimeSeriesPanel(values), 2, "gram")
+
+    @pytest.mark.parametrize("scale", [1e7, 1e12])
+    def test_gram_route_dominant_row_is_not_orthogonal(self, monkeypatch, scale):
+        # One row's |x_t|^4 swamps ||X'X||_F^2, which must not make the
+        # other rows' pair sums read as a rounding residue.
+        x = np.random.default_rng(34).standard_normal((60, 30))
+        x[20] *= scale
+        result = sum_test_by_route(monkeypatch, TimeSeriesPanel(x), 2, "gram")
+        xl = x.astype(np.longdouble)
+        gram = xl @ xl.T
+        np.fill_diagonal(gram, 0.0)
+        want = float((gram * gram).sum() / (60 * 59))
+        assert abs(result.trace_sq_hat - want) / want < 1e-13
+
     @pytest.mark.parametrize("n, p", [(120, 100), (150, 60)])
     @pytest.mark.parametrize("scale", [1e3, 1e4, 1e5])
     def test_gram_route_one_large_row(self, monkeypatch, n, p, scale):
