@@ -15,9 +15,10 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import ConfigError, DataError
-from .panel import TimeSeriesPanel, _WindowMoments, lag_products, read_csv_array
+from .panel import TimeSeriesPanel, _Moments, lag_products, read_csv_array
 from .statistics import (
     _cross_pair_sums,
+    _cross_route,
     _gram_pair_sums,
     check_run_all_arguments,
     run_all,
@@ -239,14 +240,15 @@ def _window_panels(panel: TimeSeriesPanel, window: int, lags: int):
     1e-13 of the per-window value, and makes it exact after an outlying row
     leaves or while a column is zero.
 
-    SUM on its Gram route ((K+1) p >= w) takes its sums from one Gram
-    matrix per block, formed over the block's w + 63 rows with its diagonal
-    zeroed.  ``_gram_pair_sums`` forms each elementwise product once for
-    the block, and each window sums the w x w block of it on the diagonal:
-    the sums of ``sum_test``, in which nothing cancels.  On the cross route it
-    takes ||X[l:]' X[:n-l]||_F^2 from the rolled products, unless a
-    dominant row makes the pair sum ||X'X||_F^2 - sum_t |x_t|^4 cancel by
-    more than the rolled rounding allows; then it forms them from scratch.
+    SUM on its Gram route (see ``_cross_route``) takes its sums from one
+    Gram matrix per block, formed over the block's w + 63 rows with its
+    diagonal zeroed.  ``_gram_pair_sums`` forms each elementwise product
+    once for the block, and each window sums the w x w block of it on the
+    diagonal: the sums of ``sum_test``, in which nothing cancels.  On the
+    cross route it takes ||X[l:]' X[:n-l]||_F^2 from the rolled products,
+    unless a dominant row makes the pair sum ||X'X||_F^2 - sum_t |x_t|^4
+    cancel by more than the rolled rounding allows; then it forms them
+    from scratch.
 
     Extra memory: O((K+1) p^2) for the products and O((w + 64)^2) for the
     Gram block.
@@ -255,7 +257,7 @@ def _window_panels(panel: TimeSeriesPanel, window: int, lags: int):
     p = panel.p
     w = window
     num_windows = panel.n - w
-    gram_route = (lags + 1) * p >= w
+    gram_route = not _cross_route(w, p, lags)
     row_max = np.abs(x).max(axis=1)
     sq = None if gram_route else np.einsum("ti,ti->t", x, x)
     left = np.empty((lags + 1, p, 2))
@@ -282,10 +284,7 @@ def _window_panels(panel: TimeSeriesPanel, window: int, lags: int):
         if gram_route:
             if not offset:
                 block = x[s : s + w - 1 + min(WINDOW_BLOCK, num_windows - s)]
-                gram = block @ block.T
-                gram_sq = np.diagonal(gram).copy()
-                np.fill_diagonal(gram, 0.0)
-                block_sums = _gram_pair_sums(gram, gram_sq, lags, w)
+                block_sums = _gram_pair_sums(block, lags, w)
             pair_sums = block_sums[offset]
         else:
             window_sq = sq[s : s + w]
@@ -299,7 +298,7 @@ def _window_panels(panel: TimeSeriesPanel, window: int, lags: int):
                 products, rolled, bound = lag_products(rows, lags), 0, 0.0
                 pair_sums = _cross_pair_sums(products, window_sq, lags)
         products.flags.writeable = False
-        yield TimeSeriesPanel._window(rows, _WindowMoments(products, pair_sums))
+        yield TimeSeriesPanel._window(rows, _Moments(products, pair_sums))
 
 
 def sliding_window_rates(
@@ -317,6 +316,8 @@ def sliding_window_rates(
     is formed.
     """
     t = panel.n
+    if not isinstance(window, (int, np.integer)) or isinstance(window, bool):
+        raise ConfigError(f"window length must be an integer, got {window!r}")
     if window < MIN_ROWS:
         raise ConfigError(f"window length must be at least {MIN_ROWS}, got {window}")
     if window >= t:

@@ -24,8 +24,8 @@ DEGENERATE_VARIANCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class _WindowMoments:
-    """Moments of one window, formed by the sliding-window engine.
+class _Moments:
+    """Moments a panel carries: from ``sum_test``'s cross route, or a window's.
 
     ``products[k]`` is the raw lag-k product X[k:]' X[:n-k] for k = 0..K,
     read-only; ``pair_sums`` is what ``sum_test`` needs at that K (see
@@ -52,9 +52,9 @@ class TimeSeriesPanel:
     """
 
     values: np.ndarray = field(repr=False)
-    # Moments formed before the panel existed; None unless the panel is a
-    # window made by ``_window``.
-    _moments: _WindowMoments | None = field(default=None, init=False, repr=False)
+    # The lag products and pair sums at one K: set by ``_window``, or by
+    # ``sum_test`` on its cross route; None until then.
+    _moments: _Moments | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         values = np.array(self.values, dtype=np.float64, order="C")
@@ -74,7 +74,7 @@ class TimeSeriesPanel:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def _window(cls, values: np.ndarray, moments: _WindowMoments) -> "TimeSeriesPanel":
+    def _window(cls, values: np.ndarray, moments: _Moments) -> "TimeSeriesPanel":
         """A panel over consecutive rows of a validated panel's values.
 
         ``values`` is kept as the read-only view it is: no copy, and no
@@ -138,11 +138,12 @@ def sample_autocovariance(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
     for as long as the panel lives.  Copy it before writing into it.
     Every other lag is a fresh, writable p x p array.
 
-    A window panel from ``factor.sliding_window_rates`` carries its raw
-    lag products up to the tested K, rolled from the previous window's;
-    for those lags this divides the carried product by n instead of
-    forming X[k:]' X[:n-k] again.  Both agree to about 1e-13 of the
-    smallest lag-0 diagonal entry.
+    A panel that carries its raw lag products up to some K (kept by
+    ``sum_test`` on its cross route, or rolled from window to window by
+    ``factor.sliding_window_rates``) gives them for those lags: this
+    divides the carried product by n instead of forming X[k:]' X[:n-k]
+    again.  Kept products are the same bits; rolled ones agree to about
+    1e-13 of the smallest lag-0 diagonal entry.
     """
     x = panel.values
     n = panel.n

@@ -20,6 +20,7 @@ import numpy as np
 
 from .distributions import gumbel_quantile, std_normal_cdf, std_normal_quantile
 from .errors import ConfigError
+from .panel import check_lag_budget
 
 __all__ = [
     "PowerInputs",
@@ -55,11 +56,14 @@ class PowerInputs:
             )
         if not (np.isfinite(a0).all() and np.isfinite(a1).all()):
             raise ConfigError("coefficient matrices must be finite")
+        if not isinstance(self.n, (int, np.integer)):
+            raise ConfigError(f"n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ConfigError(f"n must be at least 2, got {self.n}")
-        if self.nu4 < 1.0:
+        if not (math.isfinite(self.nu4) and self.nu4 >= 1.0):
             raise ConfigError(
-                f"nu4 must be >= 1 (Cauchy-Schwarz on a unit-variance variable), got {self.nu4}"
+                "nu4 must be finite and >= 1 (Cauchy-Schwarz on a unit-variance variable), "
+                f"got {self.nu4}"
             )
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
@@ -226,16 +230,19 @@ def max_power_bounds(
     With x_alpha = 2 log(K p^2) - log log(K p^2) + q_alpha, the power at
     a single entry of size rho is bounded below by
     Phi(sqrt(n) rho - sqrt(x_alpha)) + Phi(-sqrt(n) rho - sqrt(x_alpha))
-    and above by that plus alpha.  Both ends are clipped to [0, 1].
+    and above by that plus alpha.  Both ends are clipped to [0, 1].  rho
+    is a correlation, so it must be finite with |rho| <= 1, and K must
+    satisfy ``check_lag_budget`` for n rows.
     """
     if p < 2:
         raise ConfigError(f"p must be at least 2, got {p}")
-    if lags < 1:
-        raise ConfigError(f"number of lags must be >= 1, got {lags}")
     if n < 2:
         raise ConfigError(f"n must be at least 2, got {n}")
+    check_lag_budget(n, lags)
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    if not (math.isfinite(rho) and abs(rho) <= 1.0):
+        raise ConfigError(f"rho must be a correlation in [-1, 1], got {rho}")
     log_np = math.log(lags * p * p)
     x_alpha = 2.0 * log_np - math.log(log_np) + gumbel_quantile(alpha)
     root = math.sqrt(x_alpha)
@@ -253,10 +260,15 @@ def signal_detectable(
 
     True iff the largest |rho_ij(k)| over lags k and strictly upper
     triangular pairs i < j reaches b0 * sqrt(log p / n).  Equality counts
-    as detectable.
+    as detectable.  n must be at least 1, and b0 and every matrix entry
+    finite.
     """
     if not gammas:
         raise ConfigError("need at least one autocorrelation matrix")
+    if not n >= 1:
+        raise ConfigError(f"n must be at least 1, got {n}")
+    if not math.isfinite(b0):
+        raise ConfigError(f"b0 must be finite, got {b0}")
     mats = [np.asarray(g, dtype=np.float64) for g in gammas]
     p = mats[0].shape[0]
     if p < 2:
@@ -266,6 +278,8 @@ def signal_detectable(
             raise ConfigError(
                 f"all autocorrelation matrices must be {p}x{p}, got shape {g.shape}"
             )
+        if not np.isfinite(g).all():
+            raise ConfigError("autocorrelation matrices must be finite")
     upper = np.triu_indices(p, k=1)
     largest = max(float(np.abs(g[upper]).max()) for g in mats)
     return largest >= b0 * math.sqrt(math.log(p) / n)

@@ -20,7 +20,9 @@ import numpy as np
 
 from .distributions import chi2_4_sf, gumbel_sf, std_normal_sf
 from .errors import ConfigError, DataError
-from .panel import TimeSeriesPanel, check_lag_budget, lag_products, sample_autocorrelation
+from .panel import (
+    TimeSeriesPanel, _Moments, check_lag_budget, lag_products, sample_autocorrelation,
+)
 
 # Guard against log(0) when a p-value underflows to exactly zero.
 P_VALUE_FLOOR = 1e-300
@@ -56,8 +58,8 @@ def max_test(panel: TimeSeriesPanel, lags: int) -> MaxResult:
     diagonal included.  Requires p >= 2 so the recentring constants are
     defined.  Cost: K+1 p x p products per panel, the K lag products
     and the lag-0 product, which the panel computes once and caches (see
-    ``sample_autocovariance``); none on a sliding-window panel, which
-    carries them.
+    ``sample_autocovariance``); none on a panel that carries them, as a
+    window does and as ``sum_test``'s cross route leaves one in ``run_all``.
     """
     n, p = panel.n, panel.p
     _check_max_arguments(n, p, lags)
@@ -112,11 +114,16 @@ def check_run_all_arguments(n: int, p: int, lags, alpha: float) -> None:
 SCALE_RESOLUTION = 1e-12
 
 
-def _gram_pair_sums(gram: np.ndarray, sq: np.ndarray, lags: int, window: int):
+def _cross_route(n: int, p: int, lags: int) -> bool:
+    """Whether SUM's sums come from the K+1 p x p lag products, not X X' (see ``sum_test``)."""
+    return (lags + 1) * p < n
+
+
+def _gram_pair_sums(x: np.ndarray, lags: int, window: int):
     """The three sums ``sum_test`` needs, for every run of ``window`` consecutive rows.
 
-    ``gram`` holds x_t'x_s for t != s and zeros on its diagonal, and
-    ``sq`` the squared row norms |x_t|^2 it had there.  For each run, the
+    Forms the Gram matrix X X' of ``x`` once, zeroes its diagonal and keeps
+    the squared row norms |x_t|^2 from it in ``sq``.  For each run, the
     ``window`` x ``window`` block on the diagonal, returns the sum over
     pairs t != s of (x_t'x_s)^2; the residue below which that sum counts as
     zero (see ``SCALE_RESOLUTION``); and the sum over lags l = 1..K and
@@ -126,6 +133,9 @@ def _gram_pair_sums(gram: np.ndarray, sq: np.ndarray, lags: int, window: int):
     residue's pair sum of |x_t|^2 |x_s|^2 is formed from running sums of
     ``sq``.  With ``window`` the full size there is one run.
     """
+    gram = x @ x.T
+    sq = np.diagonal(gram).copy()
+    np.fill_diagonal(gram, 0.0)
     n = sq.shape[0]
     runs = range(n - window + 1)
 
@@ -159,24 +169,25 @@ def _cross_pair_sums(products: np.ndarray, sq: np.ndarray, lags: int):
     return frob - float(sq @ sq), SCALE_RESOLUTION * frob, total
 
 
-def _pair_sums_from_gram(x: np.ndarray, lags: int) -> tuple[float, float, float]:
-    """``_gram_pair_sums`` of the n x n Gram matrix X X', as one run.
+def _pair_sums(panel: TimeSeriesPanel, lags: int) -> tuple[float, float, float]:
+    """The sums of ``_gram_pair_sums`` over the whole panel, from one source.
 
-    O(n^2 (p + K)) time and O(n^2) memory.
+    A panel that carries its moments at this K gives its own.  On the Gram
+    route they come from X X' and nothing is kept.  On the cross route the
+    K+1 lag products are formed once and kept on the panel, read-only, so
+    that ``max_test`` reads them rather than forming them again.
     """
-    gram = x @ x.T
-    sq = np.diagonal(gram).copy()
-    np.fill_diagonal(gram, 0.0)
-    return _gram_pair_sums(gram, sq, lags, x.shape[0])[0]
-
-
-def _pair_sums_from_cross_products(x: np.ndarray, lags: int) -> tuple[float, float, float]:
-    """``_cross_pair_sums`` of X'X and the K lag products.
-
-    O((K+1) n p^2) time and O(n + (K+1) p^2) memory.
-    """
-    sq = np.einsum("ti,ti->t", x, x)
-    return _cross_pair_sums(lag_products(x, lags), sq, lags)
+    moments = panel._moments
+    if moments is not None and moments.lags == lags:
+        return moments.pair_sums
+    x = panel.values
+    if not _cross_route(panel.n, panel.p, lags):
+        return _gram_pair_sums(x, lags, panel.n)[0]
+    products = lag_products(x, lags)
+    products.flags.writeable = False
+    pair_sums = _cross_pair_sums(products, np.einsum("ti,ti->t", x, x), lags)
+    object.__setattr__(panel, "_moments", _Moments(products, pair_sums))
+    return pair_sums
 
 
 def sum_test(panel: TimeSeriesPanel, lags: int) -> SumResult:
@@ -187,16 +198,15 @@ def sum_test(panel: TimeSeriesPanel, lags: int) -> SumResult:
     by n(n-1).  The studentizer is the U-statistic estimate of tr(Sigma^2)
     built from all ordered pairs.
 
-    The sums come from one of two routes, picked by shape.  The Gram
-    route forms the n x n matrix X X': O(n^2 (p + K)) time and O(n^2)
-    memory.  The cross-product route forms the K+1 p x p products X'X
-    and X[l:]' X[:n-l]: O((K+1) n p^2) time and O(p^2) memory.  The ratio
-    of the two costs is about (K+1) p / n, so the cross products are used
-    when (K+1) p < n and the Gram matrix otherwise.  Both routes give the
-    same numbers up to rounding.  A window panel from
-    ``factor.sliding_window_rates`` carries its sums at the K it was made
-    for, taken from the same route by the engine, and they are used as
-    given.
+    The sums come from one of two routes, picked by ``_cross_route``.
+    The Gram route forms the n x n matrix X X': O(n^2 (p + K)) time and
+    O(n^2) memory, none of it kept.  The cross route forms the K+1 p x p
+    products X'X and X[l:]' X[:n-l] once, O((K+1) n p^2) time, and keeps
+    them on the panel with the sums: (K+1) p^2 floats, fewer than the
+    panel's n p, which ``max_test`` then reads.  Both routes give the
+    same numbers up to rounding.  A panel that already carries its sums
+    at this K (a window from ``factor.sliding_window_rates``, or a panel
+    this test ran on before by the cross route) uses them as given.
 
     Raises ``DataError`` when the pair sum behind the studentizer is no
     larger than the rounding residue of its route, i.e. the rows are
@@ -204,13 +214,7 @@ def sum_test(panel: TimeSeriesPanel, lags: int) -> SumResult:
     """
     n = panel.n
     _check_sum_arguments(n, lags)
-    moments = panel._moments
-    if moments is not None and moments.lags == lags:
-        off_diagonal, residue, total = moments.pair_sums
-    elif (lags + 1) * panel.p < n:
-        off_diagonal, residue, total = _pair_sums_from_cross_products(panel.values, lags)
-    else:
-        off_diagonal, residue, total = _pair_sums_from_gram(panel.values, lags)
+    off_diagonal, residue, total = _pair_sums(panel, lags)
     pairs = n * (n - 1)
     trace_sq_hat = off_diagonal / pairs
     t_sum = total / pairs
@@ -315,10 +319,11 @@ class TestReport:
 
 
 def run_all(panel: TimeSeriesPanel, lags: int, alpha: float) -> TestReport:
-    """Run the max, sum, and Fisher-combined tests at level alpha."""
+    """Run the sum, max and Fisher-combined tests at level alpha, in that order:
+    MAX reads the lag products SUM keeps, and SUM's error comes first."""
     check_run_all_arguments(panel.n, panel.p, lags, alpha)
-    mx = max_test(panel, lags)
     sm = sum_test(panel, lags)
+    mx = max_test(panel, lags)
     t_fc, p_fc = fisher_combine(mx.p_value, sm.p_value)
     return TestReport(
         n=panel.n,

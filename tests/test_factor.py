@@ -413,26 +413,34 @@ class TestWindowEngine:
         assert str(engine.value) == str(per_window.value)
         assert "column 3 has sample variance 0.000e+00" in str(engine.value)
 
-    @pytest.mark.parametrize("p, lags, alpha, error", [
-        (4, 0, 0.05, LagError),
-        (4, 29, 0.05, LagError),
-        (4, 1.5, 0.05, LagError),
-        (4, 2, 0.0, ConfigError),
-        (4, 2, 1.5, ConfigError),
-        (1, 2, 0.05, ConfigError),
+    @pytest.mark.parametrize("p, window, lags, alpha, error", [
+        pytest.param(4, 30, 0, 0.05, LagError, id="4-0-0.05-LagError"),
+        pytest.param(4, 30, 29, 0.05, LagError, id="4-29-0.05-LagError"),
+        pytest.param(4, 30, 1.5, 0.05, LagError, id="4-1.5-0.05-LagError"),
+        pytest.param(4, 30, 2, 0.0, ConfigError, id="4-2-0.0-ConfigError"),
+        pytest.param(4, 30, 2, 1.5, ConfigError, id="4-2-1.5-ConfigError"),
+        pytest.param(1, 30, 2, 0.05, ConfigError, id="1-2-0.05-ConfigError"),
+        pytest.param(4, 30.0, 2, 0.05, ConfigError, id="window-30.0"),
+        pytest.param(4, True, 2, 0.05, ConfigError, id="window-True"),
     ])
-    def test_argument_errors_come_before_any_window(self, monkeypatch, p, lags, alpha, error):
+    def test_argument_errors_come_before_any_window(
+        self, monkeypatch, p, window, lags, alpha, error
+    ):
         values = np.random.default_rng(73).standard_normal((100, p))
-        with pytest.raises(error) as per_window:
-            run_all(TimeSeriesPanel(values[:30]), lags, alpha)
+        if type(window) is int:
+            with pytest.raises(error) as per_window:
+                run_all(TimeSeriesPanel(values[:window]), lags, alpha)
+            message = str(per_window.value)
+        else:
+            message = f"window length must be an integer, got {window!r}"
 
         def no_windows(*args):
             raise AssertionError("a window was formed")
 
         monkeypatch.setattr(factor, "_window_panels", no_windows)
         with pytest.raises(error) as engine:
-            sliding_window_rates(TimeSeriesPanel(values), 30, lags, alpha)
-        assert str(engine.value) == str(per_window.value)
+            sliding_window_rates(TimeSeriesPanel(values), window, lags, alpha)
+        assert str(engine.value) == message
 
     @pytest.mark.parametrize("route", sorted(ENGINE_ROUTES))
     def test_window_panels_stay_read_only_and_unchanged(self, route):

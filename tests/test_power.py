@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hdwhite.distributions import std_normal_cdf, std_normal_quantile
-from hdwhite.errors import ConfigError
+from hdwhite.errors import ConfigError, LagError
 from hdwhite.power import (
     PowerInputs,
     max_power_bounds,
@@ -172,6 +172,16 @@ class TestSumPower:
         with pytest.raises(ConfigError):
             PowerInputs(a0=bad, a1=eye, n=100, nu4=3.0, alpha=0.05)
 
+    @pytest.mark.parametrize("nu4", [math.nan, math.inf])
+    def test_non_finite_fourth_moment_rejected(self, nu4):
+        with pytest.raises(ConfigError, match="nu4 must be finite"):
+            PowerInputs(a0=np.eye(3), a1=np.eye(3), n=100, nu4=nu4, alpha=0.05)
+
+    @pytest.mark.parametrize("n", [100.5, 100.0, "100"])
+    def test_non_integer_sample_size_rejected(self, n):
+        with pytest.raises(ConfigError, match="n must be an integer"):
+            PowerInputs(a0=np.eye(3), a1=np.eye(3), n=n, nu4=3.0, alpha=0.05)
+
     def test_degenerate_coefficients_rejected(self):
         zero = np.zeros((3, 3))
         with pytest.raises(ConfigError, match="degenerate"):
@@ -228,6 +238,26 @@ class TestMaxPowerBounds:
         with pytest.raises(ConfigError):
             max_power_bounds(0.2, 100, 40, 1, 1.0)
 
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, 1.5, -1.0000001])
+    def test_rho_must_be_a_correlation(self, rho):
+        with pytest.raises(ConfigError, match=r"rho must be a correlation in \[-1, 1\]"):
+            max_power_bounds(rho, 100, 40, 1, 0.05)
+
+    def test_unit_correlation_accepted(self):
+        for rho in (1.0, -1.0):
+            lower, upper = max_power_bounds(rho, 100, 40, 1, 0.05)
+            assert 0.99 < lower <= upper <= 1.0
+
+    @pytest.mark.parametrize("lags, message", [
+        (1.5, "must be an integer"),
+        (99, r"out of range \[1, 98\]"),
+        (0, r"out of range \[1, 98\]"),
+    ], ids=["fractional", "past-n-2", "zero"])
+    def test_lags_checked_by_the_lag_budget(self, lags, message):
+        with pytest.raises(LagError, match=message):
+            max_power_bounds(0.2, 100, 40, lags, 0.05)
+        assert max_power_bounds(0.2, 100, 40, 98, 0.05)[0] >= 0.0
+
 
 class TestSignalDetectable:
     def test_zero_signal_not_detectable(self):
@@ -260,3 +290,22 @@ class TestSignalDetectable:
     def test_empty_lag_list_rejected(self):
         with pytest.raises(ConfigError):
             signal_detectable([], 100, 3.0)
+
+    @pytest.mark.parametrize("n", [0, -5, math.nan])
+    def test_sample_size_must_be_positive(self, n):
+        with pytest.raises(ConfigError, match="n must be at least 1"):
+            signal_detectable([np.eye(4)], n, 1.0)
+
+    @pytest.mark.parametrize("b0", [math.nan, math.inf])
+    def test_threshold_must_be_finite(self, b0):
+        with pytest.raises(ConfigError, match="b0 must be finite"):
+            signal_detectable([np.eye(4)], 50, b0)
+
+    def test_non_finite_entries_rejected(self):
+        loud = np.zeros((4, 4))
+        loud[0, 1] = 1.0
+        for bad in (math.nan, math.inf):
+            quiet = np.zeros((4, 4))
+            quiet[2, 3] = bad
+            with pytest.raises(ConfigError, match="must be finite"):
+                signal_detectable([loud, quiet], 50, 1.0)

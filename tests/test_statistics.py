@@ -37,22 +37,42 @@ ROUTE_SHAPES = [
 
 
 def sum_test_by_route(monkeypatch, panel, lags, route):
-    """Run sum_test and check that it took ``route`` ("cross" or "gram")."""
+    """Run sum_test and check that it took ``route`` ("cross" or "gram"):
+    one call to ``lag_products`` or one Gram matrix, and not the other."""
     taken = []
     with monkeypatch.context() as patch:
         for name, fn in (
-            ("cross", statistics._pair_sums_from_cross_products),
-            ("gram", statistics._pair_sums_from_gram),
+            ("cross", statistics.lag_products),
+            ("gram", statistics._gram_pair_sums),
         ):
-            def spy(x, k, name=name, fn=fn):
+            def spy(*args, name=name, fn=fn):
                 taken.append(name)
-                return fn(x, k)
+                return fn(*args)
 
             patch.setattr(statistics, fn.__name__, spy)
         try:
             return sum_test(panel, lags)
         finally:
             assert taken == [route]
+
+
+class ProductCountingArray(np.ndarray):
+    """A panel's values that count every matrix product formed from them."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            ProductCountingArray.products += 1
+        plain = [a.view(np.ndarray) if isinstance(a, ProductCountingArray) else a for a in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def counting_panel(values) -> TimeSeriesPanel:
+    panel = TimeSeriesPanel(values)
+    object.__setattr__(panel, "values", panel.values.view(ProductCountingArray))
+    ProductCountingArray.products = 0
+    return panel
 
 
 def orthogonal_signal_free_panel() -> TimeSeriesPanel:
@@ -411,6 +431,49 @@ class TestRunAll:
                 assert math.isfinite(flat[key]), key
             for key in ("p_max", "p_sum", "p_fc"):
                 assert 0.0 <= flat[key] <= 1.0, key
+
+    @pytest.mark.parametrize("lags", [1, 3])
+    def test_cross_route_forms_each_lag_product_once(self, monkeypatch, lags):
+        # SUM keeps the K+1 products it forms; MAX reads them, so run_all
+        # forms K+1 p x p products in one lag_products call, not 2K+2.
+        x = np.random.default_rng(40 + lags).standard_normal((120, 6))
+        want = run_all(TimeSeriesPanel(x), lags, 0.05)
+        calls = []
+        original = statistics.lag_products
+        monkeypatch.setattr(statistics, "lag_products", lambda *a: calls.append(a) or original(*a))
+        panel = counting_panel(x)
+        assert statistics._cross_route(panel.n, panel.p, lags)
+        assert run_all(panel, lags, 0.05) == want
+        assert len(calls) == 1
+        assert ProductCountingArray.products == lags + 1
+        products = panel._moments.products
+        assert products.shape == (lags + 1, 6, 6) and not products.flags.writeable
+        assert max_test(panel, lags) == want.max and sum_test(panel, lags) == want.sum
+        assert len(calls) == 1 and ProductCountingArray.products == lags + 1
+
+    def test_gram_route_keeps_no_products(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(statistics, "lag_products", lambda *a: calls.append(a))
+        panel = counting_panel(np.random.default_rng(42).standard_normal((30, 20)))
+        assert not statistics._cross_route(panel.n, panel.p, 2)
+        run_all(panel, 2, 0.05)
+        assert calls == [] and panel._moments is None
+        # One Gram matrix for SUM; lag 0 and lags 1..2 for MAX.
+        assert ProductCountingArray.products == 1 + 3
+
+    @pytest.mark.parametrize("values", [
+        np.eye(4, 5),
+        np.outer(np.eye(12)[5], [0.1, 0.3, 0.0]),
+    ], ids=["gram", "cross"])
+    def test_orthogonal_rows_outrank_a_degenerate_column(self, values):
+        # The rows are mutually orthogonal and the last column is zero.
+        # SUM runs first in run_all, so its error is the one raised.
+        panel = TimeSeriesPanel(values)
+        with pytest.raises(DegenerateColumnError):
+            max_test(panel, 1)
+        with pytest.raises(DataError, match="studentized") as raised:
+            run_all(panel, 1, 0.05)
+        assert type(raised.value) is DataError
 
     def test_alpha_domain(self):
         panel = TimeSeriesPanel(np.random.default_rng(29).standard_normal((20, 3)))
