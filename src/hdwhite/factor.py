@@ -3,7 +3,8 @@
 Each asset's excess return is regressed on an intercept plus the three
 classic factors (market excess, size, value); the per-asset residuals
 form a panel that is then white-noise tested on every sliding window of
-a chosen length, summarizing how often each test rejects.
+a chosen length, summarizing how often each test rejects.  The windows and
+their lagged moments come from ``panel._window_panels``.
 """
 
 from __future__ import annotations
@@ -15,14 +16,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import ConfigError, DataError
-from .panel import TimeSeriesPanel, _Moments, lag_products, read_csv_array
-from .statistics import (
-    _cross_pair_sums,
-    _cross_route,
-    _gram_pair_sums,
-    check_run_all_arguments,
-    run_all,
-)
+from .panel import TimeSeriesPanel, _window_panels, read_csv_array
+from .statistics import check_run_all_arguments, run_all
 
 __all__ = [
     "FactorData",
@@ -37,14 +32,6 @@ __all__ = [
 RANK_TOL = 1e-10
 MIN_ROWS = 10
 FACTOR_COLUMNS = ("market_excess", "smb", "hml")
-# The window engine forms its lag products (and, on SUM's Gram route, one
-# Gram matrix) from scratch once per block of this many windows...
-WINDOW_BLOCK = 64
-# ...and also whenever the rounding bound of its rolled products passes
-# this fraction of the smallest lag-0 diagonal entry.
-ROLLING_TOLERANCE = 1e-13
-# The unit roundoff of float64, 2^-53.
-UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,86 +208,6 @@ def ols_residuals(data: FactorData) -> TimeSeriesPanel:
     return TimeSeriesPanel(residuals)
 
 
-def _window_panels(panel: TimeSeriesPanel, window: int, lags: int):
-    """Yield the panel of every length-``window`` sliding window, moments filled in.
-
-    Each window is a read-only view of ``panel.values`` (no copy and no
-    finiteness scan) carrying its raw lag products X[k:]' X[:n-k],
-    k = 0..lags, and the pair sums ``sum_test`` needs at this K.
-
-    The products are formed from scratch for the first window of every
-    block of ``WINDOW_BLOCK`` and rolled from window to window inside it:
-    lag k gains x_{s+w} x_{s+w-k}' and loses x_{s+k} x_s' when the window
-    moves on from start s, all K+1 rank-2 updates in one batched matmul.
-    Each rank-one term x_a x_b' rounds every entry by at most about
-    u r_a r_b (u the unit roundoff, r_t = max_i |x_ti|); once the sum of
-    these since the last product from scratch passes ``ROLLING_TOLERANCE``
-    of the smallest lag-0 diagonal entry, the window's products are formed
-    from scratch instead.  That keeps each autocorrelation within about
-    1e-13 of the per-window value, and makes it exact after an outlying row
-    leaves or while a column is zero.
-
-    SUM on its Gram route (see ``_cross_route``) takes its sums from one
-    Gram matrix per block, formed over the block's w + 63 rows with its
-    diagonal zeroed.  ``_gram_pair_sums`` forms each elementwise product
-    once for the block, and each window sums the w x w block of it on the
-    diagonal: the sums of ``sum_test``, in which nothing cancels.  On the
-    cross route it takes ||X[l:]' X[:n-l]||_F^2 from the rolled products,
-    unless a dominant row makes the pair sum ||X'X||_F^2 - sum_t |x_t|^4
-    cancel by more than the rolled rounding allows; then it forms them
-    from scratch.
-
-    Extra memory: O((K+1) p^2) for the products and O((w + 64)^2) for the
-    Gram block.
-    """
-    x = panel.values
-    p = panel.p
-    w = window
-    num_windows = panel.n - w
-    gram_route = not _cross_route(w, p, lags)
-    row_max = np.abs(x).max(axis=1)
-    sq = None if gram_route else np.einsum("ti,ti->t", x, x)
-    left = np.empty((lags + 1, p, 2))
-    right = np.empty((lags + 1, 2, p))
-    update = np.empty((lags + 1, p, p))
-    for s in range(num_windows):
-        rows = x[s : s + w]
-        offset = s % WINDOW_BLOCK
-        if offset:
-            a = s - 1
-            left[:, :, 0] = x[a + w]
-            np.negative(x[a : a + lags + 1], out=left[:, :, 1])
-            right[:, 0, :] = x[a + w - lags : a + w + 1][::-1]
-            right[:, 1, :] = x[a]
-            np.matmul(left, right, out=update)
-            products = products + update
-            rolled += 1
-            bound += UNIT_ROUNDOFF * (
-                row_max[a + w] * row_max[a + w - lags : a + w + 1].sum()
-                + row_max[a] * row_max[a : a + lags + 1].sum()
-            )
-        if not offset or bound > ROLLING_TOLERANCE * np.diagonal(products[0]).min():
-            products, rolled, bound = lag_products(rows, lags), 0, 0.0
-        if gram_route:
-            if not offset:
-                block = x[s : s + w - 1 + min(WINDOW_BLOCK, num_windows - s)]
-                block_sums = _gram_pair_sums(block, lags, w)
-            pair_sums = block_sums[offset]
-        else:
-            window_sq = sq[s : s + w]
-            pair_sums = _cross_pair_sums(products, window_sq, lags)
-            # The pair sum is ||X'X||_F^2 - sum_t |x_t|^4, and each update
-            # rounds the rolled ||X'X||_F^2 by about 2u of itself.  When a
-            # dominant row makes the difference cancel, form it afresh.
-            off_diagonal = pair_sums[0]
-            frob = off_diagonal + float(window_sq @ window_sq)
-            if rolled and 2 * rolled * UNIT_ROUNDOFF * frob > ROLLING_TOLERANCE * off_diagonal:
-                products, rolled, bound = lag_products(rows, lags), 0, 0.0
-                pair_sums = _cross_pair_sums(products, window_sq, lags)
-        products.flags.writeable = False
-        yield TimeSeriesPanel._window(rows, _Moments(products, pair_sums))
-
-
 def sliding_window_rates(
     panel: TimeSeriesPanel, window: int, lags: int, alpha: float = 0.05
 ) -> SlidingWindowSummary:
@@ -309,8 +216,8 @@ def sliding_window_rates(
     Window starts run over t = 1..T-window (so there are exactly
     T-window windows), and each rate is the fraction of windows whose
     test rejects at level alpha.  Every window gets one ``run_all`` call
-    on a panel from ``_window_panels``, which rolls the lag products from
-    window to window and shares one Gram matrix among 64 windows; the
+    on a panel from ``panel._window_panels``, which rolls the lag products
+    from window to window and shares one Gram matrix among 64 windows; the
     statistics match ``run_all`` on a fresh panel of the same rows to
     about 1e-13.  The window, K and alpha are checked before any window
     is formed.

@@ -22,18 +22,46 @@ from .errors import DataError, DegenerateColumnError, LagError, ParseError
 # autocorrelated; the offending column is named in the error.
 DEGENERATE_VARIANCE_TOL = 1e-12
 
+# A pair sum below this fraction of its route's reference counts as zero:
+# the rows are mutually orthogonal and SUM cannot be studentized.
+#
+# The cross route forms the pair sum as ||X'X||_F^2 minus sum_t |x_t|^4.
+# When every pair of rows is orthogonal, that difference still leaves a
+# residue of a few machine epsilons of ||X'X||_F^2 (at most 8e-16 of it
+# over 23,000 random such panels), so ||X'X||_F^2 is its reference.
+#
+# The Gram route sums squared off-diagonal entries, with no cancellation.
+# A computed x_t'x_s of two orthogonal rows is at most about p u |x_t| |x_s|
+# (u the unit roundoff), and rows orthogonal only to rounding, such as
+# those of a computed orthogonal basis, are off by about as much.  So its
+# reference is sum_{t != s} |x_t|^2 |x_s|^2, against which the pair sum is
+# a mean squared cosine between rows, and rounding leaves (p u)^2 of it
+# or less.  ||X'X||_F^2 would not do there: one dominant row's |x_t|^4
+# swamps it (a 60 x 30 panel with one row scaled by 1e7 read as orthogonal).
+SCALE_RESOLUTION = 1e-12
+
+# The window engine forms its lag products (and, on SUM's Gram route, one
+# Gram matrix) from scratch once per block of this many windows...
+WINDOW_BLOCK = 64
+# ...and also whenever the rounding bound of its rolled products passes
+# this fraction of the smallest lag-0 diagonal entry.
+ROLLING_TOLERANCE = 1e-13
+# The unit roundoff of float64, 2^-53.
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
 
 @dataclass(frozen=True)
 class _Moments:
-    """Moments a panel carries: from ``sum_test``'s cross route, or a window's.
+    """A panel's lagged moments up to some K, formed once and carried.
 
     ``products[k]`` is the raw lag-k product X[k:]' X[:n-k] for k = 0..K,
-    read-only; ``pair_sums`` is what ``sum_test`` needs at that K (see
-    ``statistics._gram_pair_sums``).
+    read-only.  ``pair_sums`` is SUM's (pair sum, residue, lag terms), the
+    terms one per lag l = 1..K (see ``_gram_pair_sums``).  Both serve
+    every K' <= K.
     """
 
     products: np.ndarray
-    pair_sums: tuple[float, float, float]
+    pair_sums: tuple[float, float, tuple[float, ...]]
 
     @property
     def lags(self) -> int:
@@ -52,8 +80,8 @@ class TimeSeriesPanel:
     """
 
     values: np.ndarray = field(repr=False)
-    # The lag products and pair sums at one K: set by ``_window``, or by
-    # ``sum_test`` on its cross route; None until then.
+    # The lagged moments up to some K: set by ``_window_panels``, or by
+    # ``_pair_sums`` on SUM's cross route; None until then.
     _moments: _Moments | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -72,18 +100,6 @@ class TimeSeriesPanel:
             )
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def _window(cls, values: np.ndarray, moments: _Moments) -> "TimeSeriesPanel":
-        """A panel over consecutive rows of a validated panel's values.
-
-        ``values`` is kept as the read-only view it is: no copy, and no
-        finiteness scan.  ``moments`` must be the moments of those rows.
-        """
-        panel = object.__new__(cls)
-        object.__setattr__(panel, "values", values)
-        object.__setattr__(panel, "_moments", moments)
-        return panel
 
     @cached_property
     def _lag0_autocovariance(self) -> np.ndarray:
@@ -121,7 +137,7 @@ class TimeSeriesPanel:
 
 def check_lag_budget(n: int, lags: int) -> None:
     """Require a lag budget K with 1 <= K <= n - 2 for an n-row panel."""
-    if not isinstance(lags, (int, np.integer)):
+    if not isinstance(lags, (int, np.integer)) or isinstance(lags, bool):
         raise LagError(f"number of lags must be an integer, got {lags!r}")
     if lags < 1 or lags > n - 2:
         raise LagError(f"number of lags {lags} out of range [1, {n - 2}] for n={n}")
@@ -138,16 +154,15 @@ def sample_autocovariance(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
     for as long as the panel lives.  Copy it before writing into it.
     Every other lag is a fresh, writable p x p array.
 
-    A panel that carries its raw lag products up to some K (kept by
-    ``sum_test`` on its cross route, or rolled from window to window by
-    ``factor.sliding_window_rates``) gives them for those lags: this
-    divides the carried product by n instead of forming X[k:]' X[:n-k]
-    again.  Kept products are the same bits; rolled ones agree to about
+    A panel that carries its lag products up to some K (see ``_Moments``)
+    gives them for those lags: this divides the carried product by n
+    instead of forming X[k:]' X[:n-k] again.  Products from ``_pair_sums``
+    are the same bits; rolled ones from ``_window_panels`` agree to about
     1e-13 of the smallest lag-0 diagonal entry.
     """
     x = panel.values
     n = panel.n
-    if not isinstance(lag, (int, np.integer)):
+    if not isinstance(lag, (int, np.integer)) or isinstance(lag, bool):
         raise LagError(f"lag must be an integer, got {lag!r}")
     if lag < 0 or lag > n - 1:
         raise LagError(f"lag {lag} out of range [0, {n - 1}] for n={n}")
@@ -191,6 +206,174 @@ def sample_autocorrelation(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
         )
     inv_scale = 1.0 / np.sqrt(d)
     return sample_autocovariance(panel, lag) * np.outer(inv_scale, inv_scale)
+
+
+def _cross_route(n: int, p: int, lags: int) -> bool:
+    """Whether SUM's sums come from the K+1 p x p lag products, not X X' (see ``sum_test``)."""
+    return (lags + 1) * p < n
+
+
+def _gram_pair_sums(x: np.ndarray, lags: int, window: int):
+    """SUM's sums for every run of ``window`` consecutive rows of ``x``.
+
+    Forms the Gram matrix X X' of ``x`` once, zeroes its diagonal and keeps
+    the squared row norms |x_t|^2 from it in ``sq``.  For each run, the
+    ``window`` x ``window`` block on the diagonal, returns the sum over
+    pairs t != s of (x_t'x_s)^2; the residue below which that sum counts as
+    zero (see ``SCALE_RESOLUTION``); and for each lag l = 1..K the sum over
+    pairs t != s of x_t'x_s x_{t+l}'x_{s+l}.  Each elementwise product is
+    formed once for all runs and each run sums its block of it, so every
+    sum is a plain sum over the t != s entries and nothing cancels; the
+    residue's pair sum of |x_t|^2 |x_s|^2 is formed from running sums of
+    ``sq``.  With ``window`` the full size there is one run.
+    """
+    gram = x @ x.T
+    sq = np.diagonal(gram).copy()
+    np.fill_diagonal(gram, 0.0)
+    n = sq.shape[0]
+    runs = range(n - window + 1)
+
+    def block_sums(products, size):
+        return [float(products[i : i + size, i : i + size].sum()) for i in runs]
+
+    off_diagonal = block_sums(gram * gram, window)
+    terms = [
+        block_sums(gram[: n - l, : n - l] * gram[l:, l:], window - l) for l in range(1, lags + 1)
+    ]
+    residues = []
+    for i in runs:
+        run_sq = sq[i : i + window]
+        residues.append(SCALE_RESOLUTION * 2.0 * float(run_sq[1:] @ np.cumsum(run_sq[:-1])))
+    return list(zip(off_diagonal, residues, zip(*terms)))
+
+
+def _cross_pair_sums(products: np.ndarray, sq: np.ndarray):
+    """The sums of ``_gram_pair_sums``, from the raw lag products of ``lag_products``.
+
+    Uses sum_{t,s} x_t'x_s x_{t+l}'x_{s+l} = ||X[l:]' X[:n-l]||_F^2 and
+    subtracts the t = s terms, sum_t |x_t|^2 |x_{t+l}|^2 (``sq`` holds the
+    |x_t|^2).  The residue is ``SCALE_RESOLUTION`` of ||X'X||_F^2.
+    """
+    n = sq.shape[0]
+    terms = tuple(
+        float(np.square(products[l]).sum()) - float(sq[l:] @ sq[: n - l])
+        for l in range(1, products.shape[0])
+    )
+    frob = float(np.square(products[0]).sum())
+    return frob - float(sq @ sq), SCALE_RESOLUTION * frob, terms
+
+
+def _pair_sums(panel: TimeSeriesPanel, lags: int) -> tuple[float, float, float]:
+    """SUM's pair sum, its residue and its total over lags 1..``lags``.
+
+    Moments the panel carries up to some K >= ``lags`` serve as they are.
+    Otherwise ``_cross_route`` picks the source: the Gram route forms X X'
+    and keeps nothing; the cross route forms the K+1 lag products once and
+    carries them on the panel, read-only, with the sums, so that MAX and
+    every later SUM call up to this K read them rather than forming them
+    again.  The lag terms are added one at a time in order l = 1..K:
+    ``sum()`` compensates from Python 3.12 on, and so rounds differently.
+    """
+    moments = panel._moments
+    if moments is not None and lags <= moments.lags:
+        sums = moments.pair_sums
+    elif not _cross_route(panel.n, panel.p, lags):
+        sums = _gram_pair_sums(panel.values, lags, panel.n)[0]
+    else:
+        x = panel.values
+        products = lag_products(x, lags)
+        products.flags.writeable = False
+        sums = _cross_pair_sums(products, np.einsum("ti,ti->t", x, x))
+        object.__setattr__(panel, "_moments", _Moments(products, sums))
+    off_diagonal, residue, terms = sums
+    total = 0.0
+    for term in terms[:lags]:
+        total += term
+    return off_diagonal, residue, total
+
+
+def _window_panels(panel: TimeSeriesPanel, window: int, lags: int):
+    """Yield the panel of every length-``window`` sliding window, moments filled in.
+
+    Each window is a read-only view of ``panel.values`` (no copy and no
+    finiteness scan) carrying its ``_Moments`` at this K, which serve every
+    K' <= K.
+
+    The products are formed from scratch for the first window of every
+    block of ``WINDOW_BLOCK`` and rolled from window to window inside it:
+    lag k gains x_{s+w} x_{s+w-k}' and loses x_{s+k} x_s' when the window
+    moves on from start s, all K+1 rank-2 updates in one batched matmul.
+    Each rank-one term x_a x_b' rounds every entry by at most about
+    u r_a r_b (u the unit roundoff, r_t = max_i |x_ti|); once the sum of
+    these since the last product from scratch passes ``ROLLING_TOLERANCE``
+    of the smallest lag-0 diagonal entry, the window's products are formed
+    from scratch instead.  That keeps each autocorrelation within about
+    1e-13 of the per-window value, and makes it exact after an outlying row
+    leaves or while a column is zero.
+
+    SUM on its Gram route (see ``_cross_route``) takes its sums from one
+    Gram matrix per block, formed over the block's w + 63 rows with its
+    diagonal zeroed.  ``_gram_pair_sums`` forms each elementwise product
+    once for the block, and each window sums the w x w block of it on the
+    diagonal: the sums of ``sum_test``, in which nothing cancels.  On the
+    cross route it takes ||X[l:]' X[:n-l]||_F^2 from the rolled products,
+    unless a dominant row makes the pair sum ||X'X||_F^2 - sum_t |x_t|^4
+    cancel by more than the rolled rounding allows; then it forms them
+    from scratch.
+
+    Extra memory: O((K+1) p^2) for the products and O((w + 64)^2) for the
+    Gram block.
+    """
+    x = panel.values
+    p = panel.p
+    w = window
+    num_windows = panel.n - w
+    gram_route = not _cross_route(w, p, lags)
+    row_max = np.abs(x).max(axis=1)
+    sq = None if gram_route else np.einsum("ti,ti->t", x, x)
+    left = np.empty((lags + 1, p, 2))
+    right = np.empty((lags + 1, 2, p))
+    update = np.empty((lags + 1, p, p))
+    for s in range(num_windows):
+        rows = x[s : s + w]
+        offset = s % WINDOW_BLOCK
+        if offset:
+            a = s - 1
+            left[:, :, 0] = x[a + w]
+            np.negative(x[a : a + lags + 1], out=left[:, :, 1])
+            right[:, 0, :] = x[a + w - lags : a + w + 1][::-1]
+            right[:, 1, :] = x[a]
+            np.matmul(left, right, out=update)
+            products = products + update
+            rolled += 1
+            bound += UNIT_ROUNDOFF * (
+                row_max[a + w] * row_max[a + w - lags : a + w + 1].sum()
+                + row_max[a] * row_max[a : a + lags + 1].sum()
+            )
+        if not offset or bound > ROLLING_TOLERANCE * np.diagonal(products[0]).min():
+            products, rolled, bound = lag_products(rows, lags), 0, 0.0
+        if gram_route:
+            if not offset:
+                block = x[s : s + w - 1 + min(WINDOW_BLOCK, num_windows - s)]
+                block_sums = _gram_pair_sums(block, lags, w)
+            pair_sums = block_sums[offset]
+        else:
+            window_sq = sq[s : s + w]
+            pair_sums = _cross_pair_sums(products, window_sq)
+            # The pair sum is ||X'X||_F^2 - sum_t |x_t|^4, and each update
+            # rounds the rolled ||X'X||_F^2 (the residue over SCALE_RESOLUTION)
+            # by about 2u of itself.  When a dominant row makes the difference
+            # cancel, form it afresh.
+            off_diagonal, residue, _ = pair_sums
+            frob = residue / SCALE_RESOLUTION
+            if rolled and 2 * rolled * UNIT_ROUNDOFF * frob > ROLLING_TOLERANCE * off_diagonal:
+                products, rolled, bound = lag_products(rows, lags), 0, 0.0
+                pair_sums = _cross_pair_sums(products, window_sq)
+        products.flags.writeable = False
+        piece = object.__new__(TimeSeriesPanel)
+        object.__setattr__(piece, "values", rows)
+        object.__setattr__(piece, "_moments", _Moments(products, pair_sums))
+        yield piece
 
 
 def read_csv_array(path, header: bool = False, labels: bool = False):

@@ -32,6 +32,14 @@ __all__ = [
 ]
 
 
+def _check_sample_size(n) -> None:
+    """Require an integer sample size n >= 2; a bool is not one."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise ConfigError(f"n must be an integer, got {n!r}")
+    if n < 2:
+        raise ConfigError(f"n must be at least 2, got {n}")
+
+
 @dataclass(frozen=True, eq=False)
 class PowerInputs:
     """Alternative-hypothesis description for the sum-test power formula.
@@ -56,10 +64,7 @@ class PowerInputs:
             )
         if not (np.isfinite(a0).all() and np.isfinite(a1).all()):
             raise ConfigError("coefficient matrices must be finite")
-        if not isinstance(self.n, (int, np.integer)):
-            raise ConfigError(f"n must be an integer, got {self.n!r}")
-        if self.n < 2:
-            raise ConfigError(f"n must be at least 2, got {self.n}")
+        _check_sample_size(self.n)
         if not (math.isfinite(self.nu4) and self.nu4 >= 1.0):
             raise ConfigError(
                 "nu4 must be finite and >= 1 (Cauchy-Schwarz on a unit-variance variable), "
@@ -231,13 +236,12 @@ def max_power_bounds(
     a single entry of size rho is bounded below by
     Phi(sqrt(n) rho - sqrt(x_alpha)) + Phi(-sqrt(n) rho - sqrt(x_alpha))
     and above by that plus alpha.  Both ends are clipped to [0, 1].  rho
-    is a correlation, so it must be finite with |rho| <= 1, and K must
-    satisfy ``check_lag_budget`` for n rows.
+    is a correlation, so it must be finite with |rho| <= 1; n must be an
+    integer, and K must satisfy ``check_lag_budget`` for n rows.
     """
     if p < 2:
         raise ConfigError(f"p must be at least 2, got {p}")
-    if n < 2:
-        raise ConfigError(f"n must be at least 2, got {n}")
+    _check_sample_size(n)
     check_lag_budget(n, lags)
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")

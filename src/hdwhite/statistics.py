@@ -8,6 +8,10 @@
   Powerful against many small autocorrelations.
 - Fisher combination: -2 log of each test's p-value, summed; null limit
   chi-square with 4 degrees of freedom.  Hedges between the two regimes.
+
+The lagged moments both tests read are formed, carried and shared by
+``panel``: MAX through ``sample_autocorrelation``, SUM through
+``_pair_sums``.  This module holds only the formulas on top of them.
 """
 
 from __future__ import annotations
@@ -16,13 +20,9 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .distributions import chi2_4_sf, gumbel_sf, std_normal_sf
 from .errors import ConfigError, DataError
-from .panel import (
-    TimeSeriesPanel, _Moments, check_lag_budget, lag_products, sample_autocorrelation,
-)
+from .panel import TimeSeriesPanel, _pair_sums, check_lag_budget, sample_autocorrelation
 
 # Guard against log(0) when a p-value underflows to exactly zero.
 P_VALUE_FLOOR = 1e-300
@@ -95,101 +95,6 @@ def check_run_all_arguments(n: int, p: int, lags, alpha: float) -> None:
     _check_sum_arguments(n, lags)
 
 
-# A pair sum below this fraction of its route's reference counts as zero:
-# the rows are mutually orthogonal and SUM cannot be studentized.
-#
-# The cross route forms the pair sum as ||X'X||_F^2 minus sum_t |x_t|^4.
-# When every pair of rows is orthogonal, that difference still leaves a
-# residue of a few machine epsilons of ||X'X||_F^2 (at most 8e-16 of it
-# over 23,000 random such panels), so ||X'X||_F^2 is its reference.
-#
-# The Gram route sums squared off-diagonal entries, with no cancellation.
-# A computed x_t'x_s of two orthogonal rows is at most about p u |x_t| |x_s|
-# (u the unit roundoff), and rows orthogonal only to rounding, such as
-# those of a computed orthogonal basis, are off by about as much.  So its
-# reference is sum_{t != s} |x_t|^2 |x_s|^2, against which the pair sum is
-# a mean squared cosine between rows, and rounding leaves (p u)^2 of it
-# or less.  ||X'X||_F^2 would not do there: one dominant row's |x_t|^4
-# swamps it (a 60 x 30 panel with one row scaled by 1e7 read as orthogonal).
-SCALE_RESOLUTION = 1e-12
-
-
-def _cross_route(n: int, p: int, lags: int) -> bool:
-    """Whether SUM's sums come from the K+1 p x p lag products, not X X' (see ``sum_test``)."""
-    return (lags + 1) * p < n
-
-
-def _gram_pair_sums(x: np.ndarray, lags: int, window: int):
-    """The three sums ``sum_test`` needs, for every run of ``window`` consecutive rows.
-
-    Forms the Gram matrix X X' of ``x`` once, zeroes its diagonal and keeps
-    the squared row norms |x_t|^2 from it in ``sq``.  For each run, the
-    ``window`` x ``window`` block on the diagonal, returns the sum over
-    pairs t != s of (x_t'x_s)^2; the residue below which that sum counts as
-    zero (see ``SCALE_RESOLUTION``); and the sum over lags l = 1..K and
-    pairs t != s of x_t'x_s x_{t+l}'x_{s+l}.  Each elementwise product is
-    formed once for all runs and each run sums its block of it, so every
-    sum is a plain sum over the t != s entries and nothing cancels; the
-    residue's pair sum of |x_t|^2 |x_s|^2 is formed from running sums of
-    ``sq``.  With ``window`` the full size there is one run.
-    """
-    gram = x @ x.T
-    sq = np.diagonal(gram).copy()
-    np.fill_diagonal(gram, 0.0)
-    n = sq.shape[0]
-    runs = range(n - window + 1)
-
-    def block_sums(products, size):
-        return [float(products[i : i + size, i : i + size].sum()) for i in runs]
-
-    off_diagonal = block_sums(gram * gram, window)
-    totals = [0.0] * len(runs)
-    for l in range(1, lags + 1):
-        lagged = block_sums(gram[: n - l, : n - l] * gram[l:, l:], window - l)
-        totals = [total + part for total, part in zip(totals, lagged)]
-    residues = []
-    for i in runs:
-        run_sq = sq[i : i + window]
-        residues.append(SCALE_RESOLUTION * 2.0 * float(run_sq[1:] @ np.cumsum(run_sq[:-1])))
-    return list(zip(off_diagonal, residues, totals))
-
-
-def _cross_pair_sums(products: np.ndarray, sq: np.ndarray, lags: int):
-    """The sums of ``_gram_pair_sums``, from the raw lag products of ``lag_products``.
-
-    Uses sum_{t,s} x_t'x_s x_{t+l}'x_{s+l} = ||X[l:]' X[:n-l]||_F^2 and
-    subtracts the t = s terms, sum_t |x_t|^2 |x_{t+l}|^2 (``sq`` holds the
-    |x_t|^2).  The residue is ``SCALE_RESOLUTION`` of ||X'X||_F^2.
-    """
-    n = sq.shape[0]
-    total = 0.0
-    for l in range(1, lags + 1):
-        total += float(np.square(products[l]).sum()) - float(sq[l:] @ sq[: n - l])
-    frob = float(np.square(products[0]).sum())
-    return frob - float(sq @ sq), SCALE_RESOLUTION * frob, total
-
-
-def _pair_sums(panel: TimeSeriesPanel, lags: int) -> tuple[float, float, float]:
-    """The sums of ``_gram_pair_sums`` over the whole panel, from one source.
-
-    A panel that carries its moments at this K gives its own.  On the Gram
-    route they come from X X' and nothing is kept.  On the cross route the
-    K+1 lag products are formed once and kept on the panel, read-only, so
-    that ``max_test`` reads them rather than forming them again.
-    """
-    moments = panel._moments
-    if moments is not None and moments.lags == lags:
-        return moments.pair_sums
-    x = panel.values
-    if not _cross_route(panel.n, panel.p, lags):
-        return _gram_pair_sums(x, lags, panel.n)[0]
-    products = lag_products(x, lags)
-    products.flags.writeable = False
-    pair_sums = _cross_pair_sums(products, np.einsum("ti,ti->t", x, x), lags)
-    object.__setattr__(panel, "_moments", _Moments(products, pair_sums))
-    return pair_sums
-
-
 def sum_test(panel: TimeSeriesPanel, lags: int) -> SumResult:
     """Sum test over lags 1..lags.
 
@@ -198,15 +103,15 @@ def sum_test(panel: TimeSeriesPanel, lags: int) -> SumResult:
     by n(n-1).  The studentizer is the U-statistic estimate of tr(Sigma^2)
     built from all ordered pairs.
 
-    The sums come from one of two routes, picked by ``_cross_route``.
-    The Gram route forms the n x n matrix X X': O(n^2 (p + K)) time and
-    O(n^2) memory, none of it kept.  The cross route forms the K+1 p x p
-    products X'X and X[l:]' X[:n-l] once, O((K+1) n p^2) time, and keeps
-    them on the panel with the sums: (K+1) p^2 floats, fewer than the
-    panel's n p, which ``max_test`` then reads.  Both routes give the
-    same numbers up to rounding.  A panel that already carries its sums
-    at this K (a window from ``factor.sliding_window_rates``, or a panel
-    this test ran on before by the cross route) uses them as given.
+    The sums come from ``panel._pair_sums``, by one of two routes.  The
+    Gram route, when (K+1) p >= n, forms the n x n matrix X X':
+    O(n^2 (p + K)) time and O(n^2) memory, none of it kept.  The cross
+    route forms the K+1 p x p products X'X and X[l:]' X[:n-l] once,
+    O((K+1) n p^2) time, and keeps them on the panel with the sums:
+    (K+1) p^2 floats, fewer than the panel's n p, which ``max_test`` then
+    reads.  Both routes give the same numbers up to rounding.  A panel
+    that carries its moments up to some K >= lags (a sliding window, or a
+    panel this test ran on before by the cross route) uses them as given.
 
     Raises ``DataError`` when the pair sum behind the studentizer is no
     larger than the rounding residue of its route, i.e. the rows are

@@ -5,6 +5,7 @@ import pytest
 
 from hdwhite.dgp import DgpSpec, Innovation, Scenario, gen_alternative_panel
 from hdwhite import factor
+from hdwhite import panel as panel_module
 from hdwhite.errors import ConfigError, DataError, DegenerateColumnError, LagError, ParseError
 from hdwhite.factor import (
     FactorData,
@@ -366,18 +367,21 @@ def assert_windows_match(values, window, lags):
         assert np.shares_memory(piece.values, panel.values)
         np.testing.assert_array_equal(piece.values, rows)
         got = run_all(piece, lags, 0.05)
-        want = run_all(TimeSeriesPanel(rows), lags, 0.05)
-        got_flat, want_flat = got.to_flat_dict(), want.to_flat_dict()
-        for name, value in want_flat.items():
-            if isinstance(value, float):
-                # t_sum is studentized by sigma_s_hat, its natural scale.
-                scale = want.sum.sigma_s_hat if name == "t_sum" else 1.0
-                assert_close(got_flat[name], value, (start, name), scale)
-            else:
-                assert got_flat[name] == value, (start, name)
-        assert_close(got.sum.trace_sq_hat, want.sum.trace_sq_hat, (start, "trace_sq_hat"))
+        assert_reports_close(got, run_all(TimeSeriesPanel(rows), lags, 0.05), start)
         starts += 1
     assert starts == values.shape[0] - window
+
+
+def assert_reports_close(got, want, where):
+    got_flat, want_flat = got.to_flat_dict(), want.to_flat_dict()
+    for name, value in want_flat.items():
+        if isinstance(value, float):
+            # t_sum is studentized by sigma_s_hat, its natural scale.
+            scale = want.sum.sigma_s_hat if name == "t_sum" else 1.0
+            assert_close(got_flat[name], value, (where, name), scale)
+        else:
+            assert got_flat[name] == value, (where, name)
+    assert_close(got.sum.trace_sq_hat, want.sum.trace_sq_hat, (where, "trace_sq_hat"))
 
 
 class TestWindowEngine:
@@ -388,6 +392,28 @@ class TestWindowEngine:
         p = values.shape[1]
         assert ((lags + 1) * p >= window) == (route == "gram")
         assert_windows_match(values, window, lags)
+
+    @pytest.mark.parametrize("route", sorted(ENGINE_ROUTES))
+    def test_windows_serve_smaller_lags_from_what_they_carry(self, monkeypatch, route):
+        # Windows carry their moments at K=5; tested at K' <= 5 they form
+        # no product and no Gram matrix, and keep the stack they carry.
+        values, window = engine_panel(route, seed=76)
+        lag_list = (2, 1, 5)
+        pieces = list(_window_panels(TimeSeriesPanel(values), window, 5))
+        wants = [
+            [run_all(TimeSeriesPanel(values[start : start + window]), lags, 0.05)
+             for lags in lag_list]
+            for start in range(len(pieces))
+        ]
+        formed = []
+        for name in ("lag_products", "_gram_pair_sums"):
+            monkeypatch.setattr(panel_module, name, lambda *a, name=name: formed.append(name))
+        for start, (piece, want) in enumerate(zip(pieces, wants)):
+            carried = piece._moments
+            for lags, want_report in zip(lag_list, want):
+                assert_reports_close(run_all(piece, lags, 0.05), want_report, (start, lags))
+                assert piece._moments is carried
+        assert formed == []
 
     @pytest.mark.parametrize("scale", [1e3, 1e5])
     @pytest.mark.parametrize("route", sorted(ENGINE_ROUTES))

@@ -194,6 +194,19 @@ class TestAutocovariance:
         with pytest.raises(LagError):
             sample_autocovariance(panel, 1.5)
 
+    def test_bool_is_not_a_lag(self):
+        # bool is an int; a panel carrying products would index them with it.
+        panel = TimeSeriesPanel(np.random.default_rng(23).standard_normal((50, 4)))
+        with pytest.raises(LagError, match="must be an integer, got True"):
+            panel_module.check_lag_budget(50, True)
+        with pytest.raises(LagError, match="must be an integer, got True"):
+            run_all(panel, True, 0.05)
+        run_all(panel, 2, 0.05)
+        assert panel._moments is not None
+        for lag in (True, False):
+            with pytest.raises(LagError, match=f"must be an integer, got {lag}"):
+                sample_autocovariance(panel, lag)
+
 
 class TestAutocorrelation:
     def test_lag0_diagonal_is_one(self):

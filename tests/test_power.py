@@ -177,7 +177,7 @@ class TestSumPower:
         with pytest.raises(ConfigError, match="nu4 must be finite"):
             PowerInputs(a0=np.eye(3), a1=np.eye(3), n=100, nu4=nu4, alpha=0.05)
 
-    @pytest.mark.parametrize("n", [100.5, 100.0, "100"])
+    @pytest.mark.parametrize("n", [100.5, 100.0, "100", True])
     def test_non_integer_sample_size_rejected(self, n):
         with pytest.raises(ConfigError, match="n must be an integer"):
             PowerInputs(a0=np.eye(3), a1=np.eye(3), n=n, nu4=3.0, alpha=0.05)
@@ -252,11 +252,17 @@ class TestMaxPowerBounds:
         (1.5, "must be an integer"),
         (99, r"out of range \[1, 98\]"),
         (0, r"out of range \[1, 98\]"),
-    ], ids=["fractional", "past-n-2", "zero"])
+        (True, "must be an integer"),
+    ], ids=["fractional", "past-n-2", "zero", "bool"])
     def test_lags_checked_by_the_lag_budget(self, lags, message):
         with pytest.raises(LagError, match=message):
             max_power_bounds(0.2, 100, 40, lags, 0.05)
         assert max_power_bounds(0.2, 100, 40, 98, 0.05)[0] >= 0.0
+
+    @pytest.mark.parametrize("n", [100.5, 100.0, "100", True])
+    def test_sample_size_must_be_an_integer(self, n):
+        with pytest.raises(ConfigError, match="n must be an integer"):
+            max_power_bounds(0.2, n, 40, 1, 0.05)
 
 
 class TestSignalDetectable:

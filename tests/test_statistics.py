@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from hdwhite import statistics
+from hdwhite import panel as panel_module
 from hdwhite.distributions import chi2_4_cdf, gumbel_sf, std_normal_sf
 from hdwhite.errors import ConfigError, DataError, DegenerateColumnError
 from hdwhite.panel import DEGENERATE_VARIANCE_TOL, TimeSeriesPanel
@@ -42,14 +42,14 @@ def sum_test_by_route(monkeypatch, panel, lags, route):
     taken = []
     with monkeypatch.context() as patch:
         for name, fn in (
-            ("cross", statistics.lag_products),
-            ("gram", statistics._gram_pair_sums),
+            ("cross", panel_module.lag_products),
+            ("gram", panel_module._gram_pair_sums),
         ):
             def spy(*args, name=name, fn=fn):
                 taken.append(name)
                 return fn(*args)
 
-            patch.setattr(statistics, fn.__name__, spy)
+            patch.setattr(panel_module, fn.__name__, spy)
         try:
             return sum_test(panel, lags)
         finally:
@@ -439,10 +439,10 @@ class TestRunAll:
         x = np.random.default_rng(40 + lags).standard_normal((120, 6))
         want = run_all(TimeSeriesPanel(x), lags, 0.05)
         calls = []
-        original = statistics.lag_products
-        monkeypatch.setattr(statistics, "lag_products", lambda *a: calls.append(a) or original(*a))
+        original = panel_module.lag_products
+        monkeypatch.setattr(panel_module, "lag_products", lambda *a: calls.append(a) or original(*a))
         panel = counting_panel(x)
-        assert statistics._cross_route(panel.n, panel.p, lags)
+        assert panel_module._cross_route(panel.n, panel.p, lags)
         assert run_all(panel, lags, 0.05) == want
         assert len(calls) == 1
         assert ProductCountingArray.products == lags + 1
@@ -451,11 +451,31 @@ class TestRunAll:
         assert max_test(panel, lags) == want.max and sum_test(panel, lags) == want.sum
         assert len(calls) == 1 and ProductCountingArray.products == lags + 1
 
+    def test_carried_moments_serve_smaller_lags(self, monkeypatch):
+        # The K=5 stack serves SUM and MAX at K=2 and stays on the panel.
+        x = np.random.default_rng(44).standard_normal((400, 10))
+        want = {lags: (sum_test(TimeSeriesPanel(x), lags), max_test(TimeSeriesPanel(x), lags))
+                for lags in (2, 5)}
+        calls = []
+        original = panel_module.lag_products
+        monkeypatch.setattr(
+            panel_module, "lag_products", lambda x, lags: calls.append(lags) or original(x, lags)
+        )
+        panel = TimeSeriesPanel(x)
+        assert panel_module._cross_route(panel.n, panel.p, 5)
+        assert repr(sum_test(panel, 5)) == repr(want[5][0])
+        carried = panel._moments
+        for lags in (2, 5):
+            assert repr(sum_test(panel, lags)) == repr(want[lags][0])
+            assert repr(max_test(panel, lags)) == repr(want[lags][1])
+            assert panel._moments is carried
+        assert calls == [5] and carried.lags == 5
+
     def test_gram_route_keeps_no_products(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(statistics, "lag_products", lambda *a: calls.append(a))
+        monkeypatch.setattr(panel_module, "lag_products", lambda *a: calls.append(a))
         panel = counting_panel(np.random.default_rng(42).standard_normal((30, 20)))
-        assert not statistics._cross_route(panel.n, panel.p, 2)
+        assert not panel_module._cross_route(panel.n, panel.p, 2)
         run_all(panel, 2, 0.05)
         assert calls == [] and panel._moments is None
         # One Gram matrix for SUM; lag 0 and lags 1..2 for MAX.
