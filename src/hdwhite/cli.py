@@ -14,7 +14,9 @@ Exit codes: 0 success, 2 bad configuration or usage, 3 bad input data,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from . import __version__
@@ -39,6 +41,19 @@ def _cmd_test(args) -> int:
     return 0
 
 
+def _check_out_path(path: str) -> None:
+    """Raise, before the grid runs, the OSError that writing ``path``
+    would raise after it: for a missing or non-directory parent, or for a
+    path that is a directory.
+    """
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        raise OSError(code, os.strerror(code), parent)
+    if os.path.isdir(path):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def _cmd_experiment(args) -> int:
     kind = ExperimentKind(args.command)
     cfg = ExperimentConfig.from_json_file(
@@ -53,6 +68,7 @@ def _cmd_experiment(args) -> int:
         )
     if cfg.out_path is None:
         raise ConfigError('no output path: set "out" in the config or pass --out')
+    _check_out_path(cfg.out_path)
     results = run_experiment(cfg)
     if kind is ExperimentKind.POWER and args.curve:
         emit_power_curve(results, cfg.out_path)

@@ -3,9 +3,9 @@
 An experiment is a grid of cells (scenario, innovation, n, p, K, and a
 block size m for alternatives).  Every cell runs R replications; each
 replication owns an RNG stream derived purely from (master seed, cell,
-replication index).  One loop runs every cell; the worker count only
-picks its map (the builtin one or a process pool's), so results are
-byte-identical for any worker count.
+replication index).  The whole grid's replications go through one map,
+the builtin one or a process pool's, and are tallied in grid order, so
+results are byte-identical for any worker count.
 Outputs are a flat CSV, a grouped markdown table, and per-m power-curve
 CSVs.
 """
@@ -20,7 +20,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import product, repeat
+from itertools import chain, islice, product, repeat
 
 import numpy as np
 
@@ -326,27 +326,38 @@ def _replicate(
 def run_experiment(cfg: ExperimentConfig) -> list[CellResult]:
     """Run every grid cell for the configured replication count.
 
-    Replications are tallied in (cell, replication-index) order, and each
-    one derives its RNG stream from (master_seed, cell id, index), so the
-    output is identical for any worker count.
+    The (cell, replication) jobs of the whole grid go through one map, so
+    no cell waits for the previous one to drain.  A pool splits them into
+    chunks of ``max(1, total // (4 * workers))`` jobs and starts at most
+    one process per chunk.  Each job derives its RNG stream from
+    (master_seed, cell id, index) and results are tallied in grid order,
+    so the output, and the first error raised, are those of a serial run
+    for any worker count.  On an error the queued chunks are cancelled.
     """
-    results = []
+    reps = cfg.replications
+    total = len(cfg.grid) * reps
+    chunk = max(1, total // (4 * cfg.workers))
+    workers = min(cfg.workers, -(-total // chunk))  # no more than the chunk count
     with ExitStack() as stack:
         mapper = map
-        if cfg.workers > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.workers))
-            chunk = max(1, cfg.replications // (cfg.workers * 4))
+        if workers > 1:
+            pool = ProcessPoolExecutor(max_workers=workers)
+            stack.callback(pool.shutdown, cancel_futures=True)
             mapper = partial(pool.map, chunksize=chunk)
+        outcomes = mapper(
+            _replicate,
+            chain.from_iterable(repeat(cell, reps) for cell in cfg.grid),
+            chain.from_iterable(repeat(cell.key(), reps) for cell in cfg.grid),
+            chain.from_iterable(repeat(range(reps), len(cfg.grid))),
+            repeat(cfg.master_seed), repeat(cfg.alpha),
+        )
+        results = []
         for cell in cfg.grid:
-            outcomes = mapper(
-                _replicate, repeat(cell), repeat(cell.key()), range(cfg.replications),
-                repeat(cfg.master_seed), repeat(cfg.alpha),
-            )
             counts = [0, 0, 0]
-            for rejects in outcomes:
+            for rejects in islice(outcomes, reps):
                 for i, rejected in enumerate(rejects):
                     counts[i] += rejected
-            results.append(CellResult.from_counts(cell, tuple(counts), cfg.replications))
+            results.append(CellResult.from_counts(cell, tuple(counts), reps))
     return results
 
 

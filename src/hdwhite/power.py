@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -32,12 +33,18 @@ __all__ = [
 ]
 
 
-def _check_sample_size(n) -> None:
-    """Require an integer sample size n >= 2; a bool is not one."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ConfigError(f"n must be an integer, got {n!r}")
-    if n < 2:
-        raise ConfigError(f"n must be at least 2, got {n}")
+def _check_integer(name: str, value, least: int) -> None:
+    """Require an integer value >= least; a bool is not an integer.
+
+    A real number below ``least`` (NaN included) is reported as out of
+    range, any other non-integer as not an integer.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if not value >= least:
+        raise ConfigError(f"{name} must be at least {least}, got {value}")
+    if not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +71,7 @@ class PowerInputs:
             )
         if not (np.isfinite(a0).all() and np.isfinite(a1).all()):
             raise ConfigError("coefficient matrices must be finite")
-        _check_sample_size(self.n)
+        _check_integer("n", self.n, 2)
         if not (math.isfinite(self.nu4) and self.nu4 >= 1.0):
             raise ConfigError(
                 "nu4 must be finite and >= 1 (Cauchy-Schwarz on a unit-variance variable), "
@@ -236,12 +243,11 @@ def max_power_bounds(
     a single entry of size rho is bounded below by
     Phi(sqrt(n) rho - sqrt(x_alpha)) + Phi(-sqrt(n) rho - sqrt(x_alpha))
     and above by that plus alpha.  Both ends are clipped to [0, 1].  rho
-    is a correlation, so it must be finite with |rho| <= 1; n must be an
-    integer, and K must satisfy ``check_lag_budget`` for n rows.
+    is a correlation, so it must be finite with |rho| <= 1; p and n must
+    be integers, and K must satisfy ``check_lag_budget`` for n rows.
     """
-    if p < 2:
-        raise ConfigError(f"p must be at least 2, got {p}")
-    _check_sample_size(n)
+    _check_integer("p", p, 2)
+    _check_integer("n", n, 2)
     check_lag_budget(n, lags)
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
@@ -264,13 +270,12 @@ def signal_detectable(
 
     True iff the largest |rho_ij(k)| over lags k and strictly upper
     triangular pairs i < j reaches b0 * sqrt(log p / n).  Equality counts
-    as detectable.  n must be at least 1, and b0 and every matrix entry
-    finite.
+    as detectable.  n must be an integer of at least 1, and b0 and every
+    matrix entry finite.
     """
     if not gammas:
         raise ConfigError("need at least one autocorrelation matrix")
-    if not n >= 1:
-        raise ConfigError(f"n must be at least 1, got {n}")
+    _check_integer("n", n, 1)
     if not math.isfinite(b0):
         raise ConfigError(f"b0 must be finite, got {b0}")
     mats = [np.asarray(g, dtype=np.float64) for g in gammas]

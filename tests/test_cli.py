@@ -185,6 +185,26 @@ class TestExperimentSubcommands:
                 "--seed", "101")
         assert out_a.read_text() != out_b.read_text()
 
+    @pytest.mark.parametrize("where", ["missing-parent", "parent-is-file", "path-is-dir"])
+    def test_unwritable_output_fails_before_the_run(self, tmp_path, capsys, monkeypatch, where):
+        (tmp_path / "plain.txt").write_text("")
+        out_path = {
+            "missing-parent": tmp_path / "absent" / "rates.csv",
+            "parent-is-file": tmp_path / "plain.txt" / "rates.csv",
+            "path-is-dir": tmp_path,
+        }[where]
+
+        def must_not_run(cfg):
+            raise AssertionError("the grid ran before the output path was checked")
+
+        monkeypatch.setattr("hdwhite.cli.run_experiment", must_not_run)
+        cfg = self.write_config(tmp_path)
+        code, out, err = run_cli(capsys, "size", "--config", str(cfg), "--out", str(out_path))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not (tmp_path / "absent").exists()
+
     def test_invalid_config_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{")

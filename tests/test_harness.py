@@ -1,12 +1,16 @@
 """Monte Carlo harness: config expansion, seeding, determinism, emitters."""
 
 import json
+import multiprocessing
+import sys
+import time
 
 import numpy as np
 import pytest
 
+from hdwhite import harness
 from hdwhite.dgp import Innovation, Scenario
-from hdwhite.errors import ConfigError
+from hdwhite.errors import ConfigError, DataError
 from hdwhite.harness import (
     DEFAULT_POWER_REPLICATIONS,
     DEFAULT_SIZE_REPLICATIONS,
@@ -203,36 +207,40 @@ class TestRunExperiment:
         assert [r.rate_sum for r in first] == [r.rate_sum for r in second]
         assert [r.rate_fc for r in first] == [r.rate_fc for r in second]
 
+    # Cells of unequal cost (p = 4 against p = 40, K = 1 against 3, var1
+    # against vma1); for 2 and 3 workers the chunk size divides none of
+    # the totals (90, 81 and 35 replications).
+    SIZE_GRID = {
+        "kind": "size", "scenarios": ["null-i", "null-ii", "null-iii"],
+        "n": 40, "p": [4, 40], "K": [1, 2, 3], "replications": 5, "master_seed": 70,
+    }
+    POWER_GRID = {
+        "kind": "power", "scenarios": ["var1", "varma1", "vma1"],
+        "n": 40, "p": 12, "K": 1, "m": [1, 2, 4], "replications": 9, "master_seed": 71,
+    }
+    CURVE_GRID = {
+        "kind": "power", "scenarios": "var1",
+        "n": 40, "p": 12, "K": 1, "m": [1, 2, 3, 4, 5], "replications": 7, "master_seed": 72,
+    }
+
     def test_worker_count_does_not_change_results(self, tmp_path):
-        size_grid = {
-            "kind": "size",
-            "scenarios": ["null-i", "null-iii"],
-            "n": [30],
-            "p": [5, 8],
-            "K": [1, 2],
-            "replications": 12,
-            "master_seed": 70,
-        }
-        power_grid = {
-            "kind": "power",
-            "scenarios": ["var1", "varma1", "vma1"],
-            "n": [30],
-            "p": [6],
-            "K": [1],
-            "m": [1, 3],
-            "replications": 8,
-            "master_seed": 71,
-        }
-        for raw in (size_grid, power_grid):
-            serial = run_experiment(ExperimentConfig.from_mapping(raw))
-            parallel = run_experiment(
-                ExperimentConfig.from_mapping(raw, workers_override=2)
-            )
-            path_a = tmp_path / f"{raw['kind']}-serial.csv"
-            path_b = tmp_path / f"{raw['kind']}-parallel.csv"
-            emit_table(serial, str(path_a))
-            emit_table(parallel, str(path_b))
-            assert path_a.read_bytes() == path_b.read_bytes()
+        for raw in (self.SIZE_GRID, self.POWER_GRID, self.CURVE_GRID):
+            total = len(ExperimentConfig.from_mapping(raw).grid) * raw["replications"]
+            outputs = []
+            for workers in (1, 2, 3):
+                assert workers == 1 or total % (total // (4 * workers)) != 0, (
+                    "the last chunk must be short"
+                )
+                cfg = ExperimentConfig.from_mapping(raw, workers_override=workers)
+                results = run_experiment(cfg)
+                paths = [tmp_path / f"{workers}.csv", tmp_path / f"{workers}.md"]
+                emit_table(results, str(paths[0]))
+                emit_table(results, str(paths[1]), format="markdown")
+                if raw is self.CURVE_GRID:
+                    paths.append(tmp_path / f"{workers}-curve.csv")
+                    emit_power_curve(results, str(paths[2]))
+                outputs.append([path.read_bytes() for path in paths])
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0], raw["kind"]
 
     def test_replication_accounting(self):
         cfg = small_size_config(replications=17)
@@ -281,6 +289,94 @@ class TestRunExperiment:
         )
         res = run_experiment(cfg)[0]
         assert res.rate_max > 0.3, f"planted scalar signal barely detected: {res.rate_max}"
+
+
+# Pool workers see a patched module attribute only if they are forked
+# after the patch.
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="patches reach pool workers only under the fork start method",
+)
+
+# Set by a test before its pool forks: the file each replication appends
+# one byte to, so the parent can count the replications that ran, and the
+# key of the one cell whose replications do not sleep.
+_RAN_LOG = None
+_FAST_KEY = None
+
+
+def _slow_replicate(cell, cell_key, rep, master_seed, alpha):
+    with open(_RAN_LOG, "a") as fh:
+        fh.write(".")
+    if cell_key != _FAST_KEY:
+        time.sleep(0.02)
+    return (False, False, False)
+
+
+class TestSchedule:
+    """One map over the whole grid: worker count, chunking and errors."""
+
+    def test_pool_starts_one_process_per_chunk_at_most(self, monkeypatch):
+        started = []
+
+        class Recording(harness.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+        serial = run_experiment(small_size_config(replications=3))
+        pooled = run_experiment(small_size_config(replications=3, workers=8))
+        assert started == [3], "3 replications make 3 chunks of one"
+        assert pooled == serial
+        run_experiment(small_size_config(replications=1, workers=8))
+        assert started == [3], "a single chunk runs in process"
+
+    @needs_fork
+    def test_first_error_is_the_serial_one(self, monkeypatch):
+        # With one draw allowed, the n=20 var1 cell of
+        # test_survives_nonstationary_draws fails at replication 0, the
+        # n=25 cell at its last replication and the n=30 cell at
+        # replication 2.  In a pool the n=20 chunk can fail first, but a
+        # serial run meets the n=25 failure first.
+        monkeypatch.setattr(harness, "MAX_REDRAWS", 1)
+        raw = {
+            "kind": "power", "scenarios": "var1",
+            "n": [25, 20, 30], "p": [2], "K": [1], "m": [2], "replications": 12,
+            "master_seed": 11,
+        }
+        first = GridCell(Scenario("var1"), Innovation.GAUSSIAN, 25, 2, 1, 2).key()
+        expected = f"exceeded 1 coefficient redraws for cell key {first}, replication 11"
+        for workers in (1, 2, 3):
+            cfg = ExperimentConfig.from_mapping(raw, workers_override=workers)
+            with pytest.raises(DataError) as exc:
+                run_experiment(cfg)
+            assert str(exc.value) == expected
+
+    @needs_fork
+    def test_error_cancels_the_queued_chunks(self, monkeypatch, tmp_path):
+        # 8 cells of 10 replications at 2 workers make 8 chunks of one cell
+        # each; the first runs at once, the others take 0.2 s.  Tallying
+        # the first cell fails in the parent, which must not then wait for
+        # the rest of the grid.  Only the 2 running and 3 queued chunks
+        # are past recall, so 40 to 60 replications run, and all 80
+        # without the cancellation.
+        cfg = small_size_config(
+            scenarios=["null-i", "null-ii"], p=[4, 5], K=[1, 2], replications=10, workers=2
+        )
+        this = sys.modules[__name__]
+        monkeypatch.setattr(this, "_RAN_LOG", str(tmp_path / "ran"))
+        monkeypatch.setattr(this, "_FAST_KEY", cfg.grid[0].key())
+        monkeypatch.setattr(harness, "_replicate", _slow_replicate)
+
+        def refuse(cls, cell, counts, reps):
+            raise RuntimeError("stop after the first cell")
+
+        monkeypatch.setattr(CellResult, "from_counts", classmethod(refuse))
+        with pytest.raises(RuntimeError, match="stop after the first cell"):
+            run_experiment(cfg)
+        ran = len((tmp_path / "ran").read_text())
+        assert 10 <= ran < 80, f"{ran} of 80 replications ran"
 
 
 class TestEmitters:

@@ -264,6 +264,14 @@ class TestMaxPowerBounds:
         with pytest.raises(ConfigError, match="n must be an integer"):
             max_power_bounds(0.2, n, 40, 1, 0.05)
 
+    @pytest.mark.parametrize("p", [40.5, 40.0, "40", True, np.float64(40.0)])
+    def test_dimension_must_be_an_integer(self, p):
+        with pytest.raises(ConfigError, match="p must be an integer"):
+            max_power_bounds(0.2, 100, p, 1, 0.05)
+        assert max_power_bounds(0.2, 100, np.int64(40), 1, 0.05) == max_power_bounds(
+            0.2, 100, 40, 1, 0.05
+        )
+
 
 class TestSignalDetectable:
     def test_zero_signal_not_detectable(self):
@@ -300,6 +308,11 @@ class TestSignalDetectable:
     @pytest.mark.parametrize("n", [0, -5, math.nan])
     def test_sample_size_must_be_positive(self, n):
         with pytest.raises(ConfigError, match="n must be at least 1"):
+            signal_detectable([np.eye(4)], n, 1.0)
+
+    @pytest.mark.parametrize("n", [100.5, 100.0, "100", True])
+    def test_sample_size_must_be_an_integer(self, n):
+        with pytest.raises(ConfigError, match="n must be an integer"):
             signal_detectable([np.eye(4)], n, 1.0)
 
     @pytest.mark.parametrize("b0", [math.nan, math.inf])
