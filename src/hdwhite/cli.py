@@ -43,15 +43,19 @@ def _cmd_test(args) -> int:
 
 def _check_out_path(path: str) -> None:
     """Raise, before the grid runs, the OSError that writing ``path``
-    would raise after it: for a missing or non-directory parent, or for a
-    path that is a directory.
+    would raise after it: for a missing, non-directory or unwritable
+    parent, and for a path that is a directory or an unwritable file.
     """
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
-        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
-        raise OSError(code, os.strerror(code), parent)
-    if os.path.isdir(path):
-        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        code, where = (errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT), parent
+    elif os.path.isdir(path):
+        code, where = errno.EISDIR, path
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code, where = errno.EACCES, path
+    else:
+        return
+    raise OSError(code, os.strerror(code), where)
 
 
 def _cmd_experiment(args) -> int:

@@ -20,7 +20,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import chain, islice, product, repeat
+from itertools import islice, product, repeat
 
 import numpy as np
 
@@ -328,29 +328,24 @@ def run_experiment(cfg: ExperimentConfig) -> list[CellResult]:
 
     The (cell, replication) jobs of the whole grid go through one map, so
     no cell waits for the previous one to drain.  A pool splits them into
-    chunks of ``max(1, total // (4 * workers))`` jobs and starts at most
-    one process per chunk.  Each job derives its RNG stream from
+    chunks of ``max(1, R // (4 * workers))`` jobs, the per-cell rule, so a
+    costly cell is spread over the workers like a cheap one; it starts at
+    most one process per chunk.  Each job derives its RNG stream from
     (master_seed, cell id, index) and results are tallied in grid order,
     so the output, and the first error raised, are those of a serial run
     for any worker count.  On an error the queued chunks are cancelled.
     """
     reps = cfg.replications
-    total = len(cfg.grid) * reps
-    chunk = max(1, total // (4 * cfg.workers))
-    workers = min(cfg.workers, -(-total // chunk))  # no more than the chunk count
+    jobs = [(cell, cell.key(), rep) for cell in cfg.grid for rep in range(reps)]
+    chunk = max(1, reps // (4 * cfg.workers))
+    workers = min(cfg.workers, -(-len(jobs) // chunk))  # no more than the chunk count
     with ExitStack() as stack:
         mapper = map
         if workers > 1:
             pool = ProcessPoolExecutor(max_workers=workers)
             stack.callback(pool.shutdown, cancel_futures=True)
             mapper = partial(pool.map, chunksize=chunk)
-        outcomes = mapper(
-            _replicate,
-            chain.from_iterable(repeat(cell, reps) for cell in cfg.grid),
-            chain.from_iterable(repeat(cell.key(), reps) for cell in cfg.grid),
-            chain.from_iterable(repeat(range(reps), len(cfg.grid))),
-            repeat(cfg.master_seed), repeat(cfg.alpha),
-        )
+        outcomes = mapper(_replicate, *zip(*jobs), repeat(cfg.master_seed), repeat(cfg.alpha))
         results = []
         for cell in cfg.grid:
             counts = [0, 0, 0]

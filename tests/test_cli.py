@@ -1,6 +1,7 @@
 """Command-line interface, driven in process through main()."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -185,13 +186,20 @@ class TestExperimentSubcommands:
                 "--seed", "101")
         assert out_a.read_text() != out_b.read_text()
 
-    @pytest.mark.parametrize("where", ["missing-parent", "parent-is-file", "path-is-dir"])
+    @pytest.mark.parametrize(
+        "where", ["missing-parent", "parent-is-file", "path-is-dir", "read-only-parent"]
+    )
     def test_unwritable_output_fails_before_the_run(self, tmp_path, capsys, monkeypatch, where):
         (tmp_path / "plain.txt").write_text("")
+        locked = tmp_path / "locked"
+        locked.mkdir(mode=0o500)
+        if where == "read-only-parent" and os.access(locked, os.W_OK):
+            pytest.skip("permission bits do not bind this user")
         out_path = {
             "missing-parent": tmp_path / "absent" / "rates.csv",
             "parent-is-file": tmp_path / "plain.txt" / "rates.csv",
             "path-is-dir": tmp_path,
+            "read-only-parent": locked / "rates.csv",
         }[where]
 
         def must_not_run(cfg):

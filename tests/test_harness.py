@@ -207,29 +207,31 @@ class TestRunExperiment:
         assert [r.rate_sum for r in first] == [r.rate_sum for r in second]
         assert [r.rate_fc for r in first] == [r.rate_fc for r in second]
 
-    # Cells of unequal cost (p = 4 against p = 40, K = 1 against 3, var1
-    # against vma1); for 2 and 3 workers the chunk size divides none of
-    # the totals (90, 81 and 35 replications).
+    # Cells of unequal cost (p = 4 against p = 40, var1 against vma1,
+    # m = 1 against 5).  33 replications make chunks of 4 at 2 workers and
+    # of 2 at 3, so chunks straddle cells and the last one is short.
     SIZE_GRID = {
         "kind": "size", "scenarios": ["null-i", "null-ii", "null-iii"],
-        "n": 40, "p": [4, 40], "K": [1, 2, 3], "replications": 5, "master_seed": 70,
+        "n": 40, "p": [4, 20, 40], "K": 2, "replications": 33, "master_seed": 70,
     }
     POWER_GRID = {
         "kind": "power", "scenarios": ["var1", "varma1", "vma1"],
-        "n": 40, "p": 12, "K": 1, "m": [1, 2, 4], "replications": 9, "master_seed": 71,
+        "n": 40, "p": 12, "K": 1, "m": [1, 2, 4], "replications": 33, "master_seed": 71,
     }
     CURVE_GRID = {
         "kind": "power", "scenarios": "var1",
-        "n": 40, "p": 12, "K": 1, "m": [1, 2, 3, 4, 5], "replications": 7, "master_seed": 72,
+        "n": 40, "p": 12, "K": 1, "m": [1, 2, 3, 4, 5], "replications": 33, "master_seed": 72,
     }
 
     def test_worker_count_does_not_change_results(self, tmp_path):
         for raw in (self.SIZE_GRID, self.POWER_GRID, self.CURVE_GRID):
-            total = len(ExperimentConfig.from_mapping(raw).grid) * raw["replications"]
+            reps = raw["replications"]
+            total = len(ExperimentConfig.from_mapping(raw).grid) * reps
             outputs = []
             for workers in (1, 2, 3):
-                assert workers == 1 or total % (total // (4 * workers)) != 0, (
-                    "the last chunk must be short"
+                chunk = reps // (4 * workers)
+                assert workers == 1 or chunk > 1 and reps % chunk and total % chunk, (
+                    "chunks must straddle cells and the last chunk must be short"
                 )
                 cfg = ExperimentConfig.from_mapping(raw, workers_override=workers)
                 results = run_experiment(cfg)
@@ -303,13 +305,14 @@ needs_fork = pytest.mark.skipif(
 # key of the one cell whose replications do not sleep.
 _RAN_LOG = None
 _FAST_KEY = None
+SLOW_SECONDS = 0.3
 
 
 def _slow_replicate(cell, cell_key, rep, master_seed, alpha):
     with open(_RAN_LOG, "a") as fh:
         fh.write(".")
     if cell_key != _FAST_KEY:
-        time.sleep(0.02)
+        time.sleep(SLOW_SECONDS)
     return (False, False, False)
 
 
@@ -355,12 +358,14 @@ class TestSchedule:
 
     @needs_fork
     def test_error_cancels_the_queued_chunks(self, monkeypatch, tmp_path):
-        # 8 cells of 10 replications at 2 workers make 8 chunks of one cell
-        # each; the first runs at once, the others take 0.2 s.  Tallying
-        # the first cell fails in the parent, which must not then wait for
-        # the rest of the grid.  Only the 2 running and 3 queued chunks
-        # are past recall, so 40 to 60 replications run, and all 80
-        # without the cancellation.
+        # 8 cells of 10 replications at 2 workers make chunks of one
+        # replication.  The first cell's replications run at once, every
+        # other one takes SLOW_SECONDS.  Tallying the first cell fails in
+        # the parent, which must not then wait for the rest of the grid:
+        # only the 2 running chunks and the executor's 3 pre-queued ones
+        # (max_workers + 1) are past recall, so at most 15 replications
+        # run, and all 80 without the cancellation.  The bound holds unless
+        # the parent takes SLOW_SECONDS to raise after its tenth result.
         cfg = small_size_config(
             scenarios=["null-i", "null-ii"], p=[4, 5], K=[1, 2], replications=10, workers=2
         )
@@ -376,7 +381,7 @@ class TestSchedule:
         with pytest.raises(RuntimeError, match="stop after the first cell"):
             run_experiment(cfg)
         ran = len((tmp_path / "ran").read_text())
-        assert 10 <= ran < 80, f"{ran} of 80 replications ran"
+        assert 10 <= ran <= 10 + 2 + 3, f"{ran} of 80 replications ran"
 
 
 class TestEmitters:
