@@ -55,6 +55,11 @@ def fourth_moment(innovation: Innovation) -> float:
     return 4.5
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DgpSpec:
     """Everything needed to generate one panel reproducibly."""
@@ -69,11 +74,15 @@ class DgpSpec:
     def __post_init__(self):
         object.__setattr__(self, "scenario", Scenario(self.scenario))
         object.__setattr__(self, "innovation", Innovation(self.innovation))
+        for name in ("n", "p", "m"):
+            value = getattr(self, name)
+            if not _is_integer(value) and not (name == "m" and value is None):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n < 10:
             raise ConfigError(f"n must be at least 10, got {self.n}")
         if self.p < 2:
             raise ConfigError(f"p must be at least 2, got {self.p}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.scenario.is_null:
             if self.m is not None:

@@ -3,9 +3,10 @@
 An experiment is a grid of cells (scenario, innovation, n, p, K, and a
 block size m for alternatives).  Every cell runs R replications; each
 replication owns an RNG stream derived purely from (master seed, cell,
-replication index).  The whole grid's replications go through one map,
-the builtin one or a process pool's, and are tallied in grid order, so
-results are byte-identical for any worker count.
+replication index).  The whole grid's replications are numbered in grid
+order and claimed one at a time from a counter, in process or by the
+workers of a process pool, and the per-cell counts are summed, so results
+are byte-identical for any worker count.
 Outputs are a flat CSV, a grouped markdown table, and per-m power-curve
 CSVs.
 """
@@ -14,13 +15,15 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
+import traceback
 import zlib
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
-from itertools import islice, product, repeat
+from itertools import product
+from operator import itemgetter
 
 import numpy as np
 
@@ -109,11 +112,15 @@ class ExperimentConfig:
                 raise ConfigError(
                     f'"grid[{i}].scenario": {cell.scenario.value} is not an alternative scenario'
                 )
+        for key in ("replications", "master_seed", "workers"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f'"{key}": expected an integer, got {value!r}')
         if self.replications < 1:
             raise ConfigError(f'"replications": must be >= 1, got {self.replications}')
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f'"alpha": must lie in (0, 1), got {self.alpha}')
-        if not 0 <= int(self.master_seed) < 2**64:
+        if not 0 <= self.master_seed < 2**64:
             raise ConfigError(
                 f'"master_seed": must be an unsigned 64-bit integer, got {self.master_seed}'
             )
@@ -213,18 +220,12 @@ class ExperimentConfig:
             if kind is ExperimentKind.SIZE
             else DEFAULT_POWER_REPLICATIONS,
         )
-        if isinstance(replications, bool) or not isinstance(replications, int):
-            raise ConfigError(f'"replications": expected an integer, got {replications!r}')
 
         master_seed = seed_override if seed_override is not None else raw.get("master_seed")
         if master_seed is None:
             raise ConfigError('"master_seed": required (or pass --seed)')
-        if isinstance(master_seed, bool) or not isinstance(master_seed, int):
-            raise ConfigError(f'"master_seed": expected an integer, got {master_seed!r}')
 
         workers = workers_override if workers_override is not None else raw.get("workers", 1)
-        if isinstance(workers, bool) or not isinstance(workers, int):
-            raise ConfigError(f'"workers": expected an integer, got {workers!r}')
 
         alpha = raw.get("alpha", 0.05)
         if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
@@ -300,7 +301,7 @@ def derive_seed(master_seed: int, cell_key: int, rep: int, attempt: int = 0) -> 
 def _replicate(
     cell: GridCell, cell_key: int, rep: int, master_seed: int, alpha: float
 ) -> tuple[bool, bool, bool]:
-    """Run one replication; top-level so process pools can pickle it."""
+    """Run one replication."""
     # Resolved per call, so a replaced module attribute takes effect.
     generate = gen_null_panel if cell.scenario.is_null else gen_alternative_panel
     for attempt in range(MAX_REDRAWS):
@@ -323,37 +324,140 @@ def _replicate(
     return (report.reject_max, report.reject_sum, report.reject_fc)
 
 
+class _LocalCounter:
+    """The claim counter of an in-process run: nothing else claims, so no lock."""
+
+    def __init__(self):
+        self.value = 0
+
+    def get_lock(self):
+        return nullcontext()
+
+
+def _claim_jobs(counter, grid, reps, master_seed, alpha):
+    """Run the jobs claimed one at a time from ``counter`` until none is left.
+
+    Job j is replication ``j % reps`` of cell ``j // reps``: jobs run cell
+    after cell, in grid order.  Returns the rejection counts of every cell
+    and the first failure as (job, exception), or None.  A failure moves
+    the counter to the end, so that no one claims another job.
+    """
+    end = len(grid) * reps
+    keys = [cell.key() for cell in grid]
+    counts = [[0, 0, 0] for _ in grid]
+    while True:
+        with counter.get_lock():
+            job = counter.value
+            counter.value = job + 1
+        if job >= end:
+            return counts, None
+        index, rep = divmod(job, reps)
+        try:
+            rejects = _replicate(grid[index], keys[index], rep, master_seed, alpha)
+        except Exception as exc:
+            with counter.get_lock():
+                counter.value = end
+            return counts, (job, exc)
+        for i, rejected in enumerate(rejects):
+            counts[index][i] += rejected
+
+
+# A pool worker's shared claim counter, set by the pool's initializer.
+_counter = None
+
+
+def _set_counter(counter) -> None:
+    global _counter
+    _counter = counter
+
+
+class _RemoteTraceback(Exception):
+    """A pool worker's formatted traceback, chained as the cause of its error."""
+
+
+def _with_remote_traceback(exc: BaseException, text: str) -> BaseException:
+    exc.__cause__ = _RemoteTraceback(text)
+    return exc
+
+
+class _SentError:
+    """Unpickles as the wrapped error, with the worker's traceback as its cause."""
+
+    def __init__(self, exc: BaseException):
+        self.exc = exc
+        self.text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+
+    def __reduce__(self):
+        return _with_remote_traceback, (self.exc, self.text)
+
+
+def _pool_task(grid, reps, master_seed, alpha):
+    """One pool worker's share of the grid, claimed from the shared counter."""
+    counts, failure = _claim_jobs(_counter, grid, reps, master_seed, alpha)
+    if failure is not None:
+        failure = (failure[0], _SentError(failure[1]))
+    return counts, failure
+
+
+def _stop_claims(counter, end: int) -> None:
+    """Move a shared counter to the end, so that no worker claims another job.
+
+    A worker killed while it holds the counter's lock never releases it;
+    the pool is broken then and no worker is left to claim, so the lock
+    is given up on after a second.
+    """
+    lock = counter.get_lock()
+    if lock.acquire(timeout=1.0):
+        try:
+            counter.value = end
+        finally:
+            lock.release()
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[CellResult]:
     """Run every grid cell for the configured replication count.
 
-    The (cell, replication) jobs of the whole grid go through one map, so
-    no cell waits for the previous one to drain.  A pool splits them into
-    chunks of ``max(1, R // (4 * workers))`` jobs, the per-cell rule, so a
-    costly cell is spread over the workers like a cheap one; it starts at
-    most one process per chunk.  Each job derives its RNG stream from
-    (master_seed, cell id, index) and results are tallied in grid order,
-    so the output, and the first error raised, are those of a serial run
-    for any worker count.  On an error the queued chunks are cancelled.
+    The (cell, replication) jobs of the whole grid are numbered cell after
+    cell, in grid order, and claimed one at a time from a counter, so no
+    cell waits for the previous one to drain and no worker waits for the
+    parent between jobs.  With one worker the claim loop runs in process;
+    with more, a pool of at most one process per job runs it once in each
+    process against a shared counter, and the parent sums the per-cell
+    counts.  Each job derives its RNG stream from (master_seed, cell id,
+    index), so the output is that of a serial run for any worker count.
+    A failing job moves the counter to the end, as does the parent's exit
+    on an exception or interrupt, so every worker stops after its current
+    job; the failure with the lowest job index, the one a serial run meets
+    first, is raised.
     """
-    reps = cfg.replications
-    jobs = [(cell, cell.key(), rep) for cell in cfg.grid for rep in range(reps)]
-    chunk = max(1, reps // (4 * cfg.workers))
-    workers = min(cfg.workers, -(-len(jobs) // chunk))  # no more than the chunk count
-    with ExitStack() as stack:
-        mapper = map
-        if workers > 1:
-            pool = ProcessPoolExecutor(max_workers=workers)
-            stack.callback(pool.shutdown, cancel_futures=True)
-            mapper = partial(pool.map, chunksize=chunk)
-        outcomes = mapper(_replicate, *zip(*jobs), repeat(cfg.master_seed), repeat(cfg.alpha))
-        results = []
-        for cell in cfg.grid:
-            counts = [0, 0, 0]
-            for rejects in islice(outcomes, reps):
-                for i, rejected in enumerate(rejects):
-                    counts[i] += rejected
-            results.append(CellResult.from_counts(cell, tuple(counts), reps))
-    return results
+    grid, reps = cfg.grid, cfg.replications
+    end = len(grid) * reps
+    workers = min(cfg.workers, end)  # no more than one process per job
+    task = (grid, reps, cfg.master_seed, cfg.alpha)
+    if workers == 1:
+        tallies = [_claim_jobs(_LocalCounter(), *task)]
+    else:
+        context = multiprocessing.get_context()
+        counter = context.Value("q", 0)
+        with ExitStack() as stack:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, mp_context=context,
+                initializer=_set_counter, initargs=(counter,),
+            ))
+            stack.callback(_stop_claims, counter, end)
+            futures = [pool.submit(_pool_task, *task) for _ in range(workers)]
+            tallies = [future.result() for future in as_completed(futures)]
+    counts = [[0, 0, 0] for _ in grid]
+    failures = []
+    for cell_counts, failure in tallies:
+        for total, part in zip(counts, cell_counts):
+            for i, count in enumerate(part):
+                total[i] += count
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=itemgetter(0))[1]
+    return [CellResult.from_counts(cell, tuple(c), reps) for cell, c in zip(grid, counts)]
 
 
 # -- emission ----------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Scenario samplers: covariance targets, innovations, block alternatives."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -410,3 +412,27 @@ class TestDgpSpecValidation:
             DgpSpec(scenario=Scenario.NULL_I, innovation=Innovation.GAUSSIAN, n=40, p=1, seed=1)
         with pytest.raises(ConfigError):
             DgpSpec(scenario=Scenario.NULL_I, innovation=Innovation.GAUSSIAN, n=40, p=8, seed=-1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 40.5), ("n", 40.0), ("n", True), ("n", "40"),
+        ("p", 4.0), ("p", np.float64(8.0)), ("p", False),
+        ("m", 2.0), ("m", True),
+    ])
+    def test_sizes_must_be_integers(self, field, value):
+        fields = dict(scenario=Scenario.VAR1, innovation=Innovation.GAUSSIAN,
+                      n=40, p=8, seed=1, m=2)
+        fields[field] = value
+        message = re.escape(f"{field} must be an integer, got {value!r}")
+        with pytest.raises(ConfigError, match=message):
+            DgpSpec(**fields)
+
+    @pytest.mark.parametrize("seed", [True, 1.0, "1", None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+            DgpSpec(scenario=Scenario.NULL_I, innovation=Innovation.GAUSSIAN, n=40, p=8,
+                    seed=seed)
+
+    def test_numpy_integers_are_accepted(self):
+        spec = DgpSpec(scenario=Scenario.VAR1, innovation=Innovation.GAUSSIAN,
+                       n=np.int64(40), p=np.int32(8), seed=np.uint64(1), m=np.int64(2))
+        assert spec.n == 40 and spec.m == 2

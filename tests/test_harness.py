@@ -2,8 +2,11 @@
 
 import json
 import multiprocessing
+import os
+import re
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -175,6 +178,38 @@ class TestConfigExpansion:
         with pytest.raises(ConfigError, match="not valid JSON"):
             ExperimentConfig.from_json_file(str(bad))
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 40.5), ("p", 4.0), ("m", 2.0), ("n", True),
+    ])
+    def test_grid_cell_sizes_must_be_integers(self, field, value):
+        fields = dict(scenario=Scenario.VMA1, innovation=Innovation.GAUSSIAN,
+                      n=40, p=5, lags=1, m=2)
+        fields[field] = value
+        message = re.escape(f"{field} must be an integer, got {value!r}")
+        with pytest.raises(ConfigError, match=message):
+            GridCell(**fields)
+
+    @pytest.mark.parametrize("field, value", [
+        ("replications", True), ("replications", 2.5), ("replications", "5"),
+        ("workers", 2.5), ("workers", True), ("master_seed", 1.5), ("master_seed", False),
+    ])
+    def test_direct_config_integers_are_typed(self, field, value):
+        # The same check, and message, whether the config comes from a
+        # mapping or is built directly.
+        cell = GridCell(Scenario.NULL_I, Innovation.GAUSSIAN, 30, 5, 1)
+        fields = dict(kind=ExperimentKind.SIZE, grid=(cell,), replications=5,
+                      alpha=0.05, master_seed=1, workers=1)
+        fields[field] = value
+        message = f'"{field}": expected an integer, got {value!r}'
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**fields)
+        assert str(exc.value) == message
+        raw = {"kind": "size", "scenarios": "null-i", "n": 30, "p": 5, "K": 1,
+               "replications": 5, "master_seed": 1, "workers": 1, field: value}
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_mapping(raw)
+        assert str(exc.value) == message
+
     def test_lag_budget_must_fit_sample_size(self):
         with pytest.raises(ConfigError):
             GridCell(Scenario.NULL_I, Innovation.GAUSSIAN, n=10, p=5, lags=9)
@@ -208,8 +243,7 @@ class TestRunExperiment:
         assert [r.rate_fc for r in first] == [r.rate_fc for r in second]
 
     # Cells of unequal cost (p = 4 against p = 40, var1 against vma1,
-    # m = 1 against 5).  33 replications make chunks of 4 at 2 workers and
-    # of 2 at 3, so chunks straddle cells and the last one is short.
+    # m = 1 against 5), 33 replications each.
     SIZE_GRID = {
         "kind": "size", "scenarios": ["null-i", "null-ii", "null-iii"],
         "n": 40, "p": [4, 20, 40], "K": 2, "replications": 33, "master_seed": 70,
@@ -223,18 +257,30 @@ class TestRunExperiment:
         "n": 40, "p": 12, "K": 1, "m": [1, 2, 3, 4, 5], "replications": 33, "master_seed": 72,
     }
 
-    def test_worker_count_does_not_change_results(self, tmp_path):
+    def test_worker_count_does_not_change_results(self, tmp_path, monkeypatch):
+        # Where pool workers are forked, every replication logs its cell and
+        # process, to show that some cell's replications ran on more than
+        # one worker, so that the per-worker tallies really merge.
+        forked = multiprocessing.get_start_method() == "fork"
+        if forked:
+            monkeypatch.setattr(harness, "_replicate", _logged_replicate)
+        this = sys.modules[__name__]
         for raw in (self.SIZE_GRID, self.POWER_GRID, self.CURVE_GRID):
-            reps = raw["replications"]
-            total = len(ExperimentConfig.from_mapping(raw).grid) * reps
             outputs = []
             for workers in (1, 2, 3):
-                chunk = reps // (4 * workers)
-                assert workers == 1 or chunk > 1 and reps % chunk and total % chunk, (
-                    "chunks must straddle cells and the last chunk must be short"
-                )
+                log = tmp_path / f"{raw['master_seed']}-{workers}.log"
+                monkeypatch.setattr(this, "_RAN_LOG", str(log))
                 cfg = ExperimentConfig.from_mapping(raw, workers_override=workers)
                 results = run_experiment(cfg)
+                if forked and workers > 1:
+                    processes = {}
+                    for line in log.read_text().splitlines():
+                        key, pid = line.split()
+                        processes.setdefault(key, set()).add(pid)
+                    assert len(processes) == len(cfg.grid)
+                    assert max(map(len, processes.values())) > 1, (
+                        f"no cell ran on more than one of {workers} workers"
+                    )
                 paths = [tmp_path / f"{workers}.csv", tmp_path / f"{workers}.md"]
                 emit_table(results, str(paths[0]))
                 emit_table(results, str(paths[1]), format="markdown")
@@ -243,6 +289,19 @@ class TestRunExperiment:
                     emit_power_curve(results, str(paths[2]))
                 outputs.append([path.read_bytes() for path in paths])
             assert outputs[1] == outputs[0] and outputs[2] == outputs[0], raw["kind"]
+
+    def test_spawned_workers_share_the_counter(self):
+        # Workers that are not forked get the counter through the pool's
+        # initializer.  Python 3.14 starts pool workers by forkserver on
+        # Linux, and spawn is the default elsewhere.
+        serial = run_experiment(small_size_config(p=[4, 5], replications=12))
+        previous = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("spawn", force=True)
+        try:
+            pooled = run_experiment(small_size_config(p=[4, 5], replications=12, workers=2))
+        finally:
+            multiprocessing.set_start_method(previous, force=True)
+        assert pooled == serial
 
     def test_replication_accounting(self):
         cfg = small_size_config(replications=17)
@@ -301,39 +360,88 @@ needs_fork = pytest.mark.skipif(
 )
 
 # Set by a test before its pool forks: the file each replication appends
-# one byte to, so the parent can count the replications that ran, and the
-# key of the one cell whose replications do not sleep.
+# a line to, so the parent can count the replications that ran and see
+# where they ran, and the key of the one cell whose replications run
+# without sleeping.
 _RAN_LOG = None
 _FAST_KEY = None
 SLOW_SECONDS = 0.3
+FAILING_REP = 3
+_REAL_REPLICATE = harness._replicate
+
+
+def _log_replication(cell_key):
+    with open(_RAN_LOG, "a") as fh:
+        fh.write(f"{cell_key} {os.getpid()}\n")
+
+
+def _logged_replicate(cell, cell_key, rep, master_seed, alpha):
+    _log_replication(cell_key)
+    return _REAL_REPLICATE(cell, cell_key, rep, master_seed, alpha)
+
+
+def _job_replicate(cell, cell_key, rep, master_seed, alpha):
+    with open(_RAN_LOG, "a") as fh:
+        fh.write(f"{cell_key} {rep}\n")
+    return (True, False, True)
 
 
 def _slow_replicate(cell, cell_key, rep, master_seed, alpha):
-    with open(_RAN_LOG, "a") as fh:
-        fh.write(".")
+    _log_replication(cell_key)
     if cell_key != _FAST_KEY:
         time.sleep(SLOW_SECONDS)
     return (False, False, False)
 
 
-class TestSchedule:
-    """One map over the whole grid: worker count, chunking and errors."""
+def _failing_replicate(cell, cell_key, rep, master_seed, alpha):
+    _log_replication(cell_key)
+    if cell_key == _FAST_KEY and rep == FAILING_REP:
+        raise DataError(f"replication {rep} fails")
+    if cell_key != _FAST_KEY or rep > FAILING_REP:
+        time.sleep(SLOW_SECONDS)
+    return (False, False, False)
 
-    def test_pool_starts_one_process_per_chunk_at_most(self, monkeypatch):
+
+def _late_failing_replicate(cell, cell_key, rep, master_seed, alpha):
+    if rep == 0:
+        time.sleep(SLOW_SECONDS)
+    raise DataError(f"replication {rep} fails")
+
+
+def _dying_replicate(cell, cell_key, rep, master_seed, alpha):
+    if rep == FAILING_REP:
+        os._exit(1)
+    return (False, False, False)
+
+
+def _ran(path):
+    return len(path.read_text().splitlines()) if path.exists() else 0
+
+
+class TestSchedule:
+    """Jobs claimed one at a time from a counter: pool size, merging and errors."""
+
+    # 8 cells of 10 replications at 2 workers.
+    GRID = {"scenarios": ["null-i", "null-ii"], "p": [4, 5], "K": [1, 2],
+            "replications": 10, "workers": 2}
+
+    def test_pool_starts_one_process_per_job_at_most(self, monkeypatch):
         started = []
 
         class Recording(harness.ProcessPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 started.append(max_workers)
-                super().__init__(max_workers=max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
         serial = run_experiment(small_size_config(replications=3))
         pooled = run_experiment(small_size_config(replications=3, workers=8))
-        assert started == [3], "3 replications make 3 chunks of one"
+        assert started == [3], "3 jobs start 3 processes"
         assert pooled == serial
+        run_experiment(small_size_config(p=[4, 5], replications=2, workers=8))
+        assert started == [3, 4], "jobs are counted over the whole grid"
         run_experiment(small_size_config(replications=1, workers=8))
-        assert started == [3], "a single chunk runs in process"
+        assert started == [3, 4], "a single job runs in process"
 
     @needs_fork
     def test_first_error_is_the_serial_one(self, monkeypatch):
@@ -357,31 +465,86 @@ class TestSchedule:
             assert str(exc.value) == expected
 
     @needs_fork
-    def test_error_cancels_the_queued_chunks(self, monkeypatch, tmp_path):
-        # 8 cells of 10 replications at 2 workers make chunks of one
-        # replication.  The first cell's replications run at once, every
-        # other one takes SLOW_SECONDS.  Tallying the first cell fails in
-        # the parent, which must not then wait for the rest of the grid:
-        # only the 2 running chunks and the executor's 3 pre-queued ones
-        # (max_workers + 1) are past recall, so at most 15 replications
-        # run, and all 80 without the cancellation.  The bound holds unless
-        # the parent takes SLOW_SECONDS to raise after its tenth result.
-        cfg = small_size_config(
-            scenarios=["null-i", "null-ii"], p=[4, 5], K=[1, 2], replications=10, workers=2
+    def test_lowest_failing_job_wins(self, monkeypatch):
+        # Every replication fails, the first one after SLOW_SECONDS: the
+        # second worker's job 1 fails first, while job 0 still runs.
+        monkeypatch.setattr(harness, "_replicate", _late_failing_replicate)
+        with pytest.raises(DataError, match="replication 0 fails") as exc:
+            run_experiment(small_size_config(**self.GRID))
+        assert "in _late_failing_replicate" in str(exc.value.__cause__), (
+            "the worker's traceback is the cause"
         )
+
+    @needs_fork
+    def test_failing_replication_stops_the_claims(self, monkeypatch, tmp_path):
+        # Replication FAILING_REP of the first cell fails at once; the ones
+        # before it run at once and every later one takes SLOW_SECONDS.
+        # Jobs are claimed in order, so jobs 0..FAILING_REP ran, and the
+        # failure moves the counter to the end while the other worker is
+        # inside the one slow job it claimed: at most FAILING_REP + workers
+        # replications run, and all 80 if the failure did not stop claims.
+        cfg = small_size_config(**self.GRID)
         this = sys.modules[__name__]
-        monkeypatch.setattr(this, "_RAN_LOG", str(tmp_path / "ran"))
+        log = tmp_path / "ran"
+        monkeypatch.setattr(this, "_RAN_LOG", str(log))
         monkeypatch.setattr(this, "_FAST_KEY", cfg.grid[0].key())
-        monkeypatch.setattr(harness, "_replicate", _slow_replicate)
-
-        def refuse(cls, cell, counts, reps):
-            raise RuntimeError("stop after the first cell")
-
-        monkeypatch.setattr(CellResult, "from_counts", classmethod(refuse))
-        with pytest.raises(RuntimeError, match="stop after the first cell"):
+        monkeypatch.setattr(harness, "_replicate", _failing_replicate)
+        with pytest.raises(DataError, match=f"replication {FAILING_REP} fails"):
             run_experiment(cfg)
-        ran = len((tmp_path / "ran").read_text())
-        assert 10 <= ran <= 10 + 2 + 3, f"{ran} of 80 replications ran"
+        ran = _ran(log)
+        assert FAILING_REP < ran <= FAILING_REP + cfg.workers, f"{ran} of 80 replications ran"
+
+    @needs_fork
+    def test_parent_exit_stops_the_claims(self, monkeypatch, tmp_path):
+        # Every replication takes SLOW_SECONDS.  The parent is interrupted
+        # while it waits for the workers, once each has started a job; its
+        # exit moves the counter to the end, so each worker claims at most
+        # one more job, where without the stop all 80 would run.
+        cfg = small_size_config(**self.GRID)
+        this = sys.modules[__name__]
+        log = tmp_path / "ran"
+        monkeypatch.setattr(this, "_RAN_LOG", str(log))
+        monkeypatch.setattr(harness, "_replicate", _slow_replicate)
+        seen = []
+
+        def interrupted(futures):
+            deadline = time.monotonic() + 30
+            while _ran(log) < cfg.workers and time.monotonic() < deadline:
+                time.sleep(0.01)
+            seen.append(_ran(log))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "as_completed", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(cfg)
+        ran = _ran(log)
+        assert cfg.workers <= seen[0] <= ran <= seen[0] + cfg.workers, (
+            f"{ran} of 80 replications ran, {seen[0]} when the parent stopped"
+        )
+
+    @needs_fork
+    def test_every_job_runs_once_under_contention(self, monkeypatch, tmp_path):
+        # More workers than cores claim 1200 jobs that each take tens of
+        # microseconds, so claims contend for the counter's lock: a lost
+        # update would run a job twice or skip one.
+        workers = min(os.cpu_count() or 1, 14) + 2
+        cfg = small_size_config(p=[4, 5, 6], replications=400, workers=workers)
+        this = sys.modules[__name__]
+        log = tmp_path / "ran"
+        monkeypatch.setattr(this, "_RAN_LOG", str(log))
+        monkeypatch.setattr(harness, "_replicate", _job_replicate)
+        results = run_experiment(cfg)
+        expected = sorted(f"{cell.key()} {rep}" for cell in cfg.grid for rep in range(400))
+        assert sorted(log.read_text().splitlines()) == expected
+        assert [(r.rate_max, r.rate_sum, r.rate_fc) for r in results] == [(1.0, 0.0, 1.0)] * 3
+
+    @needs_fork
+    def test_dead_worker_breaks_the_pool(self, monkeypatch):
+        # A worker that dies holds no result; the parent must raise rather
+        # than wait for it.
+        monkeypatch.setattr(harness, "_replicate", _dying_replicate)
+        with pytest.raises(BrokenProcessPool):
+            run_experiment(small_size_config(**self.GRID))
 
 
 class TestEmitters:
