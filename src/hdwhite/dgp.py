@@ -233,15 +233,19 @@ def gen_alternative_panel(spec: DgpSpec) -> TimeSeriesPanel:
 
     The coefficient matrix is drawn first, then checked against the
     stationarity limit; a draw at or beyond it raises and the caller may
-    retry with fresh randomness.  The innovations are drawn next, as
-    n + 1 (vma1), BURN_IN + n (var1) or BURN_IN + n + 1 (varma1) rows.
+    retry with fresh randomness.  The innovations are drawn next, in
+    time order: vma1 draws n + 1 rows of p.  var1 draws BURN_IN rows of
+    m, then n rows of p; varma1 draws BURN_IN + 1 rows of m (the last is
+    the moving-average term's pre-sample), then n rows of p.
 
     A is zero outside its top-left m x m block, so columns m+1..p are the
     innovations themselves and only the block is computed: one matmul for
     vma1, and for var1 and varma1 the block recursion over all
     BURN_IN + n = N steps by recursive doubling, O(N m^2 log N) flops in
-    about ten numpy calls.  It agrees with a step-by-step loop to
-    rounding, and outside the block bit for bit.
+    about ten numpy calls.  The burn-in rows are read only by the block,
+    so they are drawn only in its m columns.  The result agrees with a
+    step-by-step p x p loop to rounding, and outside the block bit for
+    bit.
     """
     if spec.scenario.is_null:
         raise ConfigError(f"{spec.scenario.value} is not an alternative scenario")
@@ -266,13 +270,12 @@ def gen_alternative_panel(spec: DgpSpec) -> TimeSeriesPanel:
         out[:, :m] += z[:-1, :m] @ block.T
         return TimeSeriesPanel(out)
 
-    if spec.scenario is Scenario.VAR1:
-        z = draw_innovations(rng, BURN_IN + n, p, spec.innovation)
-        u = z[:, :m]
-    else:
-        z = draw_innovations(rng, BURN_IN + n + 1, p, spec.innovation)
-        u = z[1:, :m] + z[:-1, :m] @ recursion.T
-    out = z[-n:].copy()
+    # Burn-in rows feed only the block; panel rows become the output.
+    lead = BURN_IN if spec.scenario is Scenario.VAR1 else BURN_IN + 1
+    burn = draw_innovations(rng, lead, m, spec.innovation)
+    out = draw_innovations(rng, n, p, spec.innovation)
+    z = np.concatenate((burn, out[:, :m]))
+    u = z if spec.scenario is Scenario.VAR1 else z[1:] + z[:-1] @ recursion.T
     out[:, :m] = _run_recursion(recursion, u)[BURN_IN:]
     return TimeSeriesPanel(out)
 

@@ -118,6 +118,11 @@ class ExperimentConfig:
                 raise ConfigError(f'"{key}": expected an integer, got {value!r}')
         if self.replications < 1:
             raise ConfigError(f'"replications": must be >= 1, got {self.replications}')
+        if isinstance(self.alpha, bool) or not isinstance(
+            self.alpha, (int, float, np.integer, np.floating)
+        ):
+            raise ConfigError(f'"alpha": expected a number, got {self.alpha!r}')
+        object.__setattr__(self, "alpha", float(self.alpha))
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f'"alpha": must lie in (0, 1), got {self.alpha}')
         if not 0 <= self.master_seed < 2**64:
@@ -126,6 +131,8 @@ class ExperimentConfig:
             )
         if self.workers < 1:
             raise ConfigError(f'"workers": must be >= 1, got {self.workers}')
+        if self.out_path is not None and not isinstance(self.out_path, str):
+            raise ConfigError(f'"out": expected a string path, got {self.out_path!r}')
 
     # -- config-file loading ------------------------------------------------
 
@@ -227,19 +234,13 @@ class ExperimentConfig:
 
         workers = workers_override if workers_override is not None else raw.get("workers", 1)
 
-        alpha = raw.get("alpha", 0.05)
-        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
-            raise ConfigError(f'"alpha": expected a number, got {alpha!r}')
-
         out_path = out_override if out_override is not None else raw.get("out")
-        if out_path is not None and not isinstance(out_path, str):
-            raise ConfigError(f'"out": expected a string path, got {out_path!r}')
 
         return cls(
             kind=kind,
             grid=tuple(grid),
             replications=replications,
-            alpha=float(alpha),
+            alpha=raw.get("alpha", 0.05),
             master_seed=master_seed,
             workers=workers,
             out_path=out_path,

@@ -166,9 +166,11 @@ def stepwise_alternative(scenario: str, coeff: np.ndarray, z: np.ndarray,
                          burn_in: int) -> np.ndarray:
     """Full p x p step loops for the var1, varma1 and vma1 alternatives.
 
-    ``coeff`` is the p x p coefficient matrix and ``z`` the innovation
-    rows, drawn in the generator's order: n + 1 rows for vma1,
-    burn_in + n for var1, burn_in + n + 1 for varma1.
+    ``coeff`` is the p x p coefficient matrix and ``z`` the p-wide
+    innovation rows in time order: n + 1 rows for vma1, burn_in + n for
+    var1, burn_in + n + 1 for varma1.  Only the top-left block of
+    ``coeff`` is nonzero, so the columns of a burn-in row outside the
+    block are never read and may hold anything finite, such as zeros.
     """
     p = coeff.shape[0]
     if scenario == "vma1":

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from hdwhite import dgp
 from hdwhite.dgp import (
     BURN_IN,
     DgpSpec,
@@ -236,6 +237,28 @@ class TestAlternativePanels:
         got = panel.values.T @ panel.values / panel.n
         assert np.abs(got - want).max() < 0.05
 
+    def test_mixed_recursion_matches_lyapunov_solution(self):
+        # In state-space form s_t = (x_t, z_t) = F s_{t-1} + G z_t with
+        # F = [[R, R], [0, 0]] and G = [I; I], R = A / 2; the top-left
+        # block of the stationary covariance is the long-run var(x_t).
+        # A seam between the burn-in and panel draws would break it.
+        seed = 4000
+        spec = DgpSpec(
+            scenario=Scenario.VARMA1,
+            innovation=Innovation.GAUSSIAN,
+            n=100_000,
+            p=4,
+            seed=seed,
+            m=3,
+        )
+        panel = gen_alternative_panel(spec)
+        half = 0.5 * make_coeff_matrix(Scenario.VARMA1, 4, 3, np.random.default_rng(seed))
+        f = np.block([[half, half], [np.zeros((4, 4)), np.zeros((4, 4))]])
+        g = np.vstack((np.eye(4), np.eye(4)))
+        want = lyapunov_covariance(f, g @ g.T)[:4, :4]
+        got = panel.values.T @ panel.values / panel.n
+        assert np.abs(got - want).max() < 0.05
+
     def test_columns_outside_block_stay_white(self):
         rejections = 0
         for rep in range(500):
@@ -287,10 +310,12 @@ class TestAlternativePanels:
 class TestBlockGeneration:
     """The block-only generator against the full p x p step loops."""
 
-    ROWS = {
-        Scenario.VMA1: lambda n: n + 1,
-        Scenario.VAR1: lambda n: BURN_IN + n,
-        Scenario.VARMA1: lambda n: BURN_IN + n + 1,
+    # The (rows, columns) of each innovation draw, in draw order.  The
+    # burn-in rows of var1 and varma1 feed only the m x m block.
+    DRAWS = {
+        Scenario.VMA1: lambda n, p, m: [(n + 1, p)],
+        Scenario.VAR1: lambda n, p, m: [(BURN_IN, m), (n, p)],
+        Scenario.VARMA1: lambda n, p, m: [(BURN_IN + 1, m), (n, p)],
     }
 
     @pytest.mark.parametrize("m", [1, 2, 5, 10])
@@ -305,15 +330,39 @@ class TestBlockGeneration:
             except NonstationaryDrawError:
                 continue
             # Same draws in the same order: coefficients, then innovations.
+            # The step loop runs over all p columns; zeros stand in for the
+            # burn-in columns never drawn, which the zero coefficients
+            # outside the block never read.
             rng = np.random.default_rng(spec.seed)
             coeff = make_coeff_matrix(scenario, p, m, rng)
-            z = draw_innovations(rng, self.ROWS[scenario](n), p, Innovation.GAUSSIAN)
+            z = np.zeros((0, p))
+            for rows, cols in self.DRAWS[scenario](n, p, m):
+                block = np.zeros((rows, p))
+                block[:, :cols] = draw_innovations(rng, rows, cols, Innovation.GAUSSIAN)
+                z = np.vstack((z, block))
             want = stepwise_alternative(scenario.value, coeff, z, BURN_IN)
             assert np.array_equal(got[:, m:], want[:, m:])
             scale = np.abs(want[:, :m]).max()
             assert np.abs(got[:, :m] - want[:, :m]).max() <= 1e-12 * scale
             checked += 1
         assert checked >= 25
+
+    @pytest.mark.parametrize("m", [1, 5, 10])
+    @pytest.mark.parametrize("scenario", [Scenario.VAR1, Scenario.VARMA1, Scenario.VMA1])
+    def test_draw_shapes(self, scenario, m, monkeypatch):
+        # Every innovation the generator draws is read: the burn-in is
+        # never drawn p wide.
+        shapes = []
+
+        def spy(rng, rows, cols, innovation):
+            shapes.append((rows, cols))
+            return draw_innovations(rng, rows, cols, innovation)
+
+        monkeypatch.setattr(dgp, "draw_innovations", spy)
+        n, p = 50, 30
+        spec = DgpSpec(scenario, Innovation.GAUSSIAN, n, p, 7100, m)
+        assert gen_alternative_panel(spec).values.shape == (n, p)
+        assert shapes == self.DRAWS[scenario](n, p, m)
 
     def test_recursion_reaches_every_lag(self):
         # A rotation never decays, so a missing doubling pass would drop

@@ -210,6 +210,31 @@ class TestConfigExpansion:
             ExperimentConfig.from_mapping(raw)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("field, key, value, expected", [
+        ("alpha", "alpha", "0.05", "a number"), ("alpha", "alpha", None, "a number"),
+        ("alpha", "alpha", [0.05], "a number"), ("alpha", "alpha", True, "a number"),
+        ("out_path", "out", 5, "a string path"), ("out_path", "out", ["x.csv"], "a string path"),
+    ])
+    def test_direct_config_alpha_and_out_are_typed(self, field, key, value, expected):
+        cell = GridCell(Scenario.NULL_I, Innovation.GAUSSIAN, 30, 5, 1)
+        fields = dict(kind=ExperimentKind.SIZE, grid=(cell,), replications=5,
+                      alpha=0.05, master_seed=1, workers=1)
+        fields[field] = value
+        message = f'"{key}": expected {expected}, got {value!r}'
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**fields)
+        assert str(exc.value) == message
+        raw = {"kind": "size", "scenarios": "null-i", "n": 30, "p": 5, "K": 1,
+               "replications": 5, "master_seed": 1, key: value}
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_mapping(raw)
+        assert str(exc.value) == message
+
+    def test_direct_config_alpha_is_a_float(self):
+        cell = GridCell(Scenario.NULL_I, Innovation.GAUSSIAN, 30, 5, 1)
+        cfg = ExperimentConfig(ExperimentKind.SIZE, (cell,), 5, np.float32(0.25), 1)
+        assert type(cfg.alpha) is float and cfg.alpha == 0.25
+
     def test_lag_budget_must_fit_sample_size(self):
         with pytest.raises(ConfigError):
             GridCell(Scenario.NULL_I, Innovation.GAUSSIAN, n=10, p=5, lags=9)
