@@ -13,11 +13,10 @@ rather than a step loop; see ``gen_alternative_panel``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, NonstationaryDrawError
+from .errors import Choice, ConfigError, NonstationaryDrawError, check_integer
 from .linalg import psd_projection_root, sym_sqrt
 from .panel import TimeSeriesPanel
 
@@ -28,7 +27,7 @@ BURN_IN = 300
 SPECTRAL_RADIUS_LIMIT = 0.999
 
 
-class Scenario(str, Enum):
+class Scenario(Choice):
     NULL_I = "null-i"        # polynomially decaying cross-correlation
     NULL_II = "null-ii"      # banded cross-correlation
     NULL_III = "null-iii"    # dense random mixing matrix, drawn per panel
@@ -41,7 +40,7 @@ class Scenario(str, Enum):
         return self in (Scenario.NULL_I, Scenario.NULL_II, Scenario.NULL_III)
 
 
-class Innovation(str, Enum):
+class Innovation(Choice):
     GAUSSIAN = "gaussian"
     SHIFTED_GAMMA = "shifted-gamma"   # Gamma(4, 1/2) - 2: mean 0, variance 1
 
@@ -55,9 +54,11 @@ def fourth_moment(innovation: Innovation) -> float:
     return 4.5
 
 
-def _is_integer(value) -> bool:
-    """A Python or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _check_block_size(m, p: int) -> None:
+    """Require an integer block size m with 1 <= m <= min(10, p)."""
+    check_integer("m", m)
+    if not 1 <= m <= min(10, p):
+        raise ConfigError(f"m must lie in [1, min(10, p)] = [1, {min(10, p)}], got {m}")
 
 
 @dataclass(frozen=True)
@@ -74,16 +75,9 @@ class DgpSpec:
     def __post_init__(self):
         object.__setattr__(self, "scenario", Scenario(self.scenario))
         object.__setattr__(self, "innovation", Innovation(self.innovation))
-        for name in ("n", "p", "m"):
-            value = getattr(self, name)
-            if not _is_integer(value) and not (name == "m" and value is None):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.n < 10:
-            raise ConfigError(f"n must be at least 10, got {self.n}")
-        if self.p < 2:
-            raise ConfigError(f"p must be at least 2, got {self.p}")
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        check_integer("n", self.n, 10)
+        check_integer("p", self.p, 2)
+        check_integer("seed", self.seed, 0)
         if self.scenario.is_null:
             if self.m is not None:
                 raise ConfigError(
@@ -93,10 +87,7 @@ class DgpSpec:
         else:
             if self.m is None:
                 raise ConfigError(f"scenario {self.scenario.value} requires a block size m")
-            if not 1 <= self.m <= min(10, self.p):
-                raise ConfigError(
-                    f"m must lie in [1, min(10, p)] = [1, {min(10, self.p)}], got {self.m}"
-                )
+            _check_block_size(self.m, self.p)
             if self.innovation is not Innovation.GAUSSIAN:
                 raise ConfigError(
                     "alternative scenarios are defined for gaussian innovations only"
@@ -110,8 +101,7 @@ def make_sigma(scenario: Scenario, p: int) -> np.ndarray:
     null-ii: unit diagonal, off-diagonal 0.5 when |i - j| < 5.
     """
     scenario = Scenario(scenario)
-    if p < 2:
-        raise ConfigError(f"p must be at least 2, got {p}")
+    check_integer("p", p, 2)
     idx = np.arange(p)
     gap = np.abs(idx[:, None] - idx[None, :])
     if scenario is Scenario.NULL_I:
@@ -188,10 +178,7 @@ def make_coeff_matrix(
     scenario = Scenario(scenario)
     if scenario.is_null:
         raise ConfigError(f"{scenario.value} has no coefficient matrix")
-    if not 1 <= m <= min(10, p):
-        raise ConfigError(
-            f"m must lie in [1, min(10, p)] = [1, {min(10, p)}], got {m}"
-        )
+    _check_block_size(m, p)
     scalar_range, half_width = _COEFF_RANGES[scenario]
     coeff = np.zeros((p, p))
     if m == 1:
@@ -299,6 +286,8 @@ def gen_ma_panel(
         raise ConfigError(
             f"coefficient matrices must be square with equal shapes, got {a0.shape} and {a1.shape}"
         )
+    check_integer("n", n, 1)
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     z = draw_innovations(rng, n + 1, a0.shape[0], innovation)
     return TimeSeriesPanel(z[1:] @ a0.T + z[:-1] @ a1.T)

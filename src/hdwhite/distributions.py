@@ -13,7 +13,7 @@ import math
 from scipy.optimize import brentq
 from scipy.special import ndtri
 
-from .errors import ConfigError
+from .errors import check_level
 
 _SQRT_PI = math.sqrt(math.pi)
 _INV_SQRT_PI = 1.0 / _SQRT_PI
@@ -35,8 +35,7 @@ def gumbel_quantile(alpha: float) -> float:
 
     Closed form: q = -2 log(-sqrt(pi) log(1 - alpha)).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    alpha = check_level("alpha", alpha)
     return -2.0 * math.log(-_SQRT_PI * math.log1p(-alpha))
 
 
@@ -59,8 +58,7 @@ def chi2_4_cdf(x: float) -> float:
 
 def chi2_4_quantile(q: float) -> float:
     """Quantile of chi-square(4): the x with chi2_4_cdf(x) = q."""
-    if not 0.0 < q < 1.0:
-        raise ConfigError(f"quantile level must lie in (0, 1), got {q}")
+    q = check_level("quantile level", q)
     hi = 8.0
     while chi2_4_cdf(hi) < q:
         hi *= 2.0
@@ -79,6 +77,5 @@ def std_normal_sf(x: float) -> float:
 
 def std_normal_quantile(q: float) -> float:
     """Standard normal quantile."""
-    if not 0.0 < q < 1.0:
-        raise ConfigError(f"quantile level must lie in (0, 1), got {q}")
+    q = check_level("quantile level", q)
     return float(ndtri(q))

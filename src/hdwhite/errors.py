@@ -1,9 +1,23 @@
-"""Exception types raised by the hdwhite package.
+"""Exception types raised by the hdwhite package, and the argument checks
+that raise them.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
 and plain OSError -> 4.  Everything derives from ValueError so callers
 that do not care about the distinction can catch broadly.
+
+Every public entry point checks its arguments with the rules below, so a
+bad value raises ConfigError (or LagError), never a bare TypeError or
+ValueError: ``check_integer`` (a Python or numpy integer; not a bool, not
+4.0), ``check_number`` (a finite real that is not a bool), ``check_level``
+(a number in (0, 1)) and ``Choice`` (a known option name).  Each message
+names the argument, or the config key in quotes.
 """
+
+from __future__ import annotations
+
+import math
+import numbers
+from enum import Enum
 
 
 class HdwhiteError(ValueError):
@@ -51,3 +65,55 @@ class NotPsdError(DataError):
 class NonstationaryDrawError(DataError):
     """A randomly drawn recursion matrix is too close to the unit circle
     for a stationary simulation.  Callers may redraw."""
+
+
+def check_integer(name: str, value, least: int | None = None, error=ConfigError) -> int:
+    """Require an integer of at least ``least``; return it as a Python int.
+
+    A real number below ``least`` (NaN included) is reported as out of
+    range, any other non-integer as not an integer.
+    """
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise error(f"{name} must be an integer, got {value!r}")
+        if isinstance(value, numbers.Integral):
+            value = int(value)
+        elif least is None or value >= least:
+            raise error(f"{name} must be an integer, got {value!r}")
+    if least is not None and not value >= least:
+        raise error(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def check_number(name: str, value, finite: bool = True) -> float:
+    """Require a real number that is not a bool; return it as a Python float.
+    ``finite=False`` lets NaN and +-inf through to the caller's range check."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+    if finite and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    return value
+
+
+def check_level(name: str, value) -> float:
+    """Require a number in (0, 1), such as a test level; return it as a Python float."""
+    if type(value) is float and 0.0 < value < 1.0:
+        return value
+    level = check_number(name, value, finite=False)
+    if not 0.0 < level < 1.0:
+        raise ConfigError(f"{name} must lie in (0, 1), got {value}")
+    return level
+
+
+class Choice(str, Enum):
+    """A string option; an unknown value raises ``ConfigError`` naming the known ones."""
+
+    @classmethod
+    def _missing_(cls, value):
+        known = ", ".join(repr(member.value) for member in cls)
+        raise ConfigError(f"unknown {cls.__name__} {value!r}; known values are {known}")

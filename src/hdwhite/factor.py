@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_integer
 from .panel import TimeSeriesPanel, _window_panels, read_csv_array
 from .statistics import check_run_all_arguments, run_all
 
@@ -223,15 +223,12 @@ def sliding_window_rates(
     is formed.
     """
     t = panel.n
-    if not isinstance(window, (int, np.integer)) or isinstance(window, bool):
-        raise ConfigError(f"window length must be an integer, got {window!r}")
-    if window < MIN_ROWS:
-        raise ConfigError(f"window length must be at least {MIN_ROWS}, got {window}")
+    window = check_integer("window length", window, MIN_ROWS)
     if window >= t:
         raise ConfigError(
             f"window length must be shorter than the panel ({t} rows), got {window}"
         )
-    check_run_all_arguments(window, panel.p, lags, alpha)
+    alpha = check_run_all_arguments(window, panel.p, lags, alpha)
     num_windows = t - window
     counts = [0, 0, 0]
     for piece in _window_panels(panel, window, lags):
@@ -241,7 +238,7 @@ def sliding_window_rates(
         counts[2] += int(report.reject_fc)
     return SlidingWindowSummary(
         window_length=window,
-        lags=lags,
+        lags=int(lags),
         alpha=alpha,
         num_windows=num_windows,
         rate_max=counts[0] / num_windows,

@@ -21,14 +21,15 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
-from enum import Enum
 from itertools import product
 from operator import itemgetter
 
 import numpy as np
 
 from .dgp import DgpSpec, Innovation, Scenario, gen_alternative_panel, gen_null_panel
-from .errors import ConfigError, DataError, NonstationaryDrawError
+from .errors import (
+    Choice, ConfigError, DataError, NonstationaryDrawError, check_integer, check_level,
+)
 from .panel import check_lag_budget
 from .statistics import run_all
 
@@ -47,7 +48,7 @@ DEFAULT_POWER_REPLICATIONS = 500
 MAX_REDRAWS = 1000
 
 
-class ExperimentKind(str, Enum):
+class ExperimentKind(Choice):
     SIZE = "size"
     POWER = "power"
 
@@ -112,27 +113,13 @@ class ExperimentConfig:
                 raise ConfigError(
                     f'"grid[{i}].scenario": {cell.scenario.value} is not an alternative scenario'
                 )
-        for key in ("replications", "master_seed", "workers"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f'"{key}": expected an integer, got {value!r}')
-        if self.replications < 1:
-            raise ConfigError(f'"replications": must be >= 1, got {self.replications}')
-        if isinstance(self.alpha, bool) or not isinstance(
-            self.alpha, (int, float, np.integer, np.floating)
-        ):
-            raise ConfigError(f'"alpha": expected a number, got {self.alpha!r}')
-        object.__setattr__(self, "alpha", float(self.alpha))
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f'"alpha": must lie in (0, 1), got {self.alpha}')
-        if not 0 <= self.master_seed < 2**64:
-            raise ConfigError(
-                f'"master_seed": must be an unsigned 64-bit integer, got {self.master_seed}'
-            )
-        if self.workers < 1:
-            raise ConfigError(f'"workers": must be >= 1, got {self.workers}')
+        check_integer('"replications"', self.replications, 1)
+        object.__setattr__(self, "alpha", check_level('"alpha"', self.alpha))
+        if check_integer('"master_seed"', self.master_seed, 0) >= 2**64:
+            raise ConfigError(f'"master_seed" must be below 2**64, got {self.master_seed}')
+        check_integer('"workers"', self.workers, 1)
         if self.out_path is not None and not isinstance(self.out_path, str):
-            raise ConfigError(f'"out": expected a string path, got {self.out_path!r}')
+            raise ConfigError(f'"out" must be a string path, got {self.out_path!r}')
 
     # -- config-file loading ------------------------------------------------
 
@@ -162,12 +149,7 @@ class ExperimentConfig:
 
         if "kind" not in raw:
             raise ConfigError('"kind": required ("size" or "power")')
-        try:
-            kind = ExperimentKind(raw["kind"])
-        except ValueError:
-            raise ConfigError(
-                f'"kind": must be "size" or "power", got {raw["kind"]!r}'
-            ) from None
+        kind = ExperimentKind(raw["kind"])
 
         def as_list(key, value):
             if isinstance(value, (list, tuple)):
@@ -178,35 +160,21 @@ class ExperimentConfig:
 
         def int_list(key):
             values = as_list(key, raw[key])
-            out = []
             for i, v in enumerate(values):
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise ConfigError(f'"{key}[{i}]": expected an integer, got {v!r}')
-                out.append(v)
-            return out
+                check_integer(f'"{key}[{i}]"', v)
+            return values
 
         for key in ("scenarios", "n", "p", "K"):
             if key not in raw:
                 raise ConfigError(f'"{key}": required')
 
-        scenarios = []
-        for i, s in enumerate(as_list("scenarios", raw["scenarios"])):
-            try:
-                scenarios.append(Scenario(s))
-            except ValueError:
-                raise ConfigError(f'"scenarios[{i}]": unknown scenario {s!r}') from None
-        innovations = []
-        for i, s in enumerate(as_list("innovations", raw.get("innovations", "gaussian"))):
-            try:
-                innovations.append(Innovation(s))
-            except ValueError:
-                raise ConfigError(f'"innovations[{i}]": unknown innovation {s!r}') from None
-
+        scenarios = as_list("scenarios", raw["scenarios"])
+        innovations = as_list("innovations", raw.get("innovations", "gaussian"))
         ns, ps, ks = int_list("n"), int_list("p"), int_list("K")
         if kind is ExperimentKind.POWER:
             if "m" not in raw:
                 raise ConfigError('"m": required for power experiments')
-            ms: list[int | None] = list(int_list("m"))
+            ms: list[int | None] = int_list("m")
         elif "m" in raw:
             raise ConfigError('"m": only valid for power experiments')
         else:

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, DegenerateColumnError, LagError, ParseError
+from .errors import DataError, DegenerateColumnError, LagError, ParseError, check_integer
 
 # A column whose sample second moment falls at or below this cannot be
 # autocorrelated; the offending column is named in the error.
@@ -137,8 +137,7 @@ class TimeSeriesPanel:
 
 def check_lag_budget(n: int, lags: int) -> None:
     """Require a lag budget K with 1 <= K <= n - 2 for an n-row panel."""
-    if not isinstance(lags, (int, np.integer)) or isinstance(lags, bool):
-        raise LagError(f"number of lags must be an integer, got {lags!r}")
+    check_integer("number of lags", lags, error=LagError)
     if lags < 1 or lags > n - 2:
         raise LagError(f"number of lags {lags} out of range [1, {n - 2}] for n={n}")
 
@@ -162,8 +161,7 @@ def sample_autocovariance(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
     """
     x = panel.values
     n = panel.n
-    if not isinstance(lag, (int, np.integer)) or isinstance(lag, bool):
-        raise LagError(f"lag must be an integer, got {lag!r}")
+    check_integer("lag", lag, error=LagError)
     if lag < 0 or lag > n - 1:
         raise LagError(f"lag {lag} out of range [0, {n - 1}] for n={n}")
     if lag == 0:

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .distributions import gumbel_quantile, std_normal_cdf, std_normal_quantile
-from .errors import ConfigError
+from .errors import ConfigError, check_integer, check_level, check_number
 from .panel import check_lag_budget
 
 __all__ = [
@@ -31,20 +30,6 @@ __all__ = [
     "max_power_bounds",
     "signal_detectable",
 ]
-
-
-def _check_integer(name: str, value, least: int) -> None:
-    """Require an integer value >= least; a bool is not an integer.
-
-    A real number below ``least`` (NaN included) is reported as out of
-    range, any other non-integer as not an integer.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if not value >= least:
-        raise ConfigError(f"{name} must be at least {least}, got {value}")
-    if not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,14 +56,13 @@ class PowerInputs:
             )
         if not (np.isfinite(a0).all() and np.isfinite(a1).all()):
             raise ConfigError("coefficient matrices must be finite")
-        _check_integer("n", self.n, 2)
-        if not (math.isfinite(self.nu4) and self.nu4 >= 1.0):
+        check_integer("n", self.n, 2)
+        if not check_number("nu4", self.nu4) >= 1.0:
             raise ConfigError(
-                "nu4 must be finite and >= 1 (Cauchy-Schwarz on a unit-variance variable), "
+                "nu4 must be at least 1 (Cauchy-Schwarz on a unit-variance variable), "
                 f"got {self.nu4}"
             )
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
+        check_level("alpha", self.alpha)
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "a1", a1)
 
@@ -246,12 +230,12 @@ def max_power_bounds(
     is a correlation, so it must be finite with |rho| <= 1; p and n must
     be integers, and K must satisfy ``check_lag_budget`` for n rows.
     """
-    _check_integer("p", p, 2)
-    _check_integer("n", n, 2)
+    check_integer("p", p, 2)
+    check_integer("n", n, 2)
     check_lag_budget(n, lags)
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    if not (math.isfinite(rho) and abs(rho) <= 1.0):
+    alpha = check_level("alpha", alpha)
+    rho = check_number("rho", rho, finite=False)
+    if not abs(rho) <= 1.0:
         raise ConfigError(f"rho must be a correlation in [-1, 1], got {rho}")
     log_np = math.log(lags * p * p)
     x_alpha = 2.0 * log_np - math.log(log_np) + gumbel_quantile(alpha)
@@ -275,9 +259,8 @@ def signal_detectable(
     """
     if not gammas:
         raise ConfigError("need at least one autocorrelation matrix")
-    _check_integer("n", n, 1)
-    if not math.isfinite(b0):
-        raise ConfigError(f"b0 must be finite, got {b0}")
+    check_integer("n", n, 1)
+    check_number("b0", b0)
     mats = [np.asarray(g, dtype=np.float64) for g in gammas]
     p = mats[0].shape[0]
     if p < 2:

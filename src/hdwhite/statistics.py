@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .distributions import chi2_4_sf, gumbel_sf, std_normal_sf
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_level, check_number
 from .panel import TimeSeriesPanel, _pair_sums, check_lag_budget, sample_autocorrelation
 
 # Guard against log(0) when a p-value underflows to exactly zero.
@@ -87,12 +87,13 @@ def _check_sum_arguments(n: int, lags) -> None:
     check_lag_budget(n, lags)
 
 
-def check_run_all_arguments(n: int, p: int, lags, alpha: float) -> None:
-    """Raise the error ``run_all`` would raise on an n x p panel, before any work."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+def check_run_all_arguments(n: int, p: int, lags, alpha: float) -> float:
+    """Raise the error ``run_all`` would raise on an n x p panel, before any
+    work; return alpha as a Python float."""
+    alpha = check_level("alpha", alpha)
     _check_max_arguments(n, p, lags)
     _check_sum_arguments(n, lags)
+    return alpha
 
 
 def sum_test(panel: TimeSeriesPanel, lags: int) -> SumResult:
@@ -148,7 +149,7 @@ def fisher_combine(p_max: float, p_sum: float) -> tuple[float, float]:
     at 1e-300 so an underflowed p-value stays finite.
     """
     for name, value in (("p_max", p_max), ("p_sum", p_sum)):
-        if not 0.0 <= value <= 1.0 or math.isnan(value):
+        if not 0.0 <= check_number(name, value, finite=False) <= 1.0:
             raise ConfigError(f"{name} must lie in [0, 1], got {value}")
     t_fc = -2.0 * math.log(max(p_max, P_VALUE_FLOOR)) - 2.0 * math.log(
         max(p_sum, P_VALUE_FLOOR)
@@ -226,7 +227,7 @@ class TestReport:
 def run_all(panel: TimeSeriesPanel, lags: int, alpha: float) -> TestReport:
     """Run the sum, max and Fisher-combined tests at level alpha, in that order:
     MAX reads the lag products SUM keeps, and SUM's error comes first."""
-    check_run_all_arguments(panel.n, panel.p, lags, alpha)
+    alpha = check_run_all_arguments(panel.n, panel.p, lags, alpha)
     sm = sum_test(panel, lags)
     mx = max_test(panel, lags)
     t_fc, p_fc = fisher_combine(mx.p_value, sm.p_value)

@@ -213,6 +213,19 @@ class TestExperimentSubcommands:
         assert err.startswith("error: ")
         assert not (tmp_path / "absent").exists()
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"scenarios": "null-iv"}, "unknown Scenario 'null-iv'"),
+        ({"p": [4, "ten"]}, '"p[1]" must be an integer, got \'ten\''),
+        ({"alpha": "0.05"}, '"alpha" must be a number, got \'0.05\''),
+    ], ids=["scenario", "p", "alpha"])
+    def test_bad_config_value_names_the_field(self, tmp_path, capsys, extra, message):
+        cfg = self.write_config(tmp_path, **extra)
+        code, out, err = run_cli(
+            capsys, "size", "--config", str(cfg), "--out", str(tmp_path / "x.csv")
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_invalid_config_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{")

@@ -477,7 +477,7 @@ class TestDgpSpecValidation:
 
     @pytest.mark.parametrize("seed", [True, 1.0, "1", None])
     def test_seed_must_be_an_integer(self, seed):
-        with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+        with pytest.raises(ConfigError, match=re.escape(f"seed must be an integer, got {seed!r}")):
             DgpSpec(scenario=Scenario.NULL_I, innovation=Innovation.GAUSSIAN, n=40, p=8,
                     seed=seed)
 

@@ -1,0 +1,153 @@
+"""The argument checks in ``hdwhite.errors``, and the public calls built on them."""
+
+import math
+
+import numpy as np
+import pytest
+
+from hdwhite.dgp import DgpSpec, Innovation, Scenario, fourth_moment, gen_ma_panel, make_sigma
+from hdwhite.distributions import chi2_4_quantile, gumbel_quantile, std_normal_quantile
+from hdwhite.errors import ConfigError, LagError, check_integer, check_level, check_number
+from hdwhite.factor import sliding_window_rates
+from hdwhite.harness import ExperimentConfig, ExperimentKind, GridCell
+from hdwhite.panel import TimeSeriesPanel
+from hdwhite.power import PowerInputs, max_power_bounds, signal_detectable
+from hdwhite.statistics import fisher_combine, run_all
+
+
+class TestCheckInteger:
+    @pytest.mark.parametrize("value", [4, np.int64(4), np.int32(4), np.uint64(4)])
+    def test_integers_are_returned_as_python_ints(self, value):
+        checked = check_integer("n", value, 1)
+        assert type(checked) is int and checked == 4
+
+    @pytest.mark.parametrize("value", [True, False, 4.0, 4.5, np.float64(4.0), "4", None, math.nan])
+    def test_non_integers_are_refused(self, value):
+        with pytest.raises(ConfigError) as exc:
+            check_integer("n", value)
+        assert str(exc.value) == f"n must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), 3.5, -math.inf, math.nan])
+    def test_a_real_below_the_floor_is_out_of_range(self, value):
+        with pytest.raises(ConfigError) as exc:
+            check_integer("n", value, 4)
+        assert str(exc.value) == f"n must be at least 4, got {value}"
+
+    def test_a_fraction_above_the_floor_is_not_an_integer(self):
+        with pytest.raises(ConfigError, match=r"^n must be an integer, got 4\.5$"):
+            check_integer("n", 4.5, 4)
+
+    def test_the_error_type_is_the_callers(self):
+        with pytest.raises(LagError, match=r"^lag must be an integer, got True$"):
+            check_integer("lag", True, error=LagError)
+
+
+class TestCheckNumber:
+    @pytest.mark.parametrize("value", [0.5, 2, np.float64(0.5), np.float32(0.5), np.int64(2)])
+    def test_reals_are_returned_as_python_floats(self, value):
+        checked = check_number("b0", value)
+        assert type(checked) is float and checked == float(value)
+
+    @pytest.mark.parametrize("value", [True, "0.5", None, [0.5], 1j])
+    def test_non_numbers_are_refused(self, value):
+        with pytest.raises(ConfigError) as exc:
+            check_number("b0", value)
+        assert str(exc.value) == f"b0 must be a number, got {value!r}"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    def test_non_finite_values_are_refused(self, value):
+        with pytest.raises(ConfigError) as exc:
+            check_number("b0", value)
+        assert str(exc.value) == f"b0 must be finite, got {value}"
+
+    def test_an_integer_too_large_for_a_float_is_not_finite(self):
+        with pytest.raises(ConfigError, match=r"^b0 must be finite, got inf$"):
+            check_number("b0", 10**400)
+
+    def test_non_finite_values_pass_on_request(self):
+        assert math.isnan(check_number("rho", math.nan, finite=False))
+        with pytest.raises(ConfigError, match="must be a number"):
+            check_number("rho", "nan", finite=False)
+
+
+class TestCheckLevel:
+    @pytest.mark.parametrize("value", [0.05, np.float64(0.05), np.float32(0.25), 1e-300])
+    def test_levels_are_returned_as_python_floats(self, value):
+        checked = check_level("alpha", value)
+        assert type(checked) is float and checked == float(value)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, -0.1, 1, math.nan, math.inf, np.float64(1.5)])
+    def test_numbers_outside_the_unit_interval_are_refused(self, value):
+        with pytest.raises(ConfigError) as exc:
+            check_level("alpha", value)
+        assert str(exc.value) == f"alpha must lie in (0, 1), got {value}"
+
+    @pytest.mark.parametrize("value", [True, "0.05", None, [0.05]])
+    def test_non_numbers_are_refused(self, value):
+        with pytest.raises(ConfigError) as exc:
+            check_level("alpha", value)
+        assert str(exc.value) == f"alpha must be a number, got {value!r}"
+
+
+class TestChoice:
+    def test_members_and_values_are_unchanged(self):
+        assert [s.value for s in Scenario] == [
+            "null-i", "null-ii", "null-iii", "var1", "vma1", "varma1",
+        ]
+        assert [i.value for i in Innovation] == ["gaussian", "shifted-gamma"]
+        assert [k.value for k in ExperimentKind] == ["size", "power"]
+        assert Scenario("var1") is Scenario.VAR1 and Scenario.VAR1 == "var1"
+
+    def test_an_unknown_name_lists_the_known_ones(self):
+        with pytest.raises(ConfigError) as exc:
+            Innovation("t5")
+        assert str(exc.value) == (
+            "unknown Innovation 't5'; known values are 'gaussian', 'shifted-gamma'"
+        )
+
+    @pytest.mark.parametrize("value", [None, 1, ["var1"]])
+    def test_a_value_of_another_type_is_unknown(self, value):
+        with pytest.raises(ConfigError) as exc:
+            Scenario(value)
+        assert str(exc.value).startswith(f"unknown Scenario {value!r}; known values are 'null-i'")
+
+
+PANEL = TimeSeriesPanel(np.random.default_rng(5).standard_normal((60, 4)))
+EYE = np.eye(3)
+CELL = GridCell(Scenario.NULL_I, Innovation.GAUSSIAN, 40, 8, 1)
+
+# Each call answered a bad value with a bare TypeError or ValueError
+# before the checks moved into ``errors``; the second item is a word the
+# message must contain.
+BAD_CALLS = {
+    "run_all-alpha-str": (lambda: run_all(PANEL, 1, "0.05"), "alpha"),
+    "run_all-alpha-None": (lambda: run_all(PANEL, 1, None), "alpha"),
+    "sliding-alpha": (lambda: sliding_window_rates(PANEL, 20, 1, "0.05"), "alpha"),
+    "power-inputs-alpha": (lambda: PowerInputs(EYE, EYE, 100, 3.0, "0.05"), "alpha"),
+    "power-inputs-nu4": (lambda: PowerInputs(EYE, EYE, 100, "3", 0.05), "nu4"),
+    "power-inputs-nu4-None": (lambda: PowerInputs(EYE, EYE, 100, None, 0.05), "nu4"),
+    "max-bounds-alpha": (lambda: max_power_bounds(0.2, 100, 40, 1, "0.05"), "alpha"),
+    "max-bounds-rho": (lambda: max_power_bounds("0.2", 100, 40, 1, 0.05), "rho"),
+    "max-bounds-rho-None": (lambda: max_power_bounds(None, 100, 40, 1, 0.05), "rho"),
+    "gumbel-quantile": (lambda: gumbel_quantile("0.05"), "alpha"),
+    "normal-quantile": (lambda: std_normal_quantile("0.5"), "quantile level"),
+    "chi2-quantile": (lambda: chi2_4_quantile("0.5"), "quantile level"),
+    "detectable-b0": (lambda: signal_detectable([np.eye(4)], 100, "1"), "b0"),
+    "detectable-b0-None": (lambda: signal_detectable([np.eye(4)], 100, None), "b0"),
+    "fisher-p": (lambda: fisher_combine("0.5", 0.5), "p_max"),
+    "dgp-scenario": (lambda: DgpSpec("null-iv", "gaussian", 40, 8, 1), "Scenario"),
+    "grid-innovation": (lambda: GridCell("null-i", "t5", 40, 8, 1), "Innovation"),
+    "config-kind": (lambda: ExperimentConfig("sizes", (CELL,), 5, 0.05, 1), "ExperimentKind"),
+    "make-sigma-scenario": (lambda: make_sigma("x", 4), "Scenario"),
+    "make-sigma-p": (lambda: make_sigma(Scenario.NULL_I, "4"), "p"),
+    "fourth-moment": (lambda: fourth_moment("x"), "Innovation"),
+    "ma-panel-n": (lambda: gen_ma_panel(EYE, EYE, "50", 1), "n"),
+}
+
+
+@pytest.mark.parametrize("call, name", BAD_CALLS.values(), ids=BAD_CALLS.keys())
+def test_every_public_call_answers_a_bad_value_with_config_error(call, name):
+    with pytest.raises(ConfigError) as exc:
+        call()
+    assert name in str(exc.value)
+    assert isinstance(exc.value, ValueError)

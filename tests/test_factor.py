@@ -230,6 +230,16 @@ class TestSlidingWindowRates:
         summary = sliding_window_rates(ols_residuals(data), window, lags)
         assert (summary.rate_max, summary.rate_sum, summary.rate_fc) == full_sample
 
+    @pytest.mark.parametrize("window, lags, alpha", [
+        (np.int64(20), np.int64(1), 0.05), (20, 1, np.float32(0.25)),
+        (np.int32(20), 2, np.float64(0.05)),
+    ])
+    def test_numpy_scalars_summarize_like_python_scalars(self, window, lags, alpha):
+        panel = TimeSeriesPanel(np.random.default_rng(14).standard_normal((60, 4)))
+        summary = sliding_window_rates(panel, window, lags, alpha)
+        plain = sliding_window_rates(panel, int(window), int(lags), float(alpha))
+        assert summary.to_json() == plain.to_json()
+
     def test_summary_serialization(self):
         summary = SlidingWindowSummary(
             window_length=60, lags=2, alpha=0.05, num_windows=40,

@@ -150,9 +150,9 @@ class TestConfigExpansion:
             )
 
     def test_type_errors_name_the_field(self):
-        with pytest.raises(ConfigError, match=r'"p\[1\]": expected an integer'):
+        with pytest.raises(ConfigError, match=r'"p\[1\]" must be an integer'):
             small_size_config(p=[5, "ten"])
-        with pytest.raises(ConfigError, match='"replications": expected an integer'):
+        with pytest.raises(ConfigError, match='"replications" must be an integer'):
             small_size_config(replications=True)
         with pytest.raises(ConfigError, match='"alpha"'):
             small_size_config(alpha="tiny")
@@ -200,7 +200,7 @@ class TestConfigExpansion:
         fields = dict(kind=ExperimentKind.SIZE, grid=(cell,), replications=5,
                       alpha=0.05, master_seed=1, workers=1)
         fields[field] = value
-        message = f'"{field}": expected an integer, got {value!r}'
+        message = f'"{field}" must be an integer, got {value!r}'
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig(**fields)
         assert str(exc.value) == message
@@ -220,7 +220,7 @@ class TestConfigExpansion:
         fields = dict(kind=ExperimentKind.SIZE, grid=(cell,), replications=5,
                       alpha=0.05, master_seed=1, workers=1)
         fields[field] = value
-        message = f'"{key}": expected {expected}, got {value!r}'
+        message = f'"{key}" must be {expected}, got {value!r}'
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig(**fields)
         assert str(exc.value) == message

@@ -380,6 +380,18 @@ class TestRunAll:
         assert row[0] == "30"
         assert row[-1] in ("0", "1")
 
+    @pytest.mark.parametrize("lags, alpha", [
+        (1, np.float64(0.05)), (np.int64(2), np.float64(0.05)), (1, np.float32(0.25)),
+    ])
+    def test_numpy_scalars_report_like_python_scalars(self, lags, alpha):
+        # The report holds Python ints, floats and bools, so its JSON
+        # serializes and its CSV row is byte-identical to a plain call's.
+        panel = TimeSeriesPanel(np.random.default_rng(28).standard_normal((30, 4)))
+        report = run_all(panel, lags, alpha)
+        plain = run_all(panel, int(lags), float(alpha))
+        assert report.to_csv_row() == plain.to_csv_row()
+        assert report.to_json() == plain.to_json()
+
     def test_common_offset_needs_centering(self):
         # The tests assume mean zero: an uncentred offset is a constant
         # autocovariance at every lag, so all three reject every panel.
