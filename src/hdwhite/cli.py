@@ -132,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
         p_run.add_argument("--seed", type=int, default=None,
                            help="override the config master_seed")
         p_run.add_argument("--workers", type=int, default=None,
-                           help="override the config worker count")
+                           help="override the config worker count: the processes that "
+                                "run replications, this one included")
         p_run.add_argument("--out", default=None, help="override the config output path")
         p_run.add_argument("--format", choices=("csv", "markdown"), default="csv")
         if name == "power":

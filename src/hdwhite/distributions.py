@@ -4,14 +4,14 @@ Closed forms only: the extreme-value limit of the squared max statistic,
 the chi-square with 4 degrees of freedom used by the Fisher combination,
 and the standard normal.  Survival functions are provided separately so
 small upper-tail probabilities keep full precision.
+
+The two quantiles that need scipy import it when first called, so that
+importing the package loads numpy alone.
 """
 
 from __future__ import annotations
 
 import math
-
-from scipy.optimize import brentq
-from scipy.special import ndtri
 
 from .errors import check_level
 
@@ -58,6 +58,8 @@ def chi2_4_cdf(x: float) -> float:
 
 def chi2_4_quantile(q: float) -> float:
     """Quantile of chi-square(4): the x with chi2_4_cdf(x) = q."""
+    from scipy.optimize import brentq
+
     q = check_level("quantile level", q)
     hi = 8.0
     while chi2_4_cdf(hi) < q:
@@ -77,5 +79,7 @@ def std_normal_sf(x: float) -> float:
 
 def std_normal_quantile(q: float) -> float:
     """Standard normal quantile."""
+    from scipy.special import ndtri
+
     q = check_level("quantile level", q)
     return float(ndtri(q))

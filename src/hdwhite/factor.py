@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ConfigError, DataError, check_integer
 from .panel import TimeSeriesPanel, _window_panels, read_csv_array
@@ -191,7 +190,10 @@ def ols_residuals(data: FactorData) -> TimeSeriesPanel:
 
     All assets share the design matrix, so one QR factorization serves
     every regression; the returned panel holds the T x p residuals.
+    ``scipy.linalg`` is imported here, on first use, not with the package.
     """
+    from scipy.linalg import solve_triangular
+
     t = data.num_periods
     design = np.column_stack([np.ones(t), data.factors])
     q, r = np.linalg.qr(design)

@@ -4,9 +4,9 @@ An experiment is a grid of cells (scenario, innovation, n, p, K, and a
 block size m for alternatives).  Every cell runs R replications; each
 replication owns an RNG stream derived purely from (master seed, cell,
 replication index).  The whole grid's replications are numbered in grid
-order and claimed one at a time from a counter, in process or by the
-workers of a process pool, and the per-cell counts are summed, so results
-are byte-identical for any worker count.
+order and claimed one at a time from a counter, by the calling process
+and the workers of a process pool beside it, and the per-cell counts are
+summed, so results are byte-identical for any worker count.
 Outputs are a flat CSV, a grouped markdown table, and per-m power-curve
 CSVs.
 """
@@ -19,7 +19,7 @@ import multiprocessing
 import traceback
 import zlib
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
@@ -164,12 +164,21 @@ class ExperimentConfig:
                 check_integer(f'"{key}[{i}]"', v)
             return values
 
+        def choice_list(key, choice, default=None):
+            values = as_list(key, raw.get(key, default))
+            for i, v in enumerate(values):
+                try:
+                    values[i] = choice(v)
+                except ConfigError as exc:
+                    raise ConfigError(f'"{key}[{i}]": {exc}') from None
+            return values
+
         for key in ("scenarios", "n", "p", "K"):
             if key not in raw:
                 raise ConfigError(f'"{key}": required')
 
-        scenarios = as_list("scenarios", raw["scenarios"])
-        innovations = as_list("innovations", raw.get("innovations", "gaussian"))
+        scenarios = choice_list("scenarios", Scenario)
+        innovations = choice_list("innovations", Innovation, "gaussian")
         ns, ps, ks = int_list("n"), int_list("p"), int_list("K")
         if kind is ExperimentKind.POWER:
             if "m" not in raw:
@@ -294,38 +303,59 @@ def _replicate(
 
 
 class _LocalCounter:
-    """The claim counter of an in-process run: nothing else claims, so no lock."""
+    """The claim counter of a run without a pool: nothing else claims, so
+    its lock is always free."""
 
     def __init__(self):
         self.value = 0
 
     def get_lock(self):
-        return nullcontext()
+        return self
+
+    def acquire(self, timeout=None):
+        return True
+
+    def release(self):
+        pass
 
 
-def _claim_jobs(counter, grid, reps, master_seed, alpha):
+# How long one wait for the claim counter's lock lasts before the claimer
+# asks again whether it should stop.
+_CLAIM_WAIT_S = 0.1
+
+
+def _claim_jobs(counter, grid, reps, master_seed, alpha, stopped=lambda: False):
     """Run the jobs claimed one at a time from ``counter`` until none is left.
 
     Job j is replication ``j % reps`` of cell ``j // reps``: jobs run cell
     after cell, in grid order.  Returns the rejection counts of every cell
     and the first failure as (job, exception), or None.  A failure moves
-    the counter to the end, so that no one claims another job.
+    the counter to the end, so that no one claims another job.  When
+    ``stopped()`` turns true, the claims end early: before each claim, and
+    while the counter's lock is waited for.
     """
     end = len(grid) * reps
     keys = [cell.key() for cell in grid]
     counts = [[0, 0, 0] for _ in grid]
+    lock = counter.get_lock()
     while True:
-        with counter.get_lock():
+        while True:
+            if stopped():
+                return counts, None
+            if lock.acquire(timeout=_CLAIM_WAIT_S):
+                break
+        try:
             job = counter.value
             counter.value = job + 1
+        finally:
+            lock.release()
         if job >= end:
             return counts, None
         index, rep = divmod(job, reps)
         try:
             rejects = _replicate(grid[index], keys[index], rep, master_seed, alpha)
         except Exception as exc:
-            with counter.get_lock():
-                counter.value = end
+            _stop_claims(counter, end)
             return counts, (job, exc)
         for i, rejected in enumerate(rejects):
             counts[index][i] += rejected
@@ -369,7 +399,7 @@ def _pool_task(grid, reps, master_seed, alpha):
 
 
 def _stop_claims(counter, end: int) -> None:
-    """Move a shared counter to the end, so that no worker claims another job.
+    """Move the counter to the end, so that no one claims another job.
 
     A worker killed while it holds the counter's lock never releases it;
     the pool is broken then and no worker is left to claim, so the lock
@@ -388,34 +418,41 @@ def run_experiment(cfg: ExperimentConfig) -> list[CellResult]:
 
     The (cell, replication) jobs of the whole grid are numbered cell after
     cell, in grid order, and claimed one at a time from a counter, so no
-    cell waits for the previous one to drain and no worker waits for the
-    parent between jobs.  With one worker the claim loop runs in process;
-    with more, a pool of at most one process per job runs it once in each
-    process against a shared counter, and the parent sums the per-cell
-    counts.  Each job derives its RNG stream from (master_seed, cell id,
-    index), so the output is that of a serial run for any worker count.
-    A failing job moves the counter to the end, as does the parent's exit
-    on an exception or interrupt, so every worker stops after its current
-    job; the failure with the lowest job index, the one a serial run meets
-    first, is raised.
+    cell waits for the previous one to drain and no worker waits for
+    another between jobs.  ``cfg.workers`` counts the processes that run
+    jobs, this one included: it claims jobs itself, beside a pool of
+    ``min(workers, jobs) - 1`` processes that claim from the same shared
+    counter, and sums the per-cell counts of all.  One worker, or one job,
+    starts no pool.  Each job derives its RNG stream from (master_seed,
+    cell id, index), so the output is that of a serial run for any worker
+    count.  A failing job moves the counter to the end, as does this
+    process's exit on an exception or interrupt, so every worker stops
+    after its current job; the failure with the lowest job index, the one
+    a serial run meets first, is raised, with a pool worker's traceback as
+    its cause.  Once any pool worker is done, or dies, this process claims
+    no more jobs; a dead worker surfaces as ``BrokenProcessPool``.
     """
     grid, reps = cfg.grid, cfg.replications
     end = len(grid) * reps
-    workers = min(cfg.workers, end)  # no more than one process per job
     task = (grid, reps, cfg.master_seed, cfg.alpha)
-    if workers == 1:
-        tallies = [_claim_jobs(_LocalCounter(), *task)]
-    else:
-        context = multiprocessing.get_context()
-        counter = context.Value("q", 0)
-        with ExitStack() as stack:
+    helpers = min(cfg.workers, end) - 1  # no more than one process per job
+    futures = []
+    with ExitStack() as stack:
+        if helpers:
+            context = multiprocessing.get_context()
+            counter = context.Value("q", 0)
             pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=workers, mp_context=context,
+                max_workers=helpers, mp_context=context,
                 initializer=_set_counter, initargs=(counter,),
             ))
             stack.callback(_stop_claims, counter, end)
-            futures = [pool.submit(_pool_task, *task) for _ in range(workers)]
-            tallies = [future.result() for future in as_completed(futures)]
+            futures = [pool.submit(_pool_task, *task) for _ in range(helpers)]
+        else:
+            counter = _LocalCounter()
+        # A pool worker finishes only once the counter is at the end, or
+        # when the pool is broken: either way there is nothing left to claim.
+        tallies = [_claim_jobs(counter, *task, stopped=lambda: any(f.done() for f in futures))]
+        tallies += [future.result() for future in as_completed(futures)]
     counts = [[0, 0, 0] for _ in grid]
     failures = []
     for cell_counts, failure in tallies:

@@ -81,18 +81,23 @@ def _check_max_arguments(n: int, p: int, lags) -> None:
         raise ConfigError(f"max test needs at least 2 columns, got p={p}")
 
 
-def _check_sum_arguments(n: int, lags) -> None:
+def _check_sum_rows(n: int) -> None:
     if n < 4:
         raise ConfigError(f"sum test needs at least 4 rows, got n={n}")
+
+
+def _check_sum_arguments(n: int, lags) -> None:
+    _check_sum_rows(n)
     check_lag_budget(n, lags)
 
 
 def check_run_all_arguments(n: int, p: int, lags, alpha: float) -> float:
     """Raise the error ``run_all`` would raise on an n x p panel, before any
-    work; return alpha as a Python float."""
+    work; return alpha as a Python float.  The lag budget, which both tests
+    need, is checked once."""
     alpha = check_level("alpha", alpha)
     _check_max_arguments(n, p, lags)
-    _check_sum_arguments(n, lags)
+    _check_sum_rows(n)
     return alpha
 
 

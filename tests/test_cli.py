@@ -214,10 +214,11 @@ class TestExperimentSubcommands:
         assert not (tmp_path / "absent").exists()
 
     @pytest.mark.parametrize("extra, message", [
-        ({"scenarios": "null-iv"}, "unknown Scenario 'null-iv'"),
+        ({"scenarios": "null-iv"}, '"scenarios[0]": unknown Scenario \'null-iv\''),
+        ({"innovations": ["gaussian", "t5"]}, '"innovations[1]": unknown Innovation \'t5\''),
         ({"p": [4, "ten"]}, '"p[1]" must be an integer, got \'ten\''),
         ({"alpha": "0.05"}, '"alpha" must be a number, got \'0.05\''),
-    ], ids=["scenario", "p", "alpha"])
+    ], ids=["scenario", "innovation", "p", "alpha"])
     def test_bad_config_value_names_the_field(self, tmp_path, capsys, extra, message):
         cfg = self.write_config(tmp_path, **extra)
         code, out, err = run_cli(

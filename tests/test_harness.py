@@ -5,8 +5,10 @@ import multiprocessing
 import os
 import re
 import sys
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -393,6 +395,15 @@ _FAST_KEY = None
 SLOW_SECONDS = 0.3
 FAILING_REP = 3
 _REAL_REPLICATE = harness._replicate
+# The test process: run_experiment claims jobs in it too, so a patched
+# replication tells by its pid whether a pool worker runs it.
+_PARENT_PID = os.getpid()
+# The replications logged when the parent interrupted itself.
+_INTERRUPTED_AT = []
+
+
+def _in_worker():
+    return os.getpid() != _PARENT_PID
 
 
 def _log_replication(cell_key):
@@ -411,13 +422,6 @@ def _job_replicate(cell, cell_key, rep, master_seed, alpha):
     return (True, False, True)
 
 
-def _slow_replicate(cell, cell_key, rep, master_seed, alpha):
-    _log_replication(cell_key)
-    if cell_key != _FAST_KEY:
-        time.sleep(SLOW_SECONDS)
-    return (False, False, False)
-
-
 def _failing_replicate(cell, cell_key, rep, master_seed, alpha):
     _log_replication(cell_key)
     if cell_key == _FAST_KEY and rep == FAILING_REP:
@@ -428,14 +432,47 @@ def _failing_replicate(cell, cell_key, rep, master_seed, alpha):
 
 
 def _late_failing_replicate(cell, cell_key, rep, master_seed, alpha):
-    if rep == 0:
+    with open(_RAN_LOG, "a") as fh:
+        fh.write(f"{rep} {'worker' if _in_worker() else 'parent'}\n")
+    if _in_worker():
+        time.sleep(2 * SLOW_SECONDS)
+    elif rep == 0:
         time.sleep(SLOW_SECONDS)
+        return (False, False, False)
     raise DataError(f"replication {rep} fails")
 
 
+def _interrupted_replicate(cell, cell_key, rep, master_seed, alpha):
+    _log_replication(cell_key)
+    if _in_worker():
+        time.sleep(SLOW_SECONDS)
+        return (False, False, False)
+    # Wait until both processes of a 2-worker run have started a job.
+    deadline = time.monotonic() + 30
+    while _ran(Path(_RAN_LOG)) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    _INTERRUPTED_AT.append(_ran(Path(_RAN_LOG)))
+    raise KeyboardInterrupt
+
+
 def _dying_replicate(cell, cell_key, rep, master_seed, alpha):
-    if rep == FAILING_REP:
+    if _in_worker():
         os._exit(1)
+    _log_replication(cell_key)
+    time.sleep(SLOW_SECONDS / 10)
+    return (False, False, False)
+
+
+def _locking_dying_replicate(cell, cell_key, rep, master_seed, alpha):
+    if _in_worker():
+        harness._counter.get_lock().acquire()
+        _log_replication(cell_key)
+        time.sleep(SLOW_SECONDS)
+        os._exit(1)
+    # Return once the worker holds the lock, so that the next claim waits.
+    deadline = time.monotonic() + 30
+    while _ran(Path(_RAN_LOG)) < 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
     return (False, False, False)
 
 
@@ -451,6 +488,8 @@ class TestSchedule:
             "replications": 10, "workers": 2}
 
     def test_pool_starts_one_process_per_job_at_most(self, monkeypatch):
+        # The calling process runs jobs too, so the pool holds one process
+        # fewer than the workers that run jobs.
         started = []
 
         class Recording(harness.ProcessPoolExecutor):
@@ -460,13 +499,16 @@ class TestSchedule:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
         serial = run_experiment(small_size_config(replications=3))
+        assert started == [], "one worker starts no pool"
         pooled = run_experiment(small_size_config(replications=3, workers=8))
-        assert started == [3], "3 jobs start 3 processes"
+        assert started == [2], "3 jobs start 2 pool processes beside this one"
         assert pooled == serial
         run_experiment(small_size_config(p=[4, 5], replications=2, workers=8))
-        assert started == [3, 4], "jobs are counted over the whole grid"
+        assert started == [2, 3], "jobs are counted over the whole grid"
+        run_experiment(small_size_config(replications=3, workers=2))
+        assert started == [2, 3, 1], "2 workers are this process and 1 pool process"
         run_experiment(small_size_config(replications=1, workers=8))
-        assert started == [3, 4], "a single job runs in process"
+        assert started == [2, 3, 1], "a single job runs in process"
 
     @needs_fork
     def test_first_error_is_the_serial_one(self, monkeypatch):
@@ -490,12 +532,22 @@ class TestSchedule:
             assert str(exc.value) == expected
 
     @needs_fork
-    def test_lowest_failing_job_wins(self, monkeypatch):
-        # Every replication fails, the first one after SLOW_SECONDS: the
-        # second worker's job 1 fails first, while job 0 still runs.
+    def test_lowest_failing_job_wins(self, monkeypatch, tmp_path):
+        # In this process job 0 passes after SLOW_SECONDS and every other
+        # job fails at once; in the pool worker every job fails after
+        # 2 * SLOW_SECONDS.  So this process's second job fails first, and
+        # the worker's lower job, claimed before it, fails later and wins.
+        this = sys.modules[__name__]
+        log = tmp_path / "ran"
+        monkeypatch.setattr(this, "_RAN_LOG", str(log))
         monkeypatch.setattr(harness, "_replicate", _late_failing_replicate)
-        with pytest.raises(DataError, match="replication 0 fails") as exc:
+        with pytest.raises(DataError) as exc:
             run_experiment(small_size_config(**self.GRID))
+        ran = dict(line.split() for line in log.read_text().splitlines())
+        failed = sorted(int(rep) for rep, where in ran.items()
+                        if where == "worker" or rep != "0")
+        assert len(failed) == 2 and ran[str(failed[0])] == "worker", ran
+        assert str(exc.value) == f"replication {failed[0]} fails"
         assert "in _late_failing_replicate" in str(exc.value.__cause__), (
             "the worker's traceback is the cause"
         )
@@ -521,28 +573,21 @@ class TestSchedule:
 
     @needs_fork
     def test_parent_exit_stops_the_claims(self, monkeypatch, tmp_path):
-        # Every replication takes SLOW_SECONDS.  The parent is interrupted
-        # while it waits for the workers, once each has started a job; its
-        # exit moves the counter to the end, so each worker claims at most
-        # one more job, where without the stop all 80 would run.
+        # The pool worker's replications take SLOW_SECONDS.  The parent is
+        # interrupted inside its own first job, once the worker has started
+        # one too; its exit moves the counter to the end, so the worker
+        # claims at most one more job, where without the stop it would run
+        # the other 78.
         cfg = small_size_config(**self.GRID)
         this = sys.modules[__name__]
         log = tmp_path / "ran"
         monkeypatch.setattr(this, "_RAN_LOG", str(log))
-        monkeypatch.setattr(harness, "_replicate", _slow_replicate)
-        seen = []
-
-        def interrupted(futures):
-            deadline = time.monotonic() + 30
-            while _ran(log) < cfg.workers and time.monotonic() < deadline:
-                time.sleep(0.01)
-            seen.append(_ran(log))
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(harness, "as_completed", interrupted)
+        monkeypatch.setattr(this, "_INTERRUPTED_AT", [])
+        monkeypatch.setattr(harness, "_replicate", _interrupted_replicate)
         with pytest.raises(KeyboardInterrupt):
             run_experiment(cfg)
-        ran = _ran(log)
+        ran, seen = _ran(log), this._INTERRUPTED_AT
+        assert len(seen) == 1, "the parent stops at its first interrupt"
         assert cfg.workers <= seen[0] <= ran <= seen[0] + cfg.workers, (
             f"{ran} of 80 replications ran, {seen[0]} when the parent stopped"
         )
@@ -564,12 +609,40 @@ class TestSchedule:
         assert [(r.rate_max, r.rate_sum, r.rate_fc) for r in results] == [(1.0, 0.0, 1.0)] * 3
 
     @needs_fork
-    def test_dead_worker_breaks_the_pool(self, monkeypatch):
+    def test_dead_worker_breaks_the_pool(self, monkeypatch, tmp_path):
         # A worker that dies holds no result; the parent must raise rather
-        # than wait for it.
+        # than wait for it, and must not run the rest of the grid alone
+        # first: its jobs take SLOW_SECONDS / 10, so all 80 take 2.4 s.
+        this = sys.modules[__name__]
+        log = tmp_path / "ran"
+        monkeypatch.setattr(this, "_RAN_LOG", str(log))
         monkeypatch.setattr(harness, "_replicate", _dying_replicate)
         with pytest.raises(BrokenProcessPool):
             run_experiment(small_size_config(**self.GRID))
+        assert _ran(log) < 40, f"the parent ran {_ran(log)} of 80 jobs past a dead worker"
+
+    @needs_fork
+    def test_claims_give_up_a_lock_held_by_a_dead_worker(self, monkeypatch, tmp_path):
+        # The pool worker takes the counter's lock in its first job, and
+        # dies holding it while the parent waits for it to claim its
+        # second.  That claim must end once the pool is broken instead of
+        # waiting for the lock forever.
+        this = sys.modules[__name__]
+        monkeypatch.setattr(this, "_RAN_LOG", str(tmp_path / "ran"))
+        monkeypatch.setattr(harness, "_replicate", _locking_dying_replicate)
+        raised = []
+
+        def run():
+            try:
+                run_experiment(small_size_config(**self.GRID))
+            except BaseException as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "the parent waits for a lock no one will release"
+        assert len(raised) == 1 and isinstance(raised[0], BrokenProcessPool), raised
 
 
 class TestEmitters:

@@ -9,11 +9,13 @@ import pytest
 import scipy.stats
 
 from hdwhite import panel as panel_module
+from hdwhite import statistics
 from hdwhite.distributions import chi2_4_cdf, gumbel_sf, std_normal_sf
 from hdwhite.errors import ConfigError, DataError, DegenerateColumnError
 from hdwhite.panel import DEGENERATE_VARIANCE_TOL, TimeSeriesPanel
 from hdwhite.statistics import (
     REPORT_COLUMNS,
+    check_run_all_arguments,
     fisher_combine,
     max_test,
     run_all,
@@ -512,3 +514,29 @@ class TestRunAll:
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ConfigError):
                 run_all(panel, 1, bad)
+
+    @pytest.mark.parametrize("n, p, lags, alpha, message", [
+        (3, 1, 2, 1.5, "alpha must lie in"),
+        (3, 1, 2, 0.05, "number of lags 2 out of range"),
+        (3, 1, 1, 0.05, "max test needs at least 2 columns"),
+        (3, 2, 1, 0.05, "sum test needs at least 4 rows"),
+        (4, 2, 2, 0.05, None),
+    ], ids=["alpha", "lags", "columns", "rows", "valid"])
+    def test_arguments_are_checked_in_order_with_one_lag_check(
+        self, monkeypatch, n, p, lags, alpha, message
+    ):
+        # Alpha first, then the lag budget, MAX's columns and SUM's rows;
+        # the lag budget both tests need is checked once.
+        calls = []
+
+        def counted(n, lags):
+            calls.append(lags)
+            return panel_module.check_lag_budget(n, lags)
+
+        monkeypatch.setattr(statistics, "check_lag_budget", counted)
+        if message is None:
+            assert check_run_all_arguments(n, p, lags, alpha) == alpha
+        else:
+            with pytest.raises(ConfigError, match=message):
+                check_run_all_arguments(n, p, lags, alpha)
+        assert len(calls) == (0 if message and "alpha" in message else 1)
