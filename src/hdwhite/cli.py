@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import sys
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Choice, ConfigError, NonstationaryDrawError, check_integer
+from .errors import Choice, ConfigError, NonstationaryDrawError, check_array, check_integer
 from .linalg import psd_projection_root, sym_sqrt
 from .panel import TimeSeriesPanel
 
@@ -280,8 +280,8 @@ def gen_ma_panel(
     stated for; it accepts arbitrary conformable matrices rather than the
     scenario sampler's block draws.
     """
-    a0 = np.asarray(a0, dtype=np.float64)
-    a1 = np.asarray(a1, dtype=np.float64)
+    a0 = check_array("a0", a0)
+    a1 = check_array("a1", a1)
     if a0.ndim != 2 or a0.shape != a1.shape or a0.shape[0] != a0.shape[1]:
         raise ConfigError(
             f"coefficient matrices must be square with equal shapes, got {a0.shape} and {a1.shape}"

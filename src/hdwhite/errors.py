@@ -6,11 +6,13 @@ and plain OSError -> 4.  Everything derives from ValueError so callers
 that do not care about the distinction can catch broadly.
 
 Every public entry point checks its arguments with the rules below, so a
-bad value raises ConfigError (or LagError), never a bare TypeError or
-ValueError: ``check_integer`` (a Python or numpy integer; not a bool, not
-4.0), ``check_number`` (a finite real that is not a bool), ``check_level``
-(a number in (0, 1)) and ``Choice`` (a known option name).  Each message
-names the argument, or the config key in quotes.
+bad value raises ConfigError (or LagError; a bad array raises the
+caller's own error), never a bare TypeError or ValueError:
+``check_integer`` (a Python or numpy integer; not a bool, not 4.0),
+``check_number`` (a finite real that is not a bool), ``check_array`` (an
+array of real numbers), ``check_level`` (a number in (0, 1)),
+``check_probability`` (a number in [0, 1]) and ``Choice`` (a known option
+name).  Each message names the argument, or the config key in quotes.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 import math
 import numbers
 from enum import Enum
+
+import numpy as np
 
 
 class HdwhiteError(ValueError):
@@ -100,6 +104,25 @@ def check_number(name: str, value, finite: bool = True) -> float:
     return value
 
 
+def check_array(name: str, value, error=ConfigError, copy: bool = False) -> np.ndarray:
+    """Convert to a float64 array: a fresh C-ordered one with ``copy``,
+    else ``value`` itself when it already is one.
+
+    Complex values are refused, not cut to their real part, and a value
+    numpy cannot convert (text, a ragged list) raises ``error`` too.  Only
+    the dtype is tested; the entries are not scanned.
+    """
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind != "c":
+            if copy:
+                return np.array(array, dtype=np.float64, order="C")
+            return array.astype(np.float64, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{name} must be an array of real numbers: {exc}") from None
+    raise error(f"{name} must be real, got a complex array")
+
+
 def check_level(name: str, value) -> float:
     """Require a number in (0, 1), such as a test level; return it as a Python float."""
     if type(value) is float and 0.0 < value < 1.0:
@@ -108,6 +131,16 @@ def check_level(name: str, value) -> float:
     if not 0.0 < level < 1.0:
         raise ConfigError(f"{name} must lie in (0, 1), got {value}")
     return level
+
+
+def check_probability(name: str, value) -> float:
+    """Require a number in [0, 1], such as a p-value or a rate; return it as a Python float."""
+    if type(value) is float and 0.0 <= value <= 1.0:
+        return value
+    probability = check_number(name, value, finite=False)
+    if not 0.0 <= probability <= 1.0:
+        raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+    return probability
 
 
 class Choice(str, Enum):

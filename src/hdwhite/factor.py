@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_integer
+from .errors import (
+    ConfigError, DataError, check_array, check_integer, check_level, check_probability,
+)
 from .panel import TimeSeriesPanel, _window_panels, read_csv_array
 from .statistics import check_run_all_arguments, run_all
 
@@ -46,8 +48,8 @@ class FactorData:
     asset_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        y = np.array(self.excess_returns, dtype=np.float64)
-        f = np.array(self.factors, dtype=np.float64)
+        y = check_array("excess returns", self.excess_returns, DataError, copy=True)
+        f = check_array("factors", self.factors, DataError, copy=True)
         if y.ndim != 2:
             raise DataError(f"excess returns must be 2-d, got {y.ndim}-d")
         if f.ndim != 2 or f.shape[1] != 3:
@@ -103,12 +105,12 @@ class SlidingWindowSummary:
     rate_fc: float
 
     def __post_init__(self):
-        if self.num_windows < 1:
-            raise ConfigError(f"need at least one window, got {self.num_windows}")
+        check_integer("window_length", self.window_length, 1)
+        check_integer("lags", self.lags, 1)
+        check_level("alpha", self.alpha)
+        check_integer("num_windows", self.num_windows, 1)
         for name in ("rate_max", "rate_sum", "rate_fc"):
-            r = getattr(self, name)
-            if not 0.0 <= r <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {r}")
+            check_probability(name, getattr(self, name))
 
     def to_dict(self) -> dict:
         return {
@@ -190,10 +192,7 @@ def ols_residuals(data: FactorData) -> TimeSeriesPanel:
 
     All assets share the design matrix, so one QR factorization serves
     every regression; the returned panel holds the T x p residuals.
-    ``scipy.linalg`` is imported here, on first use, not with the package.
     """
-    from scipy.linalg import solve_triangular
-
     t = data.num_periods
     design = np.column_stack([np.ones(t), data.factors])
     q, r = np.linalg.qr(design)
@@ -205,7 +204,9 @@ def ols_residuals(data: FactorData) -> TimeSeriesPanel:
             f"design matrix is rank deficient (column {names[j]} is numerically "
             f"dependent on the others)"
         )
-    coef = solve_triangular(r, q.T @ data.excess_returns)
+    # R is exactly upper triangular and, past the rank check, has no zero
+    # pivot, so the general solver's LU factorization leaves it as it is.
+    coef = np.linalg.solve(r, q.T @ data.excess_returns)
     residuals = data.excess_returns - design @ coef
     return TimeSeriesPanel(residuals)
 

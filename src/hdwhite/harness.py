@@ -29,6 +29,7 @@ import numpy as np
 from .dgp import DgpSpec, Innovation, Scenario, gen_alternative_panel, gen_null_panel
 from .errors import (
     Choice, ConfigError, DataError, NonstationaryDrawError, check_integer, check_level,
+    check_number, check_probability,
 )
 from .panel import check_lag_budget
 from .statistics import run_all
@@ -248,9 +249,10 @@ class CellResult:
 
     def __post_init__(self):
         for name in ("rate_max", "rate_sum", "rate_fc"):
-            r = getattr(self, name)
-            if not 0.0 <= r <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {r}")
+            check_probability(name, getattr(self, name))
+        check_integer("replications_used", self.replications_used, 1)
+        for name in ("se_max", "se_sum", "se_fc"):
+            check_number(name, getattr(self, name))
 
     @classmethod
     def from_counts(cls, cell: GridCell, counts: tuple[int, int, int], reps: int) -> "CellResult":

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotPsdError, NotSymmetricError
+from .errors import NotPsdError, NotSymmetricError, check_array
 
 # Asymmetry beyond this (relative to the largest entry, floored at 1) is an error.
 SYMMETRY_TOL = 1e-10
@@ -28,11 +28,12 @@ def sym_sqrt(s: np.ndarray) -> np.ndarray:
     Raises
     ------
     NotSymmetricError
-        If ``s`` is not square or not symmetric within tolerance.
+        If ``s`` is not a real array, not square, or not symmetric within
+        tolerance.
     NotPsdError
         If an eigenvalue falls below ``-EIG_CLAMP_TOL``.
     """
-    s = np.asarray(s, dtype=np.float64)
+    s = check_array("matrix", s, NotSymmetricError)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise NotSymmetricError(f"expected a square matrix, got shape {s.shape}")
     scale = max(1.0, float(np.abs(s).max())) if s.size else 1.0

@@ -16,7 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, DegenerateColumnError, LagError, ParseError, check_integer
+from .errors import (
+    DataError, DegenerateColumnError, LagError, ParseError, check_array, check_integer,
+)
 
 # A column whose sample second moment falls at or below this cannot be
 # autocorrelated; the offending column is named in the error.
@@ -85,7 +87,7 @@ class TimeSeriesPanel:
     _moments: _Moments | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64, order="C")
+        values = check_array("panel", self.values, DataError, copy=True)
         if values.ndim != 2:
             raise DataError(f"panel must be 2-dimensional, got {values.ndim} dims")
         n, p = values.shape
@@ -127,7 +129,7 @@ class TimeSeriesPanel:
         ``center=True`` subtracts each column's mean once, here and only
         here; all downstream moments use the stored values as-is.
         """
-        values = np.asarray(values, dtype=np.float64)
+        values = check_array("panel", values, DataError)
         if center:
             if values.ndim != 2:
                 raise DataError(f"panel must be 2-dimensional, got {values.ndim} dims")

@@ -19,7 +19,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .distributions import gumbel_quantile, std_normal_cdf, std_normal_quantile
-from .errors import ConfigError, check_integer, check_level, check_number
+from .errors import (
+    ConfigError, check_array, check_integer, check_level, check_number, check_probability,
+)
 from .panel import check_lag_budget
 
 __all__ = [
@@ -46,8 +48,8 @@ class PowerInputs:
     alpha: float
 
     def __post_init__(self):
-        a0 = np.asarray(self.a0, dtype=np.float64)
-        a1 = np.asarray(self.a1, dtype=np.float64)
+        a0 = check_array("a0", self.a0)
+        a1 = check_array("a1", self.a1)
         if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
             raise ConfigError(f"a0 must be square, got shape {a0.shape}")
         if a1.shape != a0.shape:
@@ -119,12 +121,12 @@ class SumPowerBreakdown:
     variance_terms: SumVarianceTerms
 
     def __post_init__(self):
-        if not self.sigma_s1 > 0.0:
-            raise ConfigError(f"sigma_s1 must be positive, got {self.sigma_s1}")
-        if not self.xi0 > 0.0:
-            raise ConfigError(f"xi0 must be positive, got {self.xi0}")
-        if not 0.0 <= self.beta_sum <= 1.0:
-            raise ConfigError(f"beta_sum must lie in [0, 1], got {self.beta_sum}")
+        check_number("mu_s", self.mu_s)
+        for name in ("sigma_s1", "xi0"):
+            value = getattr(self, name)
+            if not check_number(name, value) > 0.0:
+                raise ConfigError(f"{name} must be positive, got {value}")
+        check_probability("beta_sum", self.beta_sum)
 
     def to_dict(self) -> dict:
         d = {
@@ -261,7 +263,7 @@ def signal_detectable(
         raise ConfigError("need at least one autocorrelation matrix")
     check_integer("n", n, 1)
     check_number("b0", b0)
-    mats = [np.asarray(g, dtype=np.float64) for g in gammas]
+    mats = [check_array("autocorrelation matrix", g) for g in gammas]
     p = mats[0].shape[0]
     if p < 2:
         raise ConfigError(f"p must be at least 2, got {p}")

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .distributions import chi2_4_sf, gumbel_sf, std_normal_sf
-from .errors import ConfigError, DataError, check_level, check_number
+from .errors import ConfigError, DataError, check_level, check_probability
 from .panel import TimeSeriesPanel, _pair_sums, check_lag_budget, sample_autocorrelation
 
 # Guard against log(0) when a p-value underflows to exactly zero.
@@ -153,9 +153,8 @@ def fisher_combine(p_max: float, p_sum: float) -> tuple[float, float]:
     p-value comes from the chi-square(4) upper tail.  Inputs are floored
     at 1e-300 so an underflowed p-value stays finite.
     """
-    for name, value in (("p_max", p_max), ("p_sum", p_sum)):
-        if not 0.0 <= check_number(name, value, finite=False) <= 1.0:
-            raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+    p_max = check_probability("p_max", p_max)
+    p_sum = check_probability("p_sum", p_sum)
     t_fc = -2.0 * math.log(max(p_max, P_VALUE_FLOOR)) - 2.0 * math.log(
         max(p_sum, P_VALUE_FLOOR)
     )

@@ -1,9 +1,11 @@
 """Closed-form reference distributions against independent oracles."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,6 +91,24 @@ class TestChi2Four:
         for x in np.linspace(0.05, 40.0, 50):
             assert chi2_4_cdf(x) == pytest.approx(ref.cdf(x), abs=1e-13)
 
+    def test_cdf_holds_relative_precision_down_to_tiny_x(self):
+        # 1 - (1+u)e^-u in 60-digit decimal arithmetic, u = x/2.  The
+        # closed form in double precision cancels as u -> 0: its relative
+        # error reached 2.4e-8 at x = 2e-8.
+        def reference(x):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                u = Decimal(x) / 2
+                return float(1 - (1 + u) * (-u).exp())
+
+        for x in np.geomspace(1e-10, 50.0, 4001):
+            want = reference(float(x))
+            assert abs(chi2_4_cdf(float(x)) - want) <= 1e-14 * want, x
+
+    def test_quantile_inverts_the_cdf_at_small_levels(self):
+        for q in (1e-300, 1e-100, 1e-20, 1e-8, 1e-4):
+            assert chi2_4_cdf(chi2_4_quantile(q)) == pytest.approx(q, rel=1e-14)
+
     def test_quantile_matches_simpson_bisection_oracle(self):
         for q in (0.5, 0.9, 0.95, 0.99):
             want = bisection_chi2_4_quantile(q)
@@ -133,3 +153,12 @@ class TestStdNormal:
         assert std_normal_quantile(0.5) == 0.0
         with pytest.raises(ConfigError):
             std_normal_quantile(1.0)
+
+    def test_quantile_matches_scipy(self):
+        levels = np.concatenate([
+            np.geomspace(1e-300, 0.5, 200), 1.0 - np.geomspace(1e-16, 0.5, 200),
+            np.linspace(0.001, 0.999, 999),
+        ])
+        for q in levels:
+            want = scipy.special.ndtri(q)
+            assert std_normal_quantile(float(q)) == pytest.approx(want, rel=2e-15, abs=1e-300)

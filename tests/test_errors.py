@@ -7,11 +7,17 @@ import pytest
 
 from hdwhite.dgp import DgpSpec, Innovation, Scenario, fourth_moment, gen_ma_panel, make_sigma
 from hdwhite.distributions import chi2_4_quantile, gumbel_quantile, std_normal_quantile
-from hdwhite.errors import ConfigError, LagError, check_integer, check_level, check_number
-from hdwhite.factor import sliding_window_rates
-from hdwhite.harness import ExperimentConfig, ExperimentKind, GridCell
+from hdwhite.errors import (
+    ConfigError, DataError, LagError, NotSymmetricError,
+    check_array, check_integer, check_level, check_number, check_probability,
+)
+from hdwhite.factor import FactorData, SlidingWindowSummary, sliding_window_rates
+from hdwhite.harness import CellResult, ExperimentConfig, ExperimentKind, GridCell
+from hdwhite.linalg import sym_sqrt
 from hdwhite.panel import TimeSeriesPanel
-from hdwhite.power import PowerInputs, max_power_bounds, signal_detectable
+from hdwhite.power import (
+    PowerInputs, SumPowerBreakdown, SumVarianceTerms, max_power_bounds, signal_detectable,
+)
 from hdwhite.statistics import fisher_combine, run_all
 
 
@@ -89,6 +95,52 @@ class TestCheckLevel:
         assert str(exc.value) == f"alpha must be a number, got {value!r}"
 
 
+class TestCheckProbability:
+    @pytest.mark.parametrize("value", [0.0, 1.0, 0.5, 0, 1, np.float64(0.25)])
+    def test_the_closed_unit_interval_is_returned_as_python_floats(self, value):
+        checked = check_probability("p_max", value)
+        assert type(checked) is float and checked == float(value)
+
+    @pytest.mark.parametrize("value", [-0.1, 1.5, math.nan, math.inf])
+    def test_numbers_outside_it_are_refused(self, value):
+        with pytest.raises(ConfigError) as exc:
+            check_probability("p_max", value)
+        assert str(exc.value) == f"p_max must lie in [0, 1], got {value}"
+
+    @pytest.mark.parametrize("value", [True, "0.5", None])
+    def test_non_numbers_are_refused(self, value):
+        with pytest.raises(ConfigError) as exc:
+            check_probability("p_max", value)
+        assert str(exc.value) == f"p_max must be a number, got {value!r}"
+
+
+class TestCheckArray:
+    def test_a_float64_array_is_returned_as_it_is(self):
+        values = np.ones((3, 2))
+        assert check_array("a0", values) is values
+
+    @pytest.mark.parametrize("value", [[[1, 2], [3, 4]], np.arange(4).reshape(2, 2), [[True]]])
+    def test_real_input_becomes_float64(self, value):
+        checked = check_array("a0", value)
+        assert checked.dtype == np.float64
+        np.testing.assert_array_equal(checked, np.asarray(value, dtype=np.float64))
+
+    def test_copy_gives_a_fresh_c_ordered_array(self):
+        values = np.asfortranarray(np.ones((3, 2)))
+        checked = check_array("panel", values, copy=True)
+        assert checked.flags.c_contiguous and not np.shares_memory(checked, values)
+
+    @pytest.mark.parametrize("value", [np.ones((2, 2), dtype=complex), [[1.0, 2j]]])
+    def test_complex_input_is_refused(self, value):
+        with pytest.raises(ConfigError, match=r"^a0 must be real, got a complex array$"):
+            check_array("a0", value)
+
+    @pytest.mark.parametrize("value", [[["a", "b"]], [[1.0, 2.0], [3.0]], [[1.0, object()]]])
+    def test_an_unconvertible_value_raises_the_callers_error(self, value):
+        with pytest.raises(DataError, match=r"^panel must be an array of real numbers: "):
+            check_array("panel", value, DataError)
+
+
 class TestChoice:
     def test_members_and_values_are_unchanged(self):
         assert [s.value for s in Scenario] == [
@@ -115,6 +167,9 @@ class TestChoice:
 PANEL = TimeSeriesPanel(np.random.default_rng(5).standard_normal((60, 4)))
 EYE = np.eye(3)
 CELL = GridCell(Scenario.NULL_I, Innovation.GAUSSIAN, 40, 8, 1)
+TERMS = SumVarianceTerms(*[0.1] * 12)
+RETURNS = np.random.default_rng(6).standard_normal((20, 3))
+FACTORS = np.random.default_rng(7).standard_normal((20, 3))
 
 # Each call answered a bad value with a bare TypeError or ValueError
 # before the checks moved into ``errors``; the second item is a word the
@@ -142,6 +197,17 @@ BAD_CALLS = {
     "make-sigma-p": (lambda: make_sigma(Scenario.NULL_I, "4"), "p"),
     "fourth-moment": (lambda: fourth_moment("x"), "Innovation"),
     "ma-panel-n": (lambda: gen_ma_panel(EYE, EYE, "50", 1), "n"),
+    "ma-panel-complex": (lambda: gen_ma_panel(EYE * 1j, EYE, 50, 1), "a0"),
+    "power-inputs-complex": (lambda: PowerInputs(EYE, EYE + 0j, 100, 3.0, 0.05), "a1"),
+    "power-inputs-text": (lambda: PowerInputs([["a"]], EYE, 100, 3.0, 0.05), "a0"),
+    "detectable-complex": (lambda: signal_detectable([EYE * 1j], 100, 1.0), "autocorrelation"),
+    "detectable-ragged": (lambda: signal_detectable([[[1.0, 0.0], [0.0]]], 100, 1.0),
+                          "autocorrelation"),
+    "cell-result-rate": (lambda: CellResult(CELL, "0.5", 0.1, 0.1, 10, 0.0, 0.0, 0.0),
+                         "rate_max"),
+    "window-summary-count": (lambda: SlidingWindowSummary(60, 2, 0.05, "3", 0.1, 0.2, 0.15),
+                             "num_windows"),
+    "sum-power-sigma": (lambda: SumPowerBreakdown(1.0, "x", 1.0, 0.5, TERMS), "sigma_s1"),
 }
 
 
@@ -151,3 +217,28 @@ def test_every_public_call_answers_a_bad_value_with_config_error(call, name):
         call()
     assert name in str(exc.value)
     assert isinstance(exc.value, ValueError)
+
+
+# Array inputs that numpy converted by dropping the imaginary part (with
+# only a ComplexWarning) or refused with a bare ValueError; each now
+# raises the error its function gives for a bad shape.
+BAD_ARRAYS = {
+    "panel-complex": (lambda: TimeSeriesPanel(RETURNS + 1j), DataError, "panel"),
+    "panel-text": (lambda: TimeSeriesPanel([["a", "b"], ["c", "d"]]), DataError, "panel"),
+    "panel-ragged": (lambda: TimeSeriesPanel([[1.0, 2.0], [3.0]]), DataError, "panel"),
+    "from-array-complex": (lambda: TimeSeriesPanel.from_array(RETURNS + 1j, center=True),
+                           DataError, "panel"),
+    "factor-returns-complex": (lambda: FactorData(RETURNS * 1j, FACTORS), DataError,
+                               "excess returns"),
+    "factor-factors-text": (lambda: FactorData(RETURNS, [["x"] * 3] * 20), DataError, "factors"),
+    "sym-sqrt-complex": (lambda: sym_sqrt(EYE + 0j), NotSymmetricError, "matrix"),
+    "sym-sqrt-ragged": (lambda: sym_sqrt([[1.0, 0.0], [0.0]]), NotSymmetricError, "matrix"),
+}
+
+
+@pytest.mark.parametrize("call, error, name", BAD_ARRAYS.values(), ids=BAD_ARRAYS.keys())
+def test_every_array_input_answers_a_bad_array_with_data_error(call, error, name):
+    with pytest.raises(error) as exc:
+        call()
+    assert name in str(exc.value)
+    assert isinstance(exc.value, DataError)
