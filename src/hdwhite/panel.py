@@ -51,6 +51,12 @@ ROLLING_TOLERANCE = 1e-13
 # The unit roundoff of float64, 2^-53.
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
+# ``sample_autocorrelation`` scales its matrix in row blocks of at most
+# this many entries (512 KiB), so that p up to 256 takes a single block.
+# numpy adds a 128 KiB buffer while it forms a block; at p = 600 a block
+# and its buffer stay below a quarter of p^2 floats.
+_SCALING_BLOCK = 2**16
+
 
 @dataclass(frozen=True)
 class _Moments:
@@ -107,10 +113,16 @@ class TimeSeriesPanel:
     def _lag0_autocovariance(self) -> np.ndarray:
         # cached_property stores into the instance __dict__, which a frozen
         # dataclass allows.  Read-only, since every caller shares it.
+        # (X'X/n + (X'X/n)')/2 in place, the same bits, with one copy of
+        # the transpose: numpy would copy it anyway, as the operands overlap.
         x = self.values
-        product = x.T @ x if self._moments is None else self._moments.products[0]
-        cov = product / self.n
-        cov = (cov + cov.T) / 2.0
+        if self._moments is None:
+            cov = x.T @ x
+            cov /= self.n
+        else:
+            cov = self._moments.products[0] / self.n
+        cov += cov.T.copy()
+        cov /= 2.0
         cov.flags.writeable = False
         return cov
 
@@ -144,6 +156,12 @@ def check_lag_budget(n: int, lags: int) -> None:
         raise LagError(f"number of lags {lags} out of range [1, {n - 2}] for n={n}")
 
 
+def _check_lag(n: int, lag) -> None:
+    check_integer("lag", lag, error=LagError)
+    if lag < 0 or lag > n - 1:
+        raise LagError(f"lag {lag} out of range [0, {n - 1}] for n={n}")
+
+
 def sample_autocovariance(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
     """Lag-k sample autocovariance matrix with divisor n.
 
@@ -153,7 +171,9 @@ def sample_autocovariance(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
     Lag 0 is symmetrized, (X'X/n + (X'X/n)')/2, and cached on the panel:
     every call returns the same read-only array, which holds p^2 floats
     for as long as the panel lives.  Copy it before writing into it.
-    Every other lag is a fresh, writable p x p array.
+    Forming it takes one more p x p array, for the transpose, and
+    frees it.  Every other lag is a fresh, writable p x p array, and the
+    only one the call makes: a product formed here is divided in place.
 
     A panel that carries its lag products up to some K (see ``_Moments``)
     gives them for those lags: this divides the carried product by n
@@ -163,15 +183,15 @@ def sample_autocovariance(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
     """
     x = panel.values
     n = panel.n
-    check_integer("lag", lag, error=LagError)
-    if lag < 0 or lag > n - 1:
-        raise LagError(f"lag {lag} out of range [0, {n - 1}] for n={n}")
+    _check_lag(n, lag)
     if lag == 0:
         return panel._lag0_autocovariance
     moments = panel._moments
     if moments is not None and lag <= moments.lags:
         return moments.products[lag] / n
-    return x[lag:].T @ x[: n - lag] / n
+    cov = x[lag:].T @ x[: n - lag]
+    cov /= n
+    return cov
 
 
 def lag_products(x: np.ndarray, lags: int) -> np.ndarray:
@@ -194,8 +214,16 @@ def sample_autocorrelation(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
     roots of the lag-0 diagonal.  The lag-0 matrix comes from the panel's
     cache, so each call forms one p x p product, not two.  A diagonal
     entry at or below ``DEGENERATE_VARIANCE_TOL`` makes the scaling
-    meaningless and raises, naming the first offending column (1-based).
+    meaningless and raises, naming the first offending column (1-based);
+    a bad lag raises ``LagError`` before any of that.
+
+    The result is a fresh, writable array, scaled in place: each block of
+    ``_SCALING_BLOCK`` entries is multiplied by the matching rows of
+    ``np.outer(inv_scale, inv_scale)``, the same bits as the whole
+    product.  Apart from the lag-0 cache, a call holds one p x p array and
+    one block; lag 0 copies the shared cache first.
     """
+    _check_lag(panel.n, lag)
     d = np.diagonal(sample_autocovariance(panel, 0))
     low = np.nonzero(d <= DEGENERATE_VARIANCE_TOL)[0]
     if low.size:
@@ -205,7 +233,16 @@ def sample_autocorrelation(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
             "autocorrelations are undefined"
         )
     inv_scale = 1.0 / np.sqrt(d)
-    return sample_autocovariance(panel, lag) * np.outer(inv_scale, inv_scale)
+    corr = sample_autocovariance(panel, lag)
+    if lag == 0:
+        corr = corr.copy()
+    # Rows i..i+rows of np.outer(inv_scale, inv_scale), the same bits
+    # without np.outer's call overhead, which shows at small p.
+    rows = _SCALING_BLOCK // panel.p or 1
+    for i in range(0, panel.p, rows):
+        block = corr[i : i + rows]
+        block *= inv_scale[i : i + rows, None] * inv_scale
+    return corr
 
 
 def _cross_route(n: int, p: int, lags: int) -> bool:

@@ -60,6 +60,9 @@ def max_test(panel: TimeSeriesPanel, lags: int) -> MaxResult:
     and the lag-0 product, which the panel computes once and caches (see
     ``sample_autocovariance``); none on a panel that carries them, as a
     window does and as ``sum_test``'s cross route leaves one in ``run_all``.
+    Working set: two p x p arrays, the cached lag-0 matrix and one lag's
+    autocorrelations, dropped before the next lag is formed, plus a
+    scaling block of at most 512 KiB.
     """
     n, p = panel.n, panel.p
     _check_max_arguments(n, p, lags)
@@ -67,6 +70,7 @@ def max_test(panel: TimeSeriesPanel, lags: int) -> MaxResult:
     for k in range(1, lags + 1):
         corr = sample_autocorrelation(panel, k)
         largest = max(largest, float(corr.max()), -float(corr.min()))
+        del corr
     t_max = math.sqrt(n) * largest
     log_np = math.log(lags * p * p)
     y = t_max * t_max - 2.0 * log_np + math.log(log_np)

@@ -244,6 +244,15 @@ class TestAutocorrelation:
         with pytest.raises(DegenerateColumnError, match="column 2"):
             sample_autocorrelation(TimeSeriesPanel(values), 1)
 
+    @pytest.mark.parametrize("lag", [99, -1, 1.5, True])
+    def test_bad_lag_is_reported_before_a_degenerate_column(self, lag):
+        values = np.random.default_rng(1).standard_normal((20, 3))
+        values[:, 1] = 0.0
+        panel = TimeSeriesPanel(values)
+        with pytest.raises(LagError):
+            sample_autocorrelation(panel, lag)
+        assert "_lag0_autocovariance" not in vars(panel), "X'X formed for a bad lag"
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -259,6 +268,46 @@ class TestAutocorrelation:
         assert np.abs(base - scaled).max() < 1e-10, (
             "autocorrelation must ignore per-column positive scaling"
         )
+
+
+def scaled_panel(kind, p):
+    """A panel of one kind that ``sample_autocorrelation`` scales: plain,
+    carrying the cross route's products, or a rolled sliding window."""
+    rng = np.random.default_rng(p)
+    if kind == "plain":
+        return TimeSeriesPanel(rng.standard_normal((40, p)) * rng.uniform(0.1, 10.0, p))
+    if kind == "cross":
+        panel = TimeSeriesPanel(rng.standard_normal((2 * p + 1, p)))
+        panel_module._pair_sums(panel, 1)
+        assert panel._moments is not None
+        return panel
+    windows = panel_module._window_panels(TimeSeriesPanel(rng.standard_normal((30, p))), 25, 1)
+    next(windows)
+    return next(windows)
+
+
+@pytest.mark.parametrize("kind", ["plain", "cross", "window"])
+@pytest.mark.parametrize("p", [30, 700])
+def test_in_place_scaling_matches_the_plain_expressions(kind, p):
+    # p = 30 scales in one block; p = 700 in several, the last one partial.
+    panel = scaled_panel(kind, p)
+    x, n = panel.values, panel.n
+    carried = panel._moments
+    product = x.T @ x if carried is None else carried.products[0]
+    c = product / n
+    assert sample_autocovariance(panel, 0).tobytes() == ((c + c.T) / 2.0).tobytes()
+    s = 1.0 / np.sqrt(np.diagonal(sample_autocovariance(panel, 0)))
+    for k in range(3):
+        if k and carried is not None and k <= carried.lags:
+            want = carried.products[k] / n
+        elif k:
+            want = x[k:].T @ x[: n - k] / n
+        else:
+            want = sample_autocovariance(panel, 0)
+        cov = sample_autocovariance(panel, k)
+        assert cov.tobytes() == want.tobytes(), f"autocovariance, lag {k}"
+        want = cov * np.outer(s, s)
+        assert sample_autocorrelation(panel, k).tobytes() == want.tobytes(), f"lag {k}"
 
 
 class TestPanelCsv:

@@ -12,7 +12,9 @@ from hdwhite import panel as panel_module
 from hdwhite import statistics
 from hdwhite.distributions import chi2_4_cdf, gumbel_sf, std_normal_sf
 from hdwhite.errors import ConfigError, DataError, DegenerateColumnError
-from hdwhite.panel import DEGENERATE_VARIANCE_TOL, TimeSeriesPanel
+from hdwhite.panel import (
+    DEGENERATE_VARIANCE_TOL, TimeSeriesPanel, sample_autocorrelation, sample_autocovariance,
+)
 from hdwhite.statistics import (
     REPORT_COLUMNS,
     check_run_all_arguments,
@@ -287,6 +289,36 @@ class TestSumTest:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20, f"peak traced allocation {peak / 2**20:.2f} MiB"
+
+    def test_wide_panel_max_working_set(self):
+        # MAX holds the cached lag-0 matrix, one lag's autocorrelations and
+        # one scaling block: about 2.2 p^2 floats here.  Four p x p arrays
+        # alive at once would be 4 p^2.
+        n, p = 120, 600
+        panel = TimeSeriesPanel(np.random.default_rng(32).standard_normal((n, p)))
+        tracemalloc.start()
+        try:
+            max_test(panel, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.3 * p * p * 8, f"peak traced allocation {peak / (8 * p * p):.2f} p^2 floats"
+        # Scaling in place writes only into fresh arrays: neither the
+        # shared lag-0 matrix nor a carried product changes.
+        cross = TimeSeriesPanel(np.random.default_rng(33).standard_normal((200, 30)))
+        sum_test(cross, 2)
+        for shared in (panel, cross):
+            cov0 = sample_autocovariance(shared, 0)
+            products = shared._moments.products if shared._moments is not None else cov0
+            before = cov0.tobytes(), products.tobytes()
+            corr0 = sample_autocorrelation(shared, 0)
+            assert corr0.flags.writeable and not np.shares_memory(corr0, cov0)
+            corr0[:] = 0.0
+            for k in range(3):
+                sample_autocorrelation(shared, k)
+            max_test(shared, 2)
+            assert sample_autocovariance(shared, 0) is cov0
+            assert (cov0.tobytes(), products.tobytes()) == before
 
     def test_needs_four_rows(self):
         with pytest.raises(ConfigError, match="at least 4 rows"):
