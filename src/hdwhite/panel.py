@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DataError, DegenerateColumnError, LagError, ParseError, check_array, check_integer,
@@ -115,6 +116,8 @@ class TimeSeriesPanel:
         # dataclass allows.  Read-only, since every caller shares it.
         # (X'X/n + (X'X/n)')/2 in place, the same bits, with one copy of
         # the transpose: numpy would copy it anyway, as the operands overlap.
+        # Both x * 0.5 and x / 2 are x/2 correctly rounded; the product is
+        # the cheaper of the two.
         x = self.values
         if self._moments is None:
             cov = x.T @ x
@@ -122,7 +125,7 @@ class TimeSeriesPanel:
         else:
             cov = self._moments.products[0] / self.n
         cov += cov.T.copy()
-        cov /= 2.0
+        cov *= 0.5
         cov.flags.writeable = False
         return cov
 
@@ -250,37 +253,82 @@ def _cross_route(n: int, p: int, lags: int) -> bool:
     return (lags + 1) * p < n
 
 
-def _gram_pair_sums(x: np.ndarray, lags: int, window: int):
-    """SUM's sums for every run of ``window`` consecutive rows of ``x``.
+def _gram_pair_sums(x: np.ndarray, lags: int):
+    """SUM's sums over all rows of ``x``, from its Gram matrix.
 
     Forms the Gram matrix X X' of ``x`` once, zeroes its diagonal and keeps
-    the squared row norms |x_t|^2 from it in ``sq``.  For each run, the
-    ``window`` x ``window`` block on the diagonal, returns the sum over
+    the squared row norms |x_t|^2 from it in ``sq``.  Returns the sum over
     pairs t != s of (x_t'x_s)^2; the residue below which that sum counts as
     zero (see ``SCALE_RESOLUTION``); and for each lag l = 1..K the sum over
-    pairs t != s of x_t'x_s x_{t+l}'x_{s+l}.  Each elementwise product is
-    formed once for all runs and each run sums its block of it, so every
-    sum is a plain sum over the t != s entries and nothing cancels; the
+    pairs t != s of x_t'x_s x_{t+l}'x_{s+l}.  Each is a plain sum of one
+    elementwise product over the t != s entries, so nothing cancels; the
     residue's pair sum of |x_t|^2 |x_s|^2 is formed from running sums of
-    ``sq``.  With ``window`` the full size there is one run.
+    ``sq``.  ``_band_pair_sums`` gives the same sums for every run of a
+    sliding window.
     """
     gram = x @ x.T
     sq = np.diagonal(gram).copy()
     np.fill_diagonal(gram, 0.0)
     n = sq.shape[0]
-    runs = range(n - window + 1)
+    terms = tuple(
+        float((gram[: n - l, : n - l] * gram[l:, l:]).sum()) for l in range(1, lags + 1)
+    )
+    residue = SCALE_RESOLUTION * 2.0 * float(sq[1:] @ np.cumsum(sq[:-1]))
+    return float((gram * gram).sum()), residue, terms
 
-    def block_sums(products, size):
-        return [float(products[i : i + size, i : i + size].sum()) for i in runs]
 
-    off_diagonal = block_sums(gram * gram, window)
-    terms = [
-        block_sums(gram[: n - l, : n - l] * gram[l:, l:], window - l) for l in range(1, lags + 1)
-    ]
-    residues = []
-    for i in runs:
-        run_sq = sq[i : i + window]
-        residues.append(SCALE_RESOLUTION * 2.0 * float(run_sq[1:] @ np.cumsum(run_sq[:-1])))
+def _band_pair_sums(x: np.ndarray, lags: int, window: int):
+    """The sums of ``_gram_pair_sums`` for every run of ``window`` consecutive rows of ``x``.
+
+    Forms the Gram matrix X X' of ``x`` once and lays it out as a band:
+    row a holds the w - 1 entries x_a'x_{a+d}, d = 1..w-1, to the right of
+    the diagonal, zero past the last row of ``x``.  Four kinds of band
+    product follow, one at a time: the squares, for the pair sum; rows a
+    and a+l multiplied, for each lag term l = 1..K; and |x_a|^2 |x_{a+d}|^2,
+    for the residue.  Running sums along each band row, read at the run's
+    last column and added over the run's rows, give twice the run's sum
+    over pairs t < s.
+
+    Every sum is a plain sum of the run's own terms, so nothing cancels,
+    and each running sum starts inside its run, at row a's first right
+    neighbour: a large row outside a run never reaches that run's sums.
+    With r = n - w + 1 runs, the work is O(n^2 p) for X X' and
+    O((K + 2) n w) for the rest, not O((K + 2) r w^2); the memory, an
+    n x (n + w) Gram band and one n x w band product.
+
+    Returns one (pair sum, residue, lag terms) per run, in order.
+    """
+    n = x.shape[0]
+    width = window - 1
+    runs = n - window + 1
+    # X X' in the first n columns of a zero-padded buffer, so that row a of
+    # ``band`` reads the entries (a, a+1), ..., (a, a+w-1) of one flat array.
+    padded = np.zeros((n, n + width))
+    np.matmul(x, x.T, out=padded[:, :n])
+    band = sliding_window_view(padded.ravel(), width)[1 :: n + width + 1]
+    sq = np.zeros(n + width)
+    sq[:n] = np.diagonal(padded)
+    running = np.empty((n, width))
+
+    def run_sums(lag):
+        # Running sums over the first n - lag rows of ``running``, which
+        # hold the band product of this lag.  Run i reads row i + j at
+        # column w - 2 - lag - j, its last inside the run, for
+        # j = 0..w-2-lag: the anti-diagonal of the run's square of rows,
+        # flipped here into a diagonal.
+        rows = running[: n - lag, : width - lag]
+        np.cumsum(rows, axis=1, out=rows)
+        reads = sliding_window_view(rows, width - lag, axis=0)[:runs, ::-1]
+        return (2.0 * np.diagonal(reads, axis1=1, axis2=2).sum(axis=1)).tolist()
+
+    np.square(band, out=running)
+    off_diagonal = run_sums(0)
+    np.multiply(sq[:n, None], sliding_window_view(sq[1:], width)[:n], out=running)
+    residues = [SCALE_RESOLUTION * norm_sum for norm_sum in run_sums(0)]
+    terms = []
+    for l in range(1, lags + 1):
+        np.multiply(band[: n - l], band[l:], out=running[: n - l])
+        terms.append(run_sums(l))
     return list(zip(off_diagonal, residues, zip(*terms)))
 
 
@@ -315,7 +363,7 @@ def _pair_sums(panel: TimeSeriesPanel, lags: int) -> tuple[float, float, float]:
     if moments is not None and lags <= moments.lags:
         sums = moments.pair_sums
     elif not _cross_route(panel.n, panel.p, lags):
-        sums = _gram_pair_sums(panel.values, lags, panel.n)[0]
+        sums = _gram_pair_sums(panel.values, lags)
     else:
         x = panel.values
         products = lag_products(x, lags)
@@ -349,17 +397,18 @@ def _window_panels(panel: TimeSeriesPanel, window: int, lags: int):
     leaves or while a column is zero.
 
     SUM on its Gram route (see ``_cross_route``) takes its sums from one
-    Gram matrix per block, formed over the block's w + 63 rows with its
-    diagonal zeroed.  ``_gram_pair_sums`` forms each elementwise product
-    once for the block, and each window sums the w x w block of it on the
-    diagonal: the sums of ``sum_test``, in which nothing cancels.  On the
+    Gram matrix per block, formed over the block's w + 63 rows.
+    ``_band_pair_sums`` lays it out as a band of w - 1 entries per row and
+    gives every window of the block its sums from running sums along the
+    band rows, O(w) reads per window: the sums of ``sum_test``, each a
+    plain sum of the window's own terms, in which nothing cancels.  On the
     cross route it takes ||X[l:]' X[:n-l]||_F^2 from the rolled products,
     unless a dominant row makes the pair sum ||X'X||_F^2 - sum_t |x_t|^4
     cancel by more than the rolled rounding allows; then it forms them
     from scratch.
 
-    Extra memory: O((K+1) p^2) for the products and O((w + 64)^2) for the
-    Gram block.
+    Extra memory: O((K+1) p^2) for the products and O((w + 64)(2w + 64))
+    for the Gram band and one band product.
     """
     x = panel.values
     p = panel.p
@@ -392,7 +441,7 @@ def _window_panels(panel: TimeSeriesPanel, window: int, lags: int):
         if gram_route:
             if not offset:
                 block = x[s : s + w - 1 + min(WINDOW_BLOCK, num_windows - s)]
-                block_sums = _gram_pair_sums(block, lags, w)
+                block_sums = _band_pair_sums(block, lags, w)
             pair_sums = block_sums[offset]
         else:
             window_sq = sq[s : s + w]

@@ -99,6 +99,43 @@ def brute_trace_sq(x: np.ndarray) -> float:
     return total / (n * (n - 1))
 
 
+def longdouble_run_pair_sums(x: np.ndarray, lags: int, window: int):
+    """SUM's sums for every run of ``window`` consecutive rows, in long double.
+
+    For the run starting at row i, with g_ts = x_t'x_s formed in long
+    double: the sum over ordered pairs t != s in the run of g_ts^2; of
+    |x_t|^2 |x_s|^2 (the residue before its ``SCALE_RESOLUTION`` factor);
+    and, for each lag l = 1..lags, of g_ts g_{t+l,s+l} over pairs t != s
+    with t + l and s + l in the run.  Returns one (pair sum, norm pair sum,
+    lag terms) per run, each a long double.
+    """
+    xl = np.asarray(x, dtype=np.longdouble)
+    n = xl.shape[0]
+    gram = np.empty((n, n), dtype=np.longdouble)
+    for t in range(n):
+        for s in range(n):
+            gram[t, s] = np.sum(xl[t] * xl[s])
+    out = []
+    for i in range(n - window + 1):
+        rows = range(i, i + window)
+        pair_sum = norm_pair_sum = np.longdouble(0)
+        for t in rows:
+            for s in rows:
+                if t != s:
+                    pair_sum += gram[t, s] ** 2
+                    norm_pair_sum += gram[t, t] * gram[s, s]
+        terms = []
+        for l in range(1, lags + 1):
+            term = np.longdouble(0)
+            for t in range(i, i + window - l):
+                for s in range(i, i + window - l):
+                    if t != s:
+                        term += gram[t, s] * gram[t + l, s + l]
+            terms.append(term)
+        out.append((pair_sum, norm_pair_sum, tuple(terms)))
+    return out
+
+
 def _bisect(fn, lo: float, hi: float, tol: float = 1e-13) -> float:
     flo = fn(lo)
     fhi = fn(hi)

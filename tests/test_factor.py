@@ -416,7 +416,7 @@ class TestWindowEngine:
             for start in range(len(pieces))
         ]
         formed = []
-        for name in ("lag_products", "_gram_pair_sums"):
+        for name in ("lag_products", "_gram_pair_sums", "_band_pair_sums"):
             monkeypatch.setattr(panel_module, name, lambda *a, name=name: formed.append(name))
         for start, (piece, want) in enumerate(zip(pieces, wants)):
             carried = piece._moments

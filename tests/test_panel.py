@@ -27,7 +27,7 @@ from hdwhite.panel import (
 from hdwhite.power import PowerInputs
 from hdwhite.statistics import run_all
 
-from oracles import brute_autocorrelation, brute_autocovariance
+from oracles import brute_autocorrelation, brute_autocovariance, longdouble_run_pair_sums
 
 
 class TestPanelConstruction:
@@ -308,6 +308,32 @@ def test_in_place_scaling_matches_the_plain_expressions(kind, p):
         assert cov.tobytes() == want.tobytes(), f"autocovariance, lag {k}"
         want = cov * np.outer(s, s)
         assert sample_autocorrelation(panel, k).tobytes() == want.tobytes(), f"lag {k}"
+
+
+@pytest.mark.parametrize("lags, window", [(1, 3), (2, 4), (5, 7), (1, 30), (5, 30)])
+def test_window_pair_sums_match_the_longdouble_oracle(lags, window):
+    # 70 windows, so the second block of 64 starts at window 64.  Row 40,
+    # scaled by 1e7, enters and leaves inside the first block: the runs
+    # before it share the block's Gram band with it but must not see it.
+    # A sum that took in one term from outside its run would be off by
+    # 1e-3 of the run's pair sum or more, and by far more next to row 40.
+    p = 16
+    assert (lags + 1) * p >= window
+    values = np.random.default_rng(window + lags).standard_normal((window + 70, p))
+    values[40] *= 1e7
+    pieces = list(panel_module._window_panels(TimeSeriesPanel(values), window, lags))
+    wants = longdouble_run_pair_sums(values, lags, window)
+    assert len(pieces) == 70
+    for start, piece in enumerate(pieces):
+        got_pair_sum, got_residue, got_terms = piece._moments.pair_sums
+        pair_sum, norm_pair_sum, terms = wants[start]
+        tolerance = 1e-14 * float(pair_sum)
+        assert abs(got_pair_sum - float(pair_sum)) <= tolerance, start
+        residue = panel_module.SCALE_RESOLUTION * float(norm_pair_sum)
+        assert abs(got_residue - residue) <= 1e-14 * residue, start
+        assert len(got_terms) == lags
+        for l, (got, want) in enumerate(zip(got_terms, terms), start=1):
+            assert abs(got - float(want)) <= tolerance, (start, l)
 
 
 class TestPanelCsv:
