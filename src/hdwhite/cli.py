@@ -22,6 +22,7 @@ from . import __version__
 from .errors import ConfigError, DataError
 from .factor import build_factor_data, ols_residuals, sliding_window_rates
 from .harness import ExperimentConfig, ExperimentKind, emit_power_curve, emit_table, run_experiment
+from .harness import _check_power_curve
 from .panel import read_csv_array, read_panel_csv
 from .power import PowerInputs, sum_power
 from .statistics import run_all
@@ -72,8 +73,11 @@ def _cmd_experiment(args) -> int:
     if cfg.out_path is None:
         raise ConfigError('no output path: set "out" in the config or pass --out')
     _check_out_path(cfg.out_path)
+    curve = kind is ExperimentKind.POWER and args.curve
+    if curve:
+        _check_power_curve(cfg.grid)
     results = run_experiment(cfg)
-    if kind is ExperimentKind.POWER and args.curve:
+    if curve:
         emit_power_curve(results, cfg.out_path)
     else:
         emit_table(results, cfg.out_path, format=args.format)

@@ -376,27 +376,17 @@ class _RemoteTraceback(Exception):
     """A pool worker's formatted traceback, chained as the cause of its error."""
 
 
-def _with_remote_traceback(exc: BaseException, text: str) -> BaseException:
-    exc.__cause__ = _RemoteTraceback(text)
-    return exc
-
-
-class _SentError:
-    """Unpickles as the wrapped error, with the worker's traceback as its cause."""
-
-    def __init__(self, exc: BaseException):
-        self.exc = exc
-        self.text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
-
-    def __reduce__(self):
-        return _with_remote_traceback, (self.exc, self.text)
-
-
 def _pool_task(grid, reps, master_seed, alpha):
-    """One pool worker's share of the grid, claimed from the shared counter."""
+    """One pool worker's share of the grid, claimed from the shared counter.
+
+    A failure comes back as (job, exception, the worker's formatted
+    traceback), since a pickled exception loses its traceback.
+    """
     counts, failure = _claim_jobs(_counter, grid, reps, master_seed, alpha)
     if failure is not None:
-        failure = (failure[0], _SentError(failure[1]))
+        exc = failure[1]
+        text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+        failure += (text,)
     return counts, failure
 
 
@@ -464,7 +454,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[CellResult]:
         if failure is not None:
             failures.append(failure)
     if failures:
-        raise min(failures, key=itemgetter(0))[1]
+        # This process's failure is (job, exc); a pool worker's adds its traceback.
+        _, exc, *remote = min(failures, key=itemgetter(0))
+        if remote:
+            exc.__cause__ = _RemoteTraceback(*remote)
+        raise exc
     return [CellResult.from_counts(cell, tuple(c), reps) for cell, c in zip(grid, counts)]
 
 
@@ -543,18 +537,11 @@ def emit_table(results: list[CellResult], out_path: str, format: str = "csv") ->
     return out_path
 
 
-def emit_power_curve(results: list[CellResult], out_path: str) -> str:
-    """Write a per-m rejection-rate CSV for one power-curve design.
-
-    All cells must share (scenario, innovation, n, p, K) and together
-    cover every block size m = 1..max(m).
+def _check_power_curve(cells) -> None:
+    """Require grid cells that make one power curve: all share (scenario,
+    innovation, n, p, K) and together cover every block size m = 1..max(m).
     """
-    if not results:
-        raise ConfigError("refusing to emit an empty power curve")
-    designs = {
-        (r.cell.scenario, r.cell.innovation, r.cell.n, r.cell.p, r.cell.lags)
-        for r in results
-    }
+    designs = {(c.scenario, c.innovation, c.n, c.p, c.lags) for c in cells}
     if len(designs) > 1:
         pretty = sorted(
             f"({s.value}, {i.value}, n={n}, p={p}, K={k})" for (s, i, n, p, k) in designs
@@ -563,15 +550,26 @@ def emit_power_curve(results: list[CellResult], out_path: str) -> str:
             "power-curve cells must share (scenario, innovation, n, p, K); got "
             + ", ".join(pretty)
         )
-    if any(r.cell.m is None for r in results):
+    if any(c.m is None for c in cells):
         raise ConfigError("power-curve cells must all carry a block size m")
-    by_m = {r.cell.m: r for r in sorted(results, key=lambda r: r.cell.m)}
-    expected = set(range(1, max(by_m) + 1))
-    missing = sorted(expected - set(by_m))
+    m_values = {c.m for c in cells}
+    missing = sorted(set(range(1, max(m_values) + 1)) - m_values)
     if missing:
         raise ConfigError(
-            f"power curve is missing block sizes {missing}; need every m in 1..{max(by_m)}"
+            f"power curve is missing block sizes {missing}; need every m in 1..{max(m_values)}"
         )
+
+
+def emit_power_curve(results: list[CellResult], out_path: str) -> str:
+    """Write a per-m rejection-rate CSV for one power-curve design.
+
+    All cells must share (scenario, innovation, n, p, K) and together
+    cover every block size m = 1..max(m).
+    """
+    if not results:
+        raise ConfigError("refusing to emit an empty power curve")
+    _check_power_curve([r.cell for r in results])
+    by_m = {r.cell.m: r for r in sorted(results, key=lambda r: r.cell.m)}
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("m",) + RATE_COLUMNS)

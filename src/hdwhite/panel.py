@@ -114,18 +114,7 @@ class TimeSeriesPanel:
     def _lag0_autocovariance(self) -> np.ndarray:
         # cached_property stores into the instance __dict__, which a frozen
         # dataclass allows.  Read-only, since every caller shares it.
-        # (X'X/n + (X'X/n)')/2 in place, the same bits, with one copy of
-        # the transpose: numpy would copy it anyway, as the operands overlap.
-        # Both x * 0.5 and x / 2 are x/2 correctly rounded; the product is
-        # the cheaper of the two.
-        x = self.values
-        if self._moments is None:
-            cov = x.T @ x
-            cov /= self.n
-        else:
-            cov = self._moments.products[0] / self.n
-        cov += cov.T.copy()
-        cov *= 0.5
+        cov = _autocovariance(self, 0)
         cov.flags.writeable = False
         return cov
 
@@ -171,27 +160,33 @@ def sample_autocovariance(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
     Entry (i, j) is (1/n) * sum_{t=1}^{n-k} x[t+k, i] * x[t, j].  The
     divisor stays n for every lag, and no mean is subtracted.
 
-    Lag 0 is symmetrized, (X'X/n + (X'X/n)')/2, and cached on the panel:
-    every call returns the same read-only array, which holds p^2 floats
-    for as long as the panel lives.  Copy it before writing into it.
-    Forming it takes one more p x p array, for the transpose, and
-    frees it.  Every other lag is a fresh, writable p x p array, and the
-    only one the call makes: a product formed here is divided in place.
+    Lag 0 is cached on the panel: every call returns the same read-only
+    array, which holds p^2 floats for as long as the panel lives.  Copy
+    it before writing into it.  Every other lag is a fresh, writable
+    p x p array, and the only one the call makes.
 
-    A panel that carries its lag products up to some K (see ``_Moments``)
-    gives them for those lags: this divides the carried product by n
-    instead of forming X[k:]' X[:n-k] again.  Products from ``_pair_sums``
-    are the same bits; rolled ones from ``_window_panels`` agree to about
-    1e-13 of the smallest lag-0 diagonal entry.
+    Lag 0 is exactly symmetric with no pass to make it so: numpy forms
+    X'X by a symmetric rank-k update, and the window engine's updates
+    x_a x_a' - x_b x_b' add the same products to entries (i, j) and (j, i).
     """
-    x = panel.values
-    n = panel.n
-    _check_lag(n, lag)
+    _check_lag(panel.n, lag)
     if lag == 0:
         return panel._lag0_autocovariance
+    return _autocovariance(panel, lag)
+
+
+def _autocovariance(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
+    """A fresh lag-k autocovariance: the panel's carried product (see
+    ``_Moments``) divided by n, or else X[k:]' X[:n-k] formed and divided
+    in place.  Products carried from ``_pair_sums`` are the same bits;
+    rolled ones from ``_window_panels`` agree to about 1e-13 of the
+    smallest lag-0 diagonal entry.
+    """
+    n = panel.n
     moments = panel._moments
     if moments is not None and lag <= moments.lags:
         return moments.products[lag] / n
+    x = panel.values
     cov = x[lag:].T @ x[: n - lag]
     cov /= n
     return cov
@@ -200,8 +195,7 @@ def sample_autocovariance(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
 def lag_products(x: np.ndarray, lags: int) -> np.ndarray:
     """The raw products X[k:]' X[:n-k] for k = 0..lags, stacked (lags+1, p, p).
 
-    No divisor and no symmetrization: ``sample_autocovariance`` applies
-    both.
+    No divisor: ``sample_autocovariance`` divides by n.
     """
     n, p = x.shape
     out = np.empty((lags + 1, p, p))

@@ -177,6 +177,26 @@ class TestExperimentSubcommands:
         assert lines[0] == "m,rate_max,rate_sum,rate_fc,se_max,se_sum,se_fc"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"m": [1, 3]}, "power curve is missing block sizes [2]"),
+        ({"m": [1, 2], "n": [30, 40]}, "power-curve cells must share"),
+    ], ids=["gap-in-m", "two-designs"])
+    def test_power_curve_design_fails_before_the_run(
+        self, tmp_path, capsys, monkeypatch, extra, message
+    ):
+        def must_not_run(*args):
+            raise AssertionError("a replication ran before the curve design was checked")
+
+        monkeypatch.setattr("hdwhite.harness._replicate", must_not_run)
+        cfg = self.write_config(tmp_path, kind="power", scenarios="var1", **extra)
+        out_path = tmp_path / "curve.csv"
+        code, out, err = run_cli(
+            capsys, "power", "--config", str(cfg), "--out", str(out_path), "--curve"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert not out_path.exists()
+
     def test_seed_override_changes_rates(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, replications=20)
         out_a = tmp_path / "a.csv"

@@ -128,10 +128,26 @@ class TestAutocovariance:
             assert got == pytest.approx((4 - k) / 4.0, abs=1e-15), f"lag {k}"
 
     def test_lag0_is_symmetric(self):
+        # Exactly, on every route that forms it: fresh; from the products
+        # SUM's cross route carries; and in every sliding window, on both
+        # window routes, rolled and formed afresh, across a block boundary
+        # while a row scaled by 1e4 enters and leaves.
         rng = np.random.default_rng(11)
-        panel = TimeSeriesPanel(rng.standard_normal((30, 6)))
-        cov0 = sample_autocovariance(panel, 0)
-        assert np.array_equal(cov0, cov0.T), "lag-0 matrix must be exactly symmetric"
+        panels = [TimeSeriesPanel(rng.standard_normal(shape))
+                  for shape in ((30, 6), (40, 300), (20, 1000))]
+        carried = TimeSeriesPanel(rng.standard_normal((120, 7)))
+        panel_module._pair_sums(carried, 2)
+        assert carried._moments is not None
+        panels.append(carried)
+        # 130 windows of 30 rows at K=2: (K+1) p = 12 < 30 takes SUM's
+        # cross route, 36 >= 30 its Gram route.
+        for p in (4, 12):
+            x = rng.standard_normal((160, p))
+            x[80] *= 1e4
+            panels += panel_module._window_panels(TimeSeriesPanel(x), 30, 2)
+        for panel in panels:
+            cov0 = sample_autocovariance(panel, 0)
+            assert np.array_equal(cov0, cov0.T), "lag-0 matrix must be exactly symmetric"
 
     def test_lag0_is_psd(self):
         rng = np.random.default_rng(12)
