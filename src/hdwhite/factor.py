@@ -220,10 +220,12 @@ def sliding_window_rates(
     T-window windows), and each rate is the fraction of windows whose
     test rejects at level alpha.  Every window gets one ``run_all`` call
     on a panel from ``panel._window_panels``, which rolls the lag products
-    from window to window and shares one Gram matrix among 64 windows; the
+    from window to window for MAX and shares one Gram matrix among 64
+    windows for SUM, whatever SUM's route on a fresh panel; the
     statistics match ``run_all`` on a fresh panel of the same rows to
-    about 1e-13.  The window, K and alpha are checked before any window
-    is formed.
+    about 1e-13.  With a dominant row, a window's SUM is exact where a
+    fresh panel's cross route cancels.  The window, K and alpha are
+    checked before any window is formed.
     """
     t = panel.n
     window = check_integer("window length", window, MIN_ROWS)

@@ -140,7 +140,8 @@ class ExperimentConfig:
         """Build a config from a parsed JSON object.
 
         List-valued scenarios/innovations/n/p/K/m are expanded into the
-        cartesian grid, in the order the lists are written.
+        cartesian grid, in the order the lists are written.  A value that
+        repeats within one list would repeat a cell, and is refused.
         """
         if not isinstance(raw, dict):
             raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
@@ -159,10 +160,15 @@ class ExperimentConfig:
                 return list(value)
             return [value]
 
+        def check_not_repeated(key, i, values, written):
+            if values[i] in values[:i]:
+                raise ConfigError(f'"{key}[{i}]": repeated value {written!r}')
+
         def int_list(key):
             values = as_list(key, raw[key])
             for i, v in enumerate(values):
                 check_integer(f'"{key}[{i}]"', v)
+                check_not_repeated(key, i, values, v)
             return values
 
         def choice_list(key, choice, default=None):
@@ -172,6 +178,7 @@ class ExperimentConfig:
                     values[i] = choice(v)
                 except ConfigError as exc:
                     raise ConfigError(f'"{key}[{i}]": {exc}') from None
+                check_not_repeated(key, i, values, v)
             return values
 
         for key in ("scenarios", "n", "p", "K"):

@@ -43,8 +43,8 @@ DEGENERATE_VARIANCE_TOL = 1e-12
 # swamps it (a 60 x 30 panel with one row scaled by 1e7 read as orthogonal).
 SCALE_RESOLUTION = 1e-12
 
-# The window engine forms its lag products (and, on SUM's Gram route, one
-# Gram matrix) from scratch once per block of this many windows...
+# The window engine forms its lag products and one Gram matrix from
+# scratch once per block of this many windows...
 WINDOW_BLOCK = 64
 # ...and also whenever the rounding bound of its rolled products passes
 # this fraction of the smallest lag-0 diagonal entry.
@@ -390,16 +390,14 @@ def _window_panels(panel: TimeSeriesPanel, window: int, lags: int):
     1e-13 of the per-window value, and makes it exact after an outlying row
     leaves or while a column is zero.
 
-    SUM on its Gram route (see ``_cross_route``) takes its sums from one
-    Gram matrix per block, formed over the block's w + 63 rows.
-    ``_band_pair_sums`` lays it out as a band of w - 1 entries per row and
-    gives every window of the block its sums from running sums along the
-    band rows, O(w) reads per window: the sums of ``sum_test``, each a
-    plain sum of the window's own terms, in which nothing cancels.  On the
-    cross route it takes ||X[l:]' X[:n-l]||_F^2 from the rolled products,
-    unless a dominant row makes the pair sum ||X'X||_F^2 - sum_t |x_t|^4
-    cancel by more than the rolled rounding allows; then it forms them
-    from scratch.
+    SUM takes its sums from one Gram matrix per block, formed over the
+    block's w + 63 rows, whichever route ``sum_test`` would take on a fresh
+    window.  ``_band_pair_sums`` lays it out as a band of w - 1 entries per
+    row and gives every window of the block its sums from running sums
+    along the band rows, O(w) reads per window: the sums of ``sum_test``,
+    each a plain sum of the window's own terms, in which nothing cancels,
+    so a dominant row leaves them exact.  The rolled products serve MAX
+    only.
 
     Extra memory: O((K+1) p^2) for the products and O((w + 64)(2w + 64))
     for the Gram band and one band product.
@@ -408,9 +406,7 @@ def _window_panels(panel: TimeSeriesPanel, window: int, lags: int):
     p = panel.p
     w = window
     num_windows = panel.n - w
-    gram_route = not _cross_route(w, p, lags)
     row_max = np.abs(x).max(axis=1)
-    sq = None if gram_route else np.einsum("ti,ti->t", x, x)
     left = np.empty((lags + 1, p, 2))
     right = np.empty((lags + 1, 2, p))
     update = np.empty((lags + 1, p, p))
@@ -425,34 +421,19 @@ def _window_panels(panel: TimeSeriesPanel, window: int, lags: int):
             right[:, 1, :] = x[a]
             np.matmul(left, right, out=update)
             products = products + update
-            rolled += 1
             bound += UNIT_ROUNDOFF * (
                 row_max[a + w] * row_max[a + w - lags : a + w + 1].sum()
                 + row_max[a] * row_max[a : a + lags + 1].sum()
             )
         if not offset or bound > ROLLING_TOLERANCE * np.diagonal(products[0]).min():
-            products, rolled, bound = lag_products(rows, lags), 0, 0.0
-        if gram_route:
-            if not offset:
-                block = x[s : s + w - 1 + min(WINDOW_BLOCK, num_windows - s)]
-                block_sums = _band_pair_sums(block, lags, w)
-            pair_sums = block_sums[offset]
-        else:
-            window_sq = sq[s : s + w]
-            pair_sums = _cross_pair_sums(products, window_sq)
-            # The pair sum is ||X'X||_F^2 - sum_t |x_t|^4, and each update
-            # rounds the rolled ||X'X||_F^2 (the residue over SCALE_RESOLUTION)
-            # by about 2u of itself.  When a dominant row makes the difference
-            # cancel, form it afresh.
-            off_diagonal, residue, _ = pair_sums
-            frob = residue / SCALE_RESOLUTION
-            if rolled and 2 * rolled * UNIT_ROUNDOFF * frob > ROLLING_TOLERANCE * off_diagonal:
-                products, rolled, bound = lag_products(rows, lags), 0, 0.0
-                pair_sums = _cross_pair_sums(products, window_sq)
+            products, bound = lag_products(rows, lags), 0.0
+        if not offset:
+            block = x[s : s + w - 1 + min(WINDOW_BLOCK, num_windows - s)]
+            block_sums = _band_pair_sums(block, lags, w)
         products.flags.writeable = False
         piece = object.__new__(TimeSeriesPanel)
         object.__setattr__(piece, "values", rows)
-        object.__setattr__(piece, "_moments", _Moments(products, pair_sums))
+        object.__setattr__(piece, "_moments", _Moments(products, block_sums[offset]))
         yield piece
 
 

@@ -90,11 +90,6 @@ def _check_sum_rows(n: int) -> None:
         raise ConfigError(f"sum test needs at least 4 rows, got n={n}")
 
 
-def _check_sum_arguments(n: int, lags) -> None:
-    _check_sum_rows(n)
-    check_lag_budget(n, lags)
-
-
 def check_run_all_arguments(n: int, p: int, lags, alpha: float) -> float:
     """Raise the error ``run_all`` would raise on an n x p panel, before any
     work; return alpha as a Python float.  The lag budget, which both tests
@@ -128,7 +123,8 @@ def sum_test(panel: TimeSeriesPanel, lags: int) -> SumResult:
     mutually orthogonal.
     """
     n = panel.n
-    _check_sum_arguments(n, lags)
+    _check_sum_rows(n)
+    check_lag_budget(n, lags)
     off_diagonal, residue, total = _pair_sums(panel, lags)
     pairs = n * (n - 1)
     trace_sq_hat = off_diagonal / pairs

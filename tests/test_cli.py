@@ -238,7 +238,8 @@ class TestExperimentSubcommands:
         ({"innovations": ["gaussian", "t5"]}, '"innovations[1]": unknown Innovation \'t5\''),
         ({"p": [4, "ten"]}, '"p[1]" must be an integer, got \'ten\''),
         ({"alpha": "0.05"}, '"alpha" must be a number, got \'0.05\''),
-    ], ids=["scenario", "innovation", "p", "alpha"])
+        ({"n": [30, 40, 30]}, '"n[2]": repeated value 30'),
+    ], ids=["scenario", "innovation", "p", "alpha", "repeated-n"])
     def test_bad_config_value_names_the_field(self, tmp_path, capsys, extra, message):
         cfg = self.write_config(tmp_path, **extra)
         code, out, err = run_cli(
@@ -313,12 +314,25 @@ class TestPowerTheorySubcommand:
 
 
 class TestResidualTestSubcommand:
-    def write_inputs(self, tmp_path, t=80, p=4):
+    def write_inputs(self, tmp_path, t=80, p=4, outlier=None):
         rng = np.random.default_rng(62)
         factors = rng.standard_normal((t, 3)).round(5)
         beta = rng.standard_normal((3, p)).round(5)
         rf = 0.01
+        if outlier is not None:
+            # OLS spreads an outlying month's returns over month s's residual
+            # by the hat-matrix entry H[s, outlier].  Zero factors within 40
+            # months of it, and its own factors solved so that H[s, outlier]
+            # is zero there, keep its residual dominant in every window that
+            # holds it: H[s, outlier] is proportional to e_1' A^-1 x_outlier,
+            # A the design's Gram matrix without the outlying month.
+            factors[outlier - 40 : outlier + 41] = 0.0
+            rest = np.delete(np.column_stack([np.ones(t), factors]), outlier, axis=0)
+            g = np.linalg.solve(rest.T @ rest, np.eye(4)[0])
+            factors[outlier] = -g[0] * g[1:] / (g[1:] @ g[1:])
         returns = (factors @ beta + rng.standard_normal((t, p))).round(5) + rf
+        if outlier is not None:
+            returns[outlier] *= 1e7
         dates = [f"d{i:03d}" for i in range(t)]
         returns_path = tmp_path / "returns.csv"
         factors_path = tmp_path / "factors.csv"
@@ -353,6 +367,20 @@ class TestResidualTestSubcommand:
         assert payload["window_length"] == 40
         assert payload["K"] == 2
         assert payload["num_windows"] == 40
+        for key in ("rate_max", "rate_sum", "rate_fc"):
+            assert 0.0 <= payload[key] <= 1.0
+
+    def test_outlying_month_on_the_cross_route(self, tmp_path, capsys):
+        # (K+1) p = 12 < 30, so a fresh window would take SUM's cross route,
+        # whose pair sum cancels next to the month scaled by 1e7.
+        returns_path, factors_path = self.write_inputs(tmp_path, t=160, outlier=80)
+        code, out, err = run_cli(
+            capsys, "residual-test", "--returns", str(returns_path),
+            "--factors", str(factors_path), "--window", "30", "--K", "2",
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["num_windows"] == 130
         for key in ("rate_max", "rate_sum", "rate_fc"):
             assert 0.0 <= payload[key] <= 1.0
 

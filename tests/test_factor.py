@@ -1,5 +1,8 @@
 """Factor regression residuals and the sliding-window pipeline."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -17,8 +20,11 @@ from hdwhite.factor import (
     read_returns_csv,
     sliding_window_rates,
 )
+from hdwhite.distributions import std_normal_sf
 from hdwhite.panel import TimeSeriesPanel, sample_autocovariance
-from hdwhite.statistics import run_all
+from hdwhite.statistics import SumResult, fisher_combine, run_all
+
+from oracles import longdouble_run_pair_sums
 
 
 def synthetic_data(t=40, p=6, seed=42, noise=1.0):
@@ -369,17 +375,49 @@ def assert_close(got, want, what, scale=1.0):
 
 
 def assert_windows_match(values, window, lags):
-    """Every engine window against ``run_all`` on a fresh panel of its rows."""
+    """Every engine window against ``run_all`` on a fresh panel of its rows,
+    with the SUM half of that report taken from the long-double sums.
+
+    A fresh panel on SUM's cross route forms ||X'X||_F^2 - sum_t |x_t|^4,
+    which cancels next to a dominant row (up to 1e-7 of ``trace_sq_hat`` at
+    p = 4, w = 30 with a row scaled by 1e5), while the window's band sums
+    do not.  So ``trace_sq_hat`` and ``t_sum`` are held to the oracle at
+    1e-13, and z, p_sum and the Fisher fields to what the oracle's sums
+    give through the same formulas.
+    """
     panel = TimeSeriesPanel(values)
+    oracle = longdouble_run_pair_sums(values, lags, window)
     starts = 0
     for start, piece in enumerate(_window_panels(panel, window, lags)):
         rows = values[start : start + window]
         assert np.shares_memory(piece.values, panel.values)
         np.testing.assert_array_equal(piece.values, rows)
         got = run_all(piece, lags, 0.05)
-        assert_reports_close(got, run_all(TimeSeriesPanel(rows), lags, 0.05), start)
+        want = with_oracle_sum(run_all(TimeSeriesPanel(rows), lags, 0.05), oracle[start])
+        assert_reports_close(got, want, start)
+        for name, scale in (("trace_sq_hat", 0.0), ("t_sum", want.sum.sigma_s_hat)):
+            got_value, want_value = getattr(got.sum, name), getattr(want.sum, name)
+            bound = 1e-13 * max(abs(want_value), scale)
+            assert abs(got_value - want_value) <= bound, (start, name, got_value, want_value)
         starts += 1
     assert starts == values.shape[0] - window
+
+
+def with_oracle_sum(report, sums):
+    """``report`` with SUM and the Fisher fields recomputed from one run's
+    long-double (pair sum, norm pair sum, lag terms)."""
+    pair_sum, _, terms = sums
+    pairs = report.n * (report.n - 1)
+    trace_sq_hat = float(pair_sum / pairs)
+    t_sum = float(sum(terms, np.longdouble(0)) / pairs)
+    sigma_s_hat = math.sqrt(2.0 * report.K / pairs) * trace_sq_hat
+    z = t_sum / sigma_s_hat
+    sm = SumResult(t_sum, trace_sq_hat, sigma_s_hat, z, std_normal_sf(z), report.K)
+    t_fc, p_fc = fisher_combine(report.max.p_value, sm.p_value)
+    return dataclasses.replace(
+        report, sum=sm, t_fc=t_fc, p_fc=p_fc,
+        reject_sum=sm.p_value < report.alpha, reject_fc=p_fc < report.alpha,
+    )
 
 
 def assert_reports_close(got, want, where):

@@ -159,6 +159,22 @@ class TestConfigExpansion:
         with pytest.raises(ConfigError, match='"alpha"'):
             small_size_config(alpha="tiny")
 
+    @pytest.mark.parametrize("key, values, message", [
+        ("scenarios", ["vma1", "var1", "vma1"], '"scenarios[2]": repeated value \'vma1\''),
+        ("innovations", ["gaussian", "gaussian"], '"innovations[1]": repeated value \'gaussian\''),
+        ("n", [30, 40, 30], '"n[2]": repeated value 30'),
+        ("p", [5, 5], '"p[1]": repeated value 5'),
+        ("K", [1, 2, 2], '"K[2]": repeated value 2'),
+        ("m", [1, 1, 2], '"m[1]": repeated value 1'),
+    ], ids=["scenarios", "innovations", "n", "p", "K", "m"])
+    def test_repeated_list_value_names_the_key_and_index(self, key, values, message):
+        # A repeated value would run the same cell twice with the same seeds.
+        raw = {"kind": "power", "scenarios": "vma1", "n": 30, "p": 5, "K": 1, "m": 1,
+               "master_seed": 1, key: values}
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_mapping(raw)
+        assert str(exc.value) == message
+
     def test_gamma_alternative_rejected_in_expansion(self):
         with pytest.raises(ConfigError, match=r'"grid\[0\]" \(expanded\)'):
             ExperimentConfig.from_mapping(

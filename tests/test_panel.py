@@ -326,15 +326,21 @@ def test_in_place_scaling_matches_the_plain_expressions(kind, p):
         assert sample_autocorrelation(panel, k).tobytes() == want.tobytes(), f"lag {k}"
 
 
-@pytest.mark.parametrize("lags, window", [(1, 3), (2, 4), (5, 7), (1, 30), (5, 30)])
-def test_window_pair_sums_match_the_longdouble_oracle(lags, window):
+@pytest.mark.parametrize(
+    "lags, window, p",
+    [(1, 3, 16), (2, 4, 16), (5, 7, 16), (1, 30, 16), (5, 30, 16),
+     (1, 30, 4), (2, 30, 4), (5, 30, 4)],
+    ids=["1-3", "2-4", "5-7", "1-30", "5-30", "cross-1-30", "cross-2-30", "cross-5-30"],
+)
+def test_window_pair_sums_match_the_longdouble_oracle(lags, window, p):
     # 70 windows, so the second block of 64 starts at window 64.  Row 40,
     # scaled by 1e7, enters and leaves inside the first block: the runs
     # before it share the block's Gram band with it but must not see it.
     # A sum that took in one term from outside its run would be off by
     # 1e-3 of the run's pair sum or more, and by far more next to row 40.
-    p = 16
-    assert (lags + 1) * p >= window
+    # At p = 4, (K + 1) p < w puts a fresh window on SUM's cross route,
+    # where ||X'X||_F^2 - sum_t |x_t|^4 cancels next to row 40; the
+    # windows take the band's sums on both routes.
     values = np.random.default_rng(window + lags).standard_normal((window + 70, p))
     values[40] *= 1e7
     pieces = list(panel_module._window_panels(TimeSeriesPanel(values), window, lags))
