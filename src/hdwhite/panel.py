@@ -58,6 +58,13 @@ UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 # and its buffer stay below a quarter of p^2 floats.
 _SCALING_BLOCK = 2**16
 
+# float32's unit roundoff, 2^-24: MAX's screen rounds to it.
+_SCREEN_ROUNDOFF = 2.0**-24
+# MAX screens its lags in float32 when one lag's product takes n p^2 at or
+# above this many multiply-adds.  Below it the screen's fixed cost, some
+# 20 us a lag, outweighs the half of the product it saves.
+_SCREEN_MIN_WORK = 2**20
+
 
 @dataclass(frozen=True)
 class _Moments:
@@ -84,8 +91,11 @@ class TimeSeriesPanel:
     The constructor stores a C-contiguous, read-only float64 copy of the
     input, so the panel never aliases the caller's array.  The lag-0
     autocovariance is formed on first use and kept for the panel's
-    lifetime: p^2 more floats, paid once however many tests read it.
-    Equality and hashing are by identity, as for any object.
+    lifetime: p^2 more floats, paid once however many calls read it.
+    MAX reads it only on a panel that carries its moments; on any other
+    panel it scales unit columns and never forms it (see
+    ``sample_autocorrelation``).  Equality and hashing are by identity,
+    as for any object.
     """
 
     values: np.ndarray = field(repr=False)
@@ -163,7 +173,8 @@ def sample_autocovariance(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
     Lag 0 is cached on the panel: every call returns the same read-only
     array, which holds p^2 floats for as long as the panel lives.  Copy
     it before writing into it.  Every other lag is a fresh, writable
-    p x p array, and the only one the call makes.
+    p x p array, and the only one the call makes.  MAX calls this only on
+    a panel that carries its moments (see ``sample_autocorrelation``).
 
     Lag 0 is exactly symmetric with no pass to make it so: numpy forms
     X'X by a symmetric rank-k update, and the window engine's updates
@@ -205,30 +216,32 @@ def lag_products(x: np.ndarray, lags: int) -> np.ndarray:
 
 
 def sample_autocorrelation(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
-    """Lag-k sample autocorrelation matrix.
+    """Lag-k sample autocorrelation matrix, a fresh, writable p x p array.
 
-    The lag-k autocovariance is scaled on both sides by the inverse square
-    roots of the lag-0 diagonal.  The lag-0 matrix comes from the panel's
-    cache, so each call forms one p x p product, not two.  A diagonal
-    entry at or below ``DEGENERATE_VARIANCE_TOL`` makes the scaling
-    meaningless and raises, naming the first offending column (1-based);
-    a bad lag raises ``LagError`` before any of that.
+    Entry (i, j) is the lag-k autocovariance (i, j) over the square root
+    of the lag-0 variances of columns i and j.  A variance at or below
+    ``DEGENERATE_VARIANCE_TOL`` makes that meaningless and raises,
+    naming the first offending column (1-based); a bad lag raises
+    ``LagError`` before any of that.  Two paths, chosen by whether the
+    panel carries its moments (see ``_Moments``):
 
-    The result is a fresh, writable array, scaled in place: each block of
-    ``_SCALING_BLOCK`` entries is multiplied by the matching rows of
-    ``np.outer(inv_scale, inv_scale)``, the same bits as the whole
-    product.  Apart from the lag-0 cache, a call holds one p x p array and
-    one block; lag 0 copies the shared cache first.
+    - A panel that carries none scales its columns to unit norm once,
+      Y = X / |X|, and returns Y[k:]' Y[:n-k]: the divisor n cancels, and
+      no X'X is formed.  A call holds Y and the result.
+    - A panel that carries moments scales its lag-k autocovariance on
+      both sides by the inverse square roots of the lag-0 diagonal, read
+      from the panel's lag-0 cache.  Each block of ``_SCALING_BLOCK``
+      entries is multiplied in place by the matching rows of
+      ``np.outer(inv_scale, inv_scale)``, the same bits as the whole
+      product.  Apart from the cache, a call holds one p x p array and
+      one block; lag 0 copies the shared cache first.
     """
     _check_lag(panel.n, lag)
+    if panel._moments is None:
+        y = _unit_columns(panel)
+        return y[lag:].T @ y[: panel.n - lag]
     d = np.diagonal(sample_autocovariance(panel, 0))
-    low = np.nonzero(d <= DEGENERATE_VARIANCE_TOL)[0]
-    if low.size:
-        col = int(low[0]) + 1
-        raise DegenerateColumnError(
-            f"column {col} has sample variance {d[low[0]]:.3e} <= {DEGENERATE_VARIANCE_TOL:g}; "
-            "autocorrelations are undefined"
-        )
+    _check_variances(d)
     inv_scale = 1.0 / np.sqrt(d)
     corr = sample_autocovariance(panel, lag)
     if lag == 0:
@@ -240,6 +253,107 @@ def sample_autocorrelation(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
         block = corr[i : i + rows]
         block *= inv_scale[i : i + rows, None] * inv_scale
     return corr
+
+
+def _check_variances(variances: np.ndarray) -> None:
+    """Raise ``DegenerateColumnError`` naming the first column whose
+    sample variance is at or below ``DEGENERATE_VARIANCE_TOL``."""
+    low = np.nonzero(variances <= DEGENERATE_VARIANCE_TOL)[0]
+    if low.size:
+        col = int(low[0]) + 1
+        raise DegenerateColumnError(
+            f"column {col} has sample variance {variances[low[0]]:.3e} <= "
+            f"{DEGENERATE_VARIANCE_TOL:g}; autocorrelations are undefined"
+        )
+
+
+def _unit_columns(panel: TimeSeriesPanel) -> np.ndarray:
+    """The panel's columns scaled to unit Euclidean norm, a fresh n x p array.
+
+    Checks the sample variances |x_i|^2 / n with ``_check_variances``
+    first.  Y[k:]' Y[:n-k] is then the lag-k autocorrelation matrix.
+    """
+    x = panel.values
+    norms = np.einsum("ti,ti->i", x, x)
+    _check_variances(norms / panel.n)
+    return x / np.sqrt(norms)
+
+
+def _fresh_max_autocorrelation(panel: TimeSeriesPanel, lags: int) -> float:
+    """The largest |autocorrelation| over lags 1..``lags`` of a panel that
+    carries no moments: MAX's kernel there, which forms no X'X.
+
+    The columns are scaled to unit norm once (``_unit_columns``).  From
+    ``_SCREEN_MIN_WORK`` multiply-adds a lag on, each lag is screened by a
+    float32 product Y32[k:]' Y32[:n-k] written into one reused p x p
+    buffer.  Its entries are within half of ``_screen_slack(n)`` of the
+    exact ones, so the entry of largest exact magnitude lies within the
+    slack of the screen's largest.  The entries that do, the candidates,
+    are computed again as float64 dot products of Y's columns, and the
+    largest of those is the lag's.
+
+    A lag with more than p candidates takes its largest entry from its
+    float64 product instead: tied columns do that, and so does an n large
+    enough that the slack stops separating the entries.  The lags after
+    it skip the screen.  On smaller panels every lag is a float64 product.
+
+    Working set: Y, its float32 copy, the float32 buffer and its p^2-byte
+    mask, about 0.63 p^2 + 1.5 n p floats, and the candidates' two
+    gathered columns, at most p x n each.  A lag that falls back holds one
+    more p x p float64 array.
+    """
+    n, p = panel.n, panel.p
+    y = _unit_columns(panel)
+    screen = n * p * p >= _SCREEN_MIN_WORK
+    if screen:
+        y32 = y.astype(np.float32)
+        buffer = np.empty((p, p), dtype=np.float32)
+        slack = _screen_slack(n)
+    largest = 0.0
+    for k in range(1, lags + 1):
+        lead, base = y[k:], y[: n - k]
+        if screen:
+            np.matmul(y32[k:].T, y32[: n - k], out=buffer)
+            np.abs(buffer, out=buffer)
+            candidates = _screen_candidates(buffer, slack)
+            if candidates is not None:
+                i, j = np.divmod(candidates, p)
+                refined = np.einsum("ti,ti->i", lead[:, i], base[:, j])
+                largest = max(largest, float(np.abs(refined).max()))
+                continue
+            screen = False
+            del y32, buffer
+        corr = lead.T @ base
+        largest = max(largest, float(corr.max()), -float(corr.min()))
+        del corr
+    return largest
+
+
+def _screen_slack(n: int) -> float:
+    """Twice the bound g on the error of a float32 screen entry for unit
+    columns of n rows, g = gamma(n + 3) + n 2^-124.
+
+    gamma(m) = m u / (1 - m u) with u = 2^-24.  A dot product a'b whose
+    terms round m times in all is off by at most gamma(m) |a|'|b|, and
+    |a|'|b| <= 1 for unit columns.  The two casts and the n products and
+    sums round n + 2 times; one more covers Y's norms, which are 1 only to
+    float64 rounding, and the threshold that ``_screen_candidates``
+    compares with, which numpy rounds to float32; the last term covers
+    underflow.
+    """
+    m = (n + 3) * _SCREEN_ROUNDOFF
+    return 2.0 * (m / (1.0 - m) + n * 2.0**-124)
+
+
+def _screen_candidates(screen: np.ndarray, slack: float):
+    """Flat indices of the entries of ``screen``, a p x p array of
+    magnitudes, within ``slack`` of its largest; None when there are more
+    than p of them, so that no more than p are ever gathered."""
+    candidates = screen >= float(screen.max()) - slack
+    if np.count_nonzero(candidates) > screen.shape[0]:
+        return None
+    # np.nonzero on the 2-d mask would take ten times as long.
+    return np.flatnonzero(candidates)
 
 
 def _cross_route(n: int, p: int, lags: int) -> bool:

@@ -10,8 +10,10 @@
   chi-square with 4 degrees of freedom.  Hedges between the two regimes.
 
 The lagged moments both tests read are formed, carried and shared by
-``panel``: MAX through ``sample_autocorrelation``, SUM through
-``_pair_sums``.  This module holds only the formulas on top of them.
+``panel``: MAX through ``_fresh_max_autocorrelation`` on a panel that
+carries no moments and ``sample_autocorrelation`` on one that does, SUM
+through ``_pair_sums``.  This module holds only the formulas on top of
+them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,10 @@ from dataclasses import dataclass
 
 from .distributions import chi2_4_sf, gumbel_sf, std_normal_sf
 from .errors import ConfigError, DataError, check_level, check_probability
-from .panel import TimeSeriesPanel, _pair_sums, check_lag_budget, sample_autocorrelation
+from .panel import (
+    TimeSeriesPanel, _fresh_max_autocorrelation, _pair_sums, check_lag_budget,
+    sample_autocorrelation,
+)
 
 # Guard against log(0) when a p-value underflows to exactly zero.
 P_VALUE_FLOOR = 1e-300
@@ -56,21 +61,33 @@ def max_test(panel: TimeSeriesPanel, lags: int) -> MaxResult:
 
     The max runs over all p^2 entries of each autocorrelation matrix,
     diagonal included.  Requires p >= 2 so the recentring constants are
-    defined.  Cost: K+1 p x p products per panel, the K lag products
-    and the lag-0 product, which the panel computes once and caches (see
-    ``sample_autocovariance``); none on a panel that carries them, as a
-    window does and as ``sum_test``'s cross route leaves one in ``run_all``.
-    Working set: two p x p arrays, the cached lag-0 matrix and one lag's
-    autocorrelations, dropped before the next lag is formed, plus a
-    scaling block of at most 512 KiB.
+    defined.  The panel takes one of two paths, chosen once:
+
+    - A panel that carries no moments (a fresh one, or one after
+      ``sum_test``'s Gram route) goes to ``panel._fresh_max_autocorrelation``.
+      It scales the columns to unit norm once and forms K lag products of
+      them, no lag-0 product.  On a large enough panel each lag is
+      screened in float32, and only the entries within the screen's
+      rounding bound of its largest are computed again in float64, so
+      ``t_max`` is the float64 value to a few ulps.  Working set: about
+      0.63 p^2 + 1.5 n p floats.
+    - A panel that carries its moments (a sliding window, or one after
+      ``sum_test``'s cross route) scales each lag's carried product by
+      the lag-0 diagonal through ``sample_autocorrelation``: no product
+      formed up to the carried K.  Working set: the cached lag-0 matrix,
+      one lag's autocorrelations, dropped before the next lag is formed,
+      and a scaling block of at most 512 KiB.
     """
     n, p = panel.n, panel.p
     _check_max_arguments(n, p, lags)
-    largest = 0.0
-    for k in range(1, lags + 1):
-        corr = sample_autocorrelation(panel, k)
-        largest = max(largest, float(corr.max()), -float(corr.min()))
-        del corr
+    if panel._moments is None:
+        largest = _fresh_max_autocorrelation(panel, lags)
+    else:
+        largest = 0.0
+        for k in range(1, lags + 1):
+            corr = sample_autocorrelation(panel, k)
+            largest = max(largest, float(corr.max()), -float(corr.min()))
+            del corr
     t_max = math.sqrt(n) * largest
     log_np = math.log(lags * p * p)
     y = t_max * t_max - 2.0 * log_np + math.log(log_np)

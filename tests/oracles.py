@@ -1,9 +1,11 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately written the slow, obvious way (explicit
-loops, plain bisection) so it shares no code path with the package.  The
-one exception, ``per_lag_max_stat``, keeps an earlier vectorized form of
-a statistic so that tests can demand bit-for-bit equality with it.
+loops, plain bisection) so it shares no code path with the package.  Two
+exceptions are vectorized.  ``per_lag_max_stat`` keeps an earlier form of
+a statistic so that tests can demand bit-for-bit equality with it.  The
+long-double oracles use numpy's own loops, which it runs for long double
+in place of BLAS, so they share no product with the package either.
 """
 
 from __future__ import annotations
@@ -11,6 +13,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+# A float64 value checked against a long-double oracle is held to a few
+# ulps: a relative error (or, for an autocorrelation, an absolute one) of
+# at most this.
+LONGDOUBLE_TOL = 4e-15
 
 
 def brute_autocovariance(x: np.ndarray, lag: int) -> np.ndarray:
@@ -56,8 +63,9 @@ def per_lag_max_stat(x: np.ndarray, lags: int) -> float:
     moment was cached: a fresh lag-0 product for every lag, each lag
     scaled by the outer product of inverse roots, then ``abs().max()``.
 
-    Same matmuls in the same order as the package, so the two must agree
-    bit for bit; the brute-force ``brute_max_stat`` checks the value.
+    Same matmuls in the same order as the package's path for a panel that
+    carries its moments, so the two must agree bit for bit there; the
+    brute-force ``brute_max_stat`` checks the value.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -70,6 +78,24 @@ def per_lag_max_stat(x: np.ndarray, lags: int) -> float:
         corr = covk * np.outer(inv_scale, inv_scale)
         largest = max(largest, float(np.abs(corr).max()))
     return math.sqrt(n) * largest
+
+
+def longdouble_autocorrelation(x: np.ndarray, lag: int) -> np.ndarray:
+    """The lag-k autocorrelation matrix in long double.
+
+    Entry (i, j) is sum_t x[t+k, i] x[t, j] over the square root of
+    sum_t x[t, i]^2 sum_t x[t, j]^2, every sum formed in long double.
+    """
+    xl = np.asarray(x, dtype=np.longdouble)
+    n = xl.shape[0]
+    scale = np.sqrt((xl * xl).sum(axis=0))
+    return (xl[lag:].T @ xl[: n - lag]) / np.outer(scale, scale)
+
+
+def longdouble_max_stat(x: np.ndarray, lags: int) -> np.longdouble:
+    """sqrt(n) times the largest |autocorrelation| over lags 1..lags, in long double."""
+    largest = max(np.abs(longdouble_autocorrelation(x, k)).max() for k in range(1, lags + 1))
+    return np.sqrt(np.longdouble(x.shape[0])) * largest
 
 
 def brute_sum_stat(x: np.ndarray, lags: int) -> float:

@@ -27,7 +27,13 @@ from hdwhite.panel import (
 from hdwhite.power import PowerInputs
 from hdwhite.statistics import run_all
 
-from oracles import brute_autocorrelation, brute_autocovariance, longdouble_run_pair_sums
+from oracles import (
+    LONGDOUBLE_TOL,
+    brute_autocorrelation,
+    brute_autocovariance,
+    longdouble_autocorrelation,
+    longdouble_run_pair_sums,
+)
 
 
 class TestPanelConstruction:
@@ -306,6 +312,8 @@ def scaled_panel(kind, p):
 @pytest.mark.parametrize("p", [30, 700])
 def test_in_place_scaling_matches_the_plain_expressions(kind, p):
     # p = 30 scales in one block; p = 700 in several, the last one partial.
+    # Autocovariances keep their bits on every kind of panel, and so do
+    # the autocorrelations of a panel that carries its moments.
     panel = scaled_panel(kind, p)
     x, n = panel.values, panel.n
     carried = panel._moments
@@ -322,8 +330,15 @@ def test_in_place_scaling_matches_the_plain_expressions(kind, p):
             want = sample_autocovariance(panel, 0)
         cov = sample_autocovariance(panel, k)
         assert cov.tobytes() == want.tobytes(), f"autocovariance, lag {k}"
-        want = cov * np.outer(s, s)
-        assert sample_autocorrelation(panel, k).tobytes() == want.tobytes(), f"lag {k}"
+        corr = sample_autocorrelation(panel, k)
+        if carried is None:
+            # A panel that carries no moments scales its columns to unit
+            # norm instead: other bits, held to the long-double oracle.
+            error = np.abs(corr - longdouble_autocorrelation(x, k)).max()
+            assert error <= LONGDOUBLE_TOL, f"lag {k}: {error:.2e}"
+        else:
+            want = cov * np.outer(s, s)
+            assert corr.tobytes() == want.tobytes(), f"lag {k}"
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,15 @@ from hdwhite.statistics import (
     sum_test,
 )
 
-from oracles import brute_max_stat, brute_sum_stat, brute_trace_sq, per_lag_max_stat
+from oracles import (
+    LONGDOUBLE_TOL,
+    brute_max_stat,
+    brute_sum_stat,
+    brute_trace_sq,
+    longdouble_autocorrelation,
+    longdouble_max_stat,
+    per_lag_max_stat,
+)
 
 
 # (n, p, K) shapes that reach each of sum_test's two routes on purpose:
@@ -116,11 +124,26 @@ class TestMaxTest:
     @pytest.mark.parametrize("lags", [1, 2, 3, 5])
     @pytest.mark.parametrize("n, p", [(200, 20), (60, 40)], ids=["cross", "gram"])
     def test_bitwise_equal_to_per_lag_max(self, n, p, lags):
-        # One lag-0 product per panel must give exactly the bits of one
-        # per lag, on SUM's cross-route and Gram-route shapes alike.
+        # A panel that carries its moments scales them by one lag-0 product
+        # and must give exactly the bits of one lag-0 product per lag, on
+        # SUM's cross-route and Gram-route shapes alike: a sliding window
+        # that forms its moments from scratch, and on the cross route a
+        # panel after sum_test.  A fresh panel takes the unit-column kernel,
+        # whose bits differ, and must hold the long-double oracle.
         rng = np.random.default_rng(100 * lags + p)
         for x in (rng.standard_normal((n, p)), rng.standard_t(3, (n, p))):
-            assert max_test(TimeSeriesPanel(x), lags).t_max == per_lag_max_stat(x, lags)
+            want = per_lag_max_stat(x, lags)
+            longer = TimeSeriesPanel(np.vstack([x, rng.standard_normal(p)]))
+            window = next(panel_module._window_panels(longer, n, lags))
+            assert max_test(window, lags).t_max == want
+            if panel_module._cross_route(n, p, lags):
+                carried = TimeSeriesPanel(x)
+                sum_test(carried, lags)
+                assert carried._moments is not None
+                assert max_test(carried, lags).t_max == want
+            got = max_test(TimeSeriesPanel(x), lags).t_max
+            oracle = float(longdouble_max_stat(x, lags))
+            assert got == pytest.approx(oracle, rel=LONGDOUBLE_TOL, abs=0)
 
     def test_result_internal_consistency(self):
         rng = np.random.default_rng(15)
@@ -166,6 +189,97 @@ class TestMaxTest:
         values[:, 0] = 0.0
         with pytest.raises(DegenerateColumnError):
             max_test(TimeSeriesPanel(values), 1)
+
+    @pytest.mark.parametrize("width", [6, 240], ids=["float64", "screened"])
+    @pytest.mark.parametrize("variance", [0.0, 1e-14])
+    def test_degenerate_column_raises_alike_on_both_paths(self, width, variance):
+        # Fresh, carrying the cross route's moments, and a sliding window:
+        # the same error, naming the same column with the same variance.
+        n = 2 * 3 * width + 2
+        values = np.random.default_rng(3).standard_normal((n, width))
+        values[:, 3] = math.sqrt(variance)
+        values[:, 5] = 0.0
+        fresh = TimeSeriesPanel(values)
+        carried = TimeSeriesPanel(values)
+        panel_module._pair_sums(carried, 2)
+        longer = TimeSeriesPanel(np.vstack([values, values[:1]]))
+        window = next(panel_module._window_panels(longer, n, 2))
+        assert fresh._moments is None and carried._moments is not None
+        messages = set()
+        for panel in (fresh, carried, window):
+            for call in (max_test, sample_autocorrelation):
+                with pytest.raises(DegenerateColumnError) as raised:
+                    call(panel, 2)
+                messages.add(str(raised.value))
+        assert messages == {
+            f"column 4 has sample variance {variance:.3e} <= 1e-12; autocorrelations are undefined"
+        }
+
+
+def tied_panel(kind):
+    """A 60 x 240 panel whose largest lag-1 autocorrelation, entry (0, 1),
+    ties or nearly ties with others; returns it and the tied entries."""
+    rng = np.random.default_rng(90)
+    x = rng.standard_normal((60, 240))
+    x[1:, 0] += 2.0 * x[:-1, 1]
+    if kind == "duplicated":
+        x[:, 2] = x[:, 3] = x[:, 1]
+        x[:, 4] = x[:, 0]
+        tied = {(i, j) for i in (0, 4) for j in (1, 2, 3)}
+    elif kind == "negated":
+        x[:, 2] = -x[:, 1]
+        tied = {(0, 1), (0, 2)}
+    elif kind == "near":
+        # Up to 3e-6 below the largest: most of the way to half the
+        # screen's slack, 3.8e-6 at n = 60.
+        x[:, 2:10] = x[:, [1]] * (1.0 + 2e-5 * rng.standard_normal((60, 8)))
+        tied = {(0, j) for j in range(1, 10)}
+    else:
+        x[:] = x[:, [0]]
+        tied = {(i, j) for i in range(240) for j in range(240)}
+    return x, tied
+
+
+class TestMaxScreen:
+    """The float32 screen of a panel that carries no moments."""
+
+    @pytest.mark.parametrize("kind", ["duplicated", "negated", "near", "all-equal"])
+    def test_every_tied_entry_is_refined(self, monkeypatch, kind):
+        x, tied = tied_panel(kind)
+        n, p = x.shape
+        assert n * p * p >= panel_module._SCREEN_MIN_WORK
+        screened = []
+        original = panel_module._screen_candidates
+
+        def spy(screen, slack):
+            candidates = original(screen, slack)
+            screened.append(None if candidates is None else candidates.copy())
+            return candidates
+
+        monkeypatch.setattr(panel_module, "_screen_candidates", spy)
+        tracemalloc.start()
+        try:
+            t_max = max_test(TimeSeriesPanel(x), 2).t_max
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        oracle = float(longdouble_max_stat(x, 2))
+        assert t_max == pytest.approx(oracle, rel=LONGDOUBLE_TOL, abs=0)
+        # The tied entries lie within half the slack of lag 1's largest.
+        corr = np.abs(longdouble_autocorrelation(x, 1))
+        rows, cols = zip(*tied)
+        assert corr[rows, cols].min() >= corr.max() - panel_module._screen_slack(n) / 2.0
+        if len(tied) > p:
+            # More than p candidates: lag 1 takes its float64 product, and
+            # lag 2 skips the screen.
+            assert len(screened) == 1 and screened[0] is None
+        else:
+            assert len(screened) == 2
+            refined = {divmod(int(c), p) for c in screened[0]}
+            assert tied <= refined and len(refined) <= p
+        # One p x p float64 array at most, never a gather of the p^2 tied
+        # entries' columns, which would be n p^2 floats.
+        assert peak < 2 * p * p * 8, f"peak traced allocation {peak / (8 * p * p):.2f} p^2 floats"
 
 
 class TestSumTest:
@@ -291,9 +405,10 @@ class TestSumTest:
         assert peak < 4 * 2**20, f"peak traced allocation {peak / 2**20:.2f} MiB"
 
     def test_wide_panel_max_working_set(self):
-        # MAX holds the cached lag-0 matrix, one lag's autocorrelations and
-        # one scaling block: about 2.2 p^2 floats here.  Four p x p arrays
-        # alive at once would be 4 p^2.
+        # On a panel that carries no moments MAX holds the unit columns,
+        # their float32 copy, one float32 lag product and its mask: about
+        # 0.63 p^2 + 1.5 n p = 0.93 p^2 floats here.  The cached lag-0
+        # matrix and one lag's autocorrelations alone would be 2 p^2.
         n, p = 120, 600
         panel = TimeSeriesPanel(np.random.default_rng(32).standard_normal((n, p)))
         tracemalloc.start()
@@ -302,7 +417,11 @@ class TestSumTest:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.3 * p * p * 8, f"peak traced allocation {peak / (8 * p * p):.2f} p^2 floats"
+        assert peak < 1.2 * p * p * 8, f"peak traced allocation {peak / (8 * p * p):.2f} p^2 floats"
+        # run_all on the Gram route never forms the lag-0 matrix.
+        assert not panel_module._cross_route(n, p, 2)
+        run_all(panel, 2, 0.05)
+        assert panel._moments is None and "_lag0_autocovariance" not in vars(panel)
         # Scaling in place writes only into fresh arrays: neither the
         # shared lag-0 matrix nor a carried product changes.
         cross = TimeSeriesPanel(np.random.default_rng(33).standard_normal((200, 30)))
@@ -498,10 +617,21 @@ class TestRunAll:
         assert len(calls) == 1 and ProductCountingArray.products == lags + 1
 
     def test_carried_moments_serve_smaller_lags(self, monkeypatch):
-        # The K=5 stack serves SUM and MAX at K=2 and stays on the panel.
+        # The K=5 stack serves SUM and MAX at K=2 and stays on the panel,
+        # with the bits of a stack carried at K=2.  A fresh panel's MAX
+        # takes the unit-column kernel and holds the long-double oracle.
         x = np.random.default_rng(44).standard_normal((400, 10))
-        want = {lags: (sum_test(TimeSeriesPanel(x), lags), max_test(TimeSeriesPanel(x), lags))
-                for lags in (2, 5)}
+
+        def carried_at(lags):
+            panel = TimeSeriesPanel(x)
+            return sum_test(panel, lags), max_test(panel, lags)
+
+        want = {lags: carried_at(lags) for lags in (2, 5)}
+        for lags in (2, 5):
+            fresh = max_test(TimeSeriesPanel(x), lags).t_max
+            oracle = float(longdouble_max_stat(x, lags))
+            assert fresh == pytest.approx(oracle, rel=LONGDOUBLE_TOL, abs=0)
+            assert want[lags][1].t_max == pytest.approx(oracle, rel=LONGDOUBLE_TOL, abs=0)
         calls = []
         original = panel_module.lag_products
         monkeypatch.setattr(
@@ -520,12 +650,22 @@ class TestRunAll:
     def test_gram_route_keeps_no_products(self, monkeypatch):
         calls = []
         monkeypatch.setattr(panel_module, "lag_products", lambda *a: calls.append(a))
-        panel = counting_panel(np.random.default_rng(42).standard_normal((30, 20)))
-        assert not panel_module._cross_route(panel.n, panel.p, 2)
-        run_all(panel, 2, 0.05)
-        assert calls == [] and panel._moments is None
-        # One Gram matrix for SUM; lag 0 and lags 1..2 for MAX.
-        assert ProductCountingArray.products == 1 + 3
+        # Count the products formed from the unit columns MAX scales too.
+        unit_columns = panel_module._unit_columns
+        monkeypatch.setattr(
+            panel_module, "_unit_columns",
+            lambda panel: unit_columns(panel).view(ProductCountingArray),
+        )
+        # p = 20 forms each lag in float64, p = 200 screens it in float32.
+        for p, screened in ((20, False), (200, True)):
+            panel = counting_panel(np.random.default_rng(42).standard_normal((30, p)))
+            assert not panel_module._cross_route(panel.n, panel.p, 2)
+            assert (panel.n * p * p >= panel_module._SCREEN_MIN_WORK) == screened
+            run_all(panel, 2, 0.05)
+            assert calls == [] and panel._moments is None
+            assert "_lag0_autocovariance" not in vars(panel)
+            # One Gram matrix for SUM and lags 1..2 for MAX; no lag-0 product.
+            assert ProductCountingArray.products == 1 + 2
 
     @pytest.mark.parametrize("values", [
         np.eye(4, 5),
