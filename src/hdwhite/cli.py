@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import multiprocessing
 import os
 import sys
 
@@ -101,9 +102,22 @@ def _cmd_residual_test(args) -> int:
         check_dates=args.check_dates,
     )
     residuals = ols_residuals(data)
-    summary = sliding_window_rates(residuals, args.window, args.lags, args.alpha)
+    workers = _default_workers() if args.workers is None else args.workers
+    summary = sliding_window_rates(residuals, args.window, args.lags, args.alpha, workers)
     print(summary.to_json())
     return 0
+
+
+def _default_workers() -> int:
+    """The CPUs this process may run on, where pool processes are forked,
+    and 1 elsewhere: a spawned one imports hdwhite afresh, which costs
+    more than the windows it would test."""
+    if multiprocessing.get_start_method() != "fork":
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,6 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="returns are already in excess of the risk-free rate")
     p_rt.add_argument("--check-dates", action="store_true",
                       help="require date strings to match row by row")
+    p_rt.add_argument("--workers", type=int, default=None,
+                      help="the processes that test blocks of 64 windows, this one "
+                           "included (default: the CPUs this process may run on where "
+                           "pool processes are forked, else 1); the output is the same "
+                           "for any count")
     p_rt.set_defaults(func=_cmd_residual_test)
     return parser
 

@@ -4,20 +4,24 @@ Each asset's excess return is regressed on an intercept plus the three
 classic factors (market excess, size, value); the per-asset residuals
 form a panel that is then white-noise tested on every sliding window of
 a chosen length, summarizing how often each test rejects.  The windows and
-their lagged moments come from ``panel._window_panels``.
+their lagged moments come from ``panel._window_panels``, a block of 64
+windows at a time, and the blocks run as jobs of ``harness.run_jobs``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
 from .errors import (
     ConfigError, DataError, check_array, check_integer, check_level, check_probability,
 )
-from .panel import TimeSeriesPanel, _window_panels, read_csv_array
+from .harness import run_jobs
+from .panel import WINDOW_BLOCK, TimeSeriesPanel, _window_panels, read_csv_array
 from .statistics import check_run_all_arguments, run_all
 
 __all__ = [
@@ -211,8 +215,26 @@ def ols_residuals(data: FactorData) -> TimeSeriesPanel:
     return TimeSeriesPanel(residuals)
 
 
+def _block_rejections(panel: TimeSeriesPanel, window: int, lags: int, alpha: float, block: int):
+    """The reject counts of MAX, SUM and FC over the windows of one block:
+    one job of ``sliding_window_rates``.
+
+    Moments that overflow float64 are not finite, and ``run_all`` raises
+    ``DataError`` for them; numpy's warnings while the windows form them
+    are silenced.
+    """
+    counts = [0, 0, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for piece in islice(_window_panels(panel, window, lags, block), WINDOW_BLOCK):
+            report = run_all(piece, lags, alpha)
+            counts[0] += int(report.reject_max)
+            counts[1] += int(report.reject_sum)
+            counts[2] += int(report.reject_fc)
+    return counts
+
+
 def sliding_window_rates(
-    panel: TimeSeriesPanel, window: int, lags: int, alpha: float = 0.05
+    panel: TimeSeriesPanel, window: int, lags: int, alpha: float = 0.05, workers: int = 1
 ) -> SlidingWindowSummary:
     """Test every length-``window`` sliding window of the panel.
 
@@ -224,8 +246,17 @@ def sliding_window_rates(
     windows for SUM, whatever SUM's route on a fresh panel; the
     statistics match ``run_all`` on a fresh panel of the same rows to
     about 1e-13.  With a dominant row, a window's SUM is exact where a
-    fresh panel's cross route cancels.  The window, K and alpha are
-    checked before any window is formed.
+    fresh panel's cross route cancels.
+
+    Each block of ``WINDOW_BLOCK`` windows starts from scratch, so each is
+    one job of ``harness.run_jobs``, the scheduler the Monte Carlo harness
+    runs on: ``workers`` counts the processes that test blocks, this one
+    included, and no more of them start than there are blocks.  The panel
+    reaches each pool process once.  A block's counts do not depend on
+    which process tested it, so the summary is the same for any worker
+    count, and so is the error of a failing window: the first in window
+    order.  The window, K and alpha are checked before any window is
+    formed, and the worker count before any pool starts.
     """
     t = panel.n
     window = check_integer("window length", window, MIN_ROWS)
@@ -235,12 +266,9 @@ def sliding_window_rates(
         )
     alpha = check_run_all_arguments(window, panel.p, lags, alpha)
     num_windows = t - window
-    counts = [0, 0, 0]
-    for piece in _window_panels(panel, window, lags):
-        report = run_all(piece, lags, alpha)
-        counts[0] += int(report.reject_max)
-        counts[1] += int(report.reject_sum)
-        counts[2] += int(report.reject_fc)
+    blocks = -(-num_windows // WINDOW_BLOCK)
+    task = partial(_block_rejections, panel, window, lags, alpha)
+    counts = [sum(column) for column in zip(*run_jobs(task, blocks, workers))]
     return SlidingWindowSummary(
         window_length=window,
         lags=int(lags),

@@ -4,9 +4,12 @@ An experiment is a grid of cells (scenario, innovation, n, p, K, and a
 block size m for alternatives).  Every cell runs R replications; each
 replication owns an RNG stream derived purely from (master seed, cell,
 replication index).  The whole grid's replications are numbered in grid
-order and claimed one at a time from a counter, by the calling process
-and the workers of a process pool beside it, and the per-cell counts are
-summed, so results are byte-identical for any worker count.
+order and run by ``run_jobs``, which claims numbered jobs one at a time
+from a counter, by the calling process and the workers of a process pool
+beside it, and returns their results in job order; the per-cell counts
+are summed from them, so results are byte-identical for any worker
+count.  ``run_jobs`` is the package's one process pool: the sliding-window
+tests of ``factor`` run on it too.
 Outputs are a flat CSV, a grouped markdown table, and per-m power-curve
 CSVs.
 """
@@ -21,6 +24,7 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from operator import itemgetter
 
@@ -333,24 +337,22 @@ class _LocalCounter:
 _CLAIM_WAIT_S = 0.1
 
 
-def _claim_jobs(counter, grid, reps, master_seed, alpha, stopped=lambda: False):
-    """Run the jobs claimed one at a time from ``counter`` until none is left.
+def _claim_jobs(counter, task, end, stopped=lambda: False):
+    """Run ``task(job)`` on the jobs claimed one at a time from ``counter``
+    until none below ``end`` is left.
 
-    Job j is replication ``j % reps`` of cell ``j // reps``: jobs run cell
-    after cell, in grid order.  Returns the rejection counts of every cell
-    and the first failure as (job, exception), or None.  A failure moves
-    the counter to the end, so that no one claims another job.  When
+    Returns the (job, result) pairs of the jobs run, in the order run, and
+    the first failure as (job, exception), or None.  A failure moves the
+    counter to the end, so that no one claims another job.  When
     ``stopped()`` turns true, the claims end early: before each claim, and
     while the counter's lock is waited for.
     """
-    end = len(grid) * reps
-    keys = [cell.key() for cell in grid]
-    counts = [[0, 0, 0] for _ in grid]
+    done = []
     lock = counter.get_lock()
     while True:
         while True:
             if stopped():
-                return counts, None
+                return done, None
             if lock.acquire(timeout=_CLAIM_WAIT_S):
                 break
         try:
@@ -359,42 +361,42 @@ def _claim_jobs(counter, grid, reps, master_seed, alpha, stopped=lambda: False):
         finally:
             lock.release()
         if job >= end:
-            return counts, None
-        index, rep = divmod(job, reps)
+            return done, None
         try:
-            rejects = _replicate(grid[index], keys[index], rep, master_seed, alpha)
+            done.append((job, task(job)))
         except Exception as exc:
             _stop_claims(counter, end)
-            return counts, (job, exc)
-        for i, rejected in enumerate(rejects):
-            counts[index][i] += rejected
+            return done, (job, exc)
 
 
-# A pool worker's shared claim counter, set by the pool's initializer.
+# A pool worker's shared claim counter and task, set by the pool's
+# initializer: inherited where the worker is forked, pickled once per
+# worker where it is spawned, and never sent with a job.
 _counter = None
+_task = None
 
 
-def _set_counter(counter) -> None:
-    global _counter
-    _counter = counter
+def _set_pool_state(counter, task) -> None:
+    global _counter, _task
+    _counter, _task = counter, task
 
 
 class _RemoteTraceback(Exception):
     """A pool worker's formatted traceback, chained as the cause of its error."""
 
 
-def _pool_task(grid, reps, master_seed, alpha):
-    """One pool worker's share of the grid, claimed from the shared counter.
+def _pool_task(end):
+    """One pool worker's share of the jobs, claimed from the shared counter.
 
     A failure comes back as (job, exception, the worker's formatted
     traceback), since a pickled exception loses its traceback.
     """
-    counts, failure = _claim_jobs(_counter, grid, reps, master_seed, alpha)
+    done, failure = _claim_jobs(_counter, _task, end)
     if failure is not None:
         exc = failure[1]
         text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
         failure += (text,)
-    return counts, failure
+    return done, failure
 
 
 def _stop_claims(counter, end: int) -> None:
@@ -412,52 +414,51 @@ def _stop_claims(counter, end: int) -> None:
             lock.release()
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[CellResult]:
-    """Run every grid cell for the configured replication count.
+def run_jobs(task, jobs: int, workers: int) -> list:
+    """Run ``task(job)`` for job = 0..jobs-1 on ``workers`` processes, this
+    one included; return the results in job order.
 
-    The (cell, replication) jobs of the whole grid are numbered cell after
-    cell, in grid order, and claimed one at a time from a counter, so no
-    cell waits for the previous one to drain and no worker waits for
-    another between jobs.  ``cfg.workers`` counts the processes that run
-    jobs, this one included: it claims jobs itself, beside a pool of
-    ``min(workers, jobs) - 1`` processes that claim from the same shared
-    counter, and sums the per-cell counts of all.  One worker, or one job,
-    starts no pool.  Each job derives its RNG stream from (master_seed,
-    cell id, index), so the output is that of a serial run for any worker
-    count.  A failing job moves the counter to the end, as does this
-    process's exit on an exception or interrupt, so every worker stops
-    after its current job; the failure with the lowest job index, the one
-    a serial run meets first, is raised, with a pool worker's traceback as
-    its cause.  Once any pool worker is done, or dies, this process claims
-    no more jobs; a dead worker surfaces as ``BrokenProcessPool``.
+    The jobs are claimed one at a time from a counter, so no worker waits
+    for another between jobs.  This process claims jobs itself, beside a
+    pool of ``min(workers, jobs) - 1`` processes that claim from the same
+    shared counter; one worker, or one job, starts no pool.  ``task`` must
+    pickle where pool workers are spawned; it reaches each pool worker
+    once, through the pool's initializer, never with a job.  A result
+    depends only on its job, so the list is that of a serial run for any
+    worker count.
+
+    A failing job moves the counter to the end, as does this process's
+    exit on an exception or interrupt, so every worker stops after its
+    current job; the failure with the lowest job index, the one a serial
+    run meets first, is raised, with a pool worker's traceback as its
+    cause.  Once any pool worker is done, or dies, this process claims no
+    more jobs; a dead worker surfaces as ``BrokenProcessPool``.  The pool
+    is shut down, and its processes joined, before this returns or raises.
     """
-    grid, reps = cfg.grid, cfg.replications
-    end = len(grid) * reps
-    task = (grid, reps, cfg.master_seed, cfg.alpha)
-    helpers = min(cfg.workers, end) - 1  # no more than one process per job
+    check_integer('"workers"', workers, 1)
+    helpers = min(workers, jobs) - 1  # no more than one process per job
     futures = []
     with ExitStack() as stack:
-        if helpers:
+        if helpers > 0:
             context = multiprocessing.get_context()
             counter = context.Value("q", 0)
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=helpers, mp_context=context,
-                initializer=_set_counter, initargs=(counter,),
+                initializer=_set_pool_state, initargs=(counter, task),
             ))
-            stack.callback(_stop_claims, counter, end)
-            futures = [pool.submit(_pool_task, *task) for _ in range(helpers)]
+            stack.callback(_stop_claims, counter, jobs)
+            futures = [pool.submit(_pool_task, jobs) for _ in range(helpers)]
         else:
             counter = _LocalCounter()
         # A pool worker finishes only once the counter is at the end, or
         # when the pool is broken: either way there is nothing left to claim.
-        tallies = [_claim_jobs(counter, *task, stopped=lambda: any(f.done() for f in futures))]
-        tallies += [future.result() for future in as_completed(futures)]
-    counts = [[0, 0, 0] for _ in grid]
+        claims = [_claim_jobs(counter, task, jobs, stopped=lambda: any(f.done() for f in futures))]
+        claims += [future.result() for future in as_completed(futures)]
+    results = [None] * jobs
     failures = []
-    for cell_counts, failure in tallies:
-        for total, part in zip(counts, cell_counts):
-            for i, count in enumerate(part):
-                total[i] += count
+    for done, failure in claims:
+        for job, result in done:
+            results[job] = result
         if failure is not None:
             failures.append(failure)
     if failures:
@@ -466,7 +467,37 @@ def run_experiment(cfg: ExperimentConfig) -> list[CellResult]:
         if remote:
             exc.__cause__ = _RemoteTraceback(*remote)
         raise exc
-    return [CellResult.from_counts(cell, tuple(c), reps) for cell, c in zip(grid, counts)]
+    return results
+
+
+def _replication(grid, keys, reps, master_seed, alpha, job):
+    """Job ``job`` of an experiment: replication ``job % reps`` of cell ``job // reps``."""
+    index, rep = divmod(job, reps)
+    return _replicate(grid[index], keys[index], rep, master_seed, alpha)
+
+
+def run_experiment(cfg: ExperimentConfig) -> list[CellResult]:
+    """Run every grid cell for the configured replication count.
+
+    The (cell, replication) jobs of the whole grid are numbered cell after
+    cell, in grid order, and run by ``run_jobs`` on ``cfg.workers``
+    processes, this one included, so no cell waits for the previous one
+    to drain.  Each job derives its RNG stream from (master_seed, cell id,
+    index) and returns its three reject decisions, which are summed per
+    cell in job order, so the output is that of a serial run for any
+    worker count.  A failing job raises the error a serial run meets
+    first, as ``run_jobs`` describes.
+    """
+    grid, reps = cfg.grid, cfg.replications
+    keys = tuple(cell.key() for cell in grid)
+    task = partial(_replication, grid, keys, reps, cfg.master_seed, cfg.alpha)
+    rejects = run_jobs(task, len(grid) * reps, cfg.workers)
+    return [
+        CellResult.from_counts(
+            cell, tuple(map(sum, zip(*rejects[i * reps : (i + 1) * reps]))), reps
+        )
+        for i, cell in enumerate(grid)
+    ]
 
 
 # -- emission ----------------------------------------------------------------

@@ -256,8 +256,16 @@ def sample_autocorrelation(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
 
 
 def _check_variances(variances: np.ndarray) -> None:
-    """Raise ``DegenerateColumnError`` naming the first column whose
-    sample variance is at or below ``DEGENERATE_VARIANCE_TOL``."""
+    """Raise ``DataError`` naming the first column whose sum of squares is
+    not finite, since it overflowed float64, and then
+    ``DegenerateColumnError`` naming the first column whose sample
+    variance is at or below ``DEGENERATE_VARIANCE_TOL``."""
+    if not variances.max() < math.inf:
+        col = int(np.argmin(np.isfinite(variances))) + 1
+        raise DataError(
+            f"column {col}'s sum of squares overflows float64; the tests are "
+            f"scale-invariant, so rescale the panel"
+        )
     low = np.nonzero(variances <= DEGENERATE_VARIANCE_TOL)[0]
     if low.size:
         col = int(low[0]) + 1
@@ -466,17 +474,21 @@ def _pair_sums(panel: TimeSeriesPanel, lags: int) -> tuple[float, float, float]:
     every later SUM call up to this K read them rather than forming them
     again.  The lag terms are added one at a time in order l = 1..K:
     ``sum()`` compensates from Python 3.12 on, and so rounds differently.
+    A sum that overflows float64 comes back as inf or nan, with no
+    warning, for ``sum_test`` to report.
     """
     moments = panel._moments
     if moments is not None and lags <= moments.lags:
         sums = moments.pair_sums
     elif not _cross_route(panel.n, panel.p, lags):
-        sums = _gram_pair_sums(panel.values, lags)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = _gram_pair_sums(panel.values, lags)
     else:
         x = panel.values
-        products = lag_products(x, lags)
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = lag_products(x, lags)
+            sums = _cross_pair_sums(products, np.einsum("ti,ti->t", x, x))
         products.flags.writeable = False
-        sums = _cross_pair_sums(products, np.einsum("ti,ti->t", x, x))
         object.__setattr__(panel, "_moments", _Moments(products, sums))
     off_diagonal, residue, terms = sums
     total = 0.0
@@ -485,8 +497,9 @@ def _pair_sums(panel: TimeSeriesPanel, lags: int) -> tuple[float, float, float]:
     return off_diagonal, residue, total
 
 
-def _window_panels(panel: TimeSeriesPanel, window: int, lags: int):
-    """Yield the panel of every length-``window`` sliding window, moments filled in.
+def _window_panels(panel: TimeSeriesPanel, window: int, lags: int, first_block: int = 0):
+    """Yield the panel of every length-``window`` sliding window, moments
+    filled in, from the first window of block ``first_block`` on.
 
     Each window is a read-only view of ``panel.values`` (no copy and no
     finiteness scan) carrying its ``_Moments`` at this K, which serve every
@@ -513,6 +526,16 @@ def _window_panels(panel: TimeSeriesPanel, window: int, lags: int):
     so a dominant row leaves them exact.  The rolled products serve MAX
     only.
 
+    A block reads only its own w + 63 rows and starts from scratch, so the
+    blocks are independent: ``factor.sliding_window_rates`` runs each as
+    one job of ``harness.run_jobs``, the one scheduler, which starts here
+    at its block and takes that block's windows.  A window is the same
+    bits whichever block the generator starts from.
+
+    Moments that overflow float64 are carried as inf or nan, for
+    ``sum_test`` and MAX to report; numpy warns of the overflow unless the
+    caller silences it, as ``sliding_window_rates`` does.
+
     Extra memory: O((K+1) p^2) for the products and O((w + 64)(2w + 64))
     for the Gram band and one band product.
     """
@@ -520,30 +543,31 @@ def _window_panels(panel: TimeSeriesPanel, window: int, lags: int):
     p = panel.p
     w = window
     num_windows = panel.n - w
-    row_max = np.abs(x).max(axis=1)
     left = np.empty((lags + 1, p, 2))
     right = np.empty((lags + 1, 2, p))
     update = np.empty((lags + 1, p, p))
-    for s in range(num_windows):
-        rows = x[s : s + w]
+    for s in range(first_block * WINDOW_BLOCK, num_windows):
         offset = s % WINDOW_BLOCK
-        if offset:
-            a = s - 1
-            left[:, :, 0] = x[a + w]
-            np.negative(x[a : a + lags + 1], out=left[:, :, 1])
-            right[:, 0, :] = x[a + w - lags : a + w + 1][::-1]
-            right[:, 1, :] = x[a]
+        if not offset:
+            # The block's rows, which every window of the block reads.
+            block = x[s : s + w - 1 + min(WINDOW_BLOCK, num_windows - s)]
+            block_sums = _band_pair_sums(block, lags, w)
+            row_max = np.abs(block).max(axis=1)
+        else:
+            a = offset - 1
+            left[:, :, 0] = block[a + w]
+            np.negative(block[a : a + lags + 1], out=left[:, :, 1])
+            right[:, 0, :] = block[a + w - lags : a + w + 1][::-1]
+            right[:, 1, :] = block[a]
             np.matmul(left, right, out=update)
             products = products + update
             bound += UNIT_ROUNDOFF * (
                 row_max[a + w] * row_max[a + w - lags : a + w + 1].sum()
                 + row_max[a] * row_max[a : a + lags + 1].sum()
             )
+        rows = block[offset : offset + w]
         if not offset or bound > ROLLING_TOLERANCE * np.diagonal(products[0]).min():
             products, bound = lag_products(rows, lags), 0.0
-        if not offset:
-            block = x[s : s + w - 1 + min(WINDOW_BLOCK, num_windows - s)]
-            block_sums = _band_pair_sums(block, lags, w)
         products.flags.writeable = False
         piece = object.__new__(TimeSeriesPanel)
         object.__setattr__(piece, "values", rows)

@@ -135,7 +135,8 @@ def sum_test(panel: TimeSeriesPanel, lags: int) -> SumResult:
     that carries its moments up to some K >= lags (a sliding window, or a
     panel this test ran on before by the cross route) uses them as given.
 
-    Raises ``DataError`` when the pair sum behind the studentizer is no
+    Raises ``DataError`` when a sum overflows float64 (entries of about
+    1e77 and up), and then when the pair sum behind the studentizer is no
     larger than the rounding residue of its route, i.e. the rows are
     mutually orthogonal.
     """
@@ -143,6 +144,11 @@ def sum_test(panel: TimeSeriesPanel, lags: int) -> SumResult:
     _check_sum_rows(n)
     check_lag_budget(n, lags)
     off_diagonal, residue, total = _pair_sums(panel, lags)
+    if not all(map(math.isfinite, (off_diagonal, residue, total))):
+        raise DataError(
+            "sum-test sums overflow float64; the tests are scale-invariant, "
+            "so rescale the panel"
+        )
     pairs = n * (n - 1)
     trace_sq_hat = off_diagonal / pairs
     t_sum = total / pairs

@@ -1,16 +1,22 @@
 """Command-line interface, driven in process through main()."""
 
 import json
+import multiprocessing
 import os
+import warnings
 
 import numpy as np
 import pytest
 
+from hdwhite import cli, harness
 from hdwhite.cli import main
 from hdwhite.errors import ParseError
 from hdwhite.factor import read_factors_csv, read_returns_csv
 from hdwhite.panel import TimeSeriesPanel, read_panel_csv, write_panel_csv
 from hdwhite.statistics import REPORT_COLUMNS
+
+# The CPUs this process may run on.
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 @pytest.fixture
@@ -86,6 +92,20 @@ class TestTestSubcommand:
         code, _, err = run_cli(capsys, "test", "--input", str(path), "--K", "1")
         assert code == 3
         assert "row 2" in err
+
+    @pytest.mark.parametrize("lags", ["1", "7"], ids=["cross", "gram"])
+    def test_overflowing_panel_is_data_error(self, tmp_path, capsys, lags):
+        path = tmp_path / "huge.csv"
+        values = np.random.default_rng(5).standard_normal((60, 8)) * 1e80
+        write_panel_csv(TimeSeriesPanel(values), str(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "test", "--input", str(path), "--K", lags)
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: sum-test sums overflow float64; the tests are scale-invariant, "
+            "so rescale the panel\n"
+        )
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -383,6 +403,56 @@ class TestResidualTestSubcommand:
         assert payload["num_windows"] == 130
         for key in ("rate_max", "rate_sum", "rate_fc"):
             assert 0.0 <= payload[key] <= 1.0
+
+    @pytest.mark.parametrize("t, p", [(300, 12), (160, 4)], ids=["gram", "cross"])
+    def test_every_worker_count_prints_the_same_summary(self, tmp_path, capsys, monkeypatch, t, p):
+        # Window 30 at K=2: the Gram route over 270 windows in five blocks
+        # of 64, the last partial, or the cross route over 130 in three.
+        # Month 70, scaled by 1e7, is in windows 41-70, on both sides of
+        # the first block boundary.  A pool starts one process fewer than
+        # the workers, and never more than one per block.  The default
+        # count runs in the other residual-test tests.
+        started = []
+
+        class Recording(harness.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+        returns_path, factors_path = self.write_inputs(tmp_path, t=t, p=p, outlier=70)
+        argv = ["residual-test", "--returns", str(returns_path), "--factors", str(factors_path),
+                "--window", "30", "--K", "2", "--alpha", "0.3"]
+        blocks = -(-(t - 30) // 64)
+        outputs = set()
+        for workers in (1, 2, 3, 50):
+            code, out, err = run_cli(capsys, *argv, "--workers", str(workers))
+            assert (code, err) == (0, ""), workers
+            assert multiprocessing.active_children() == []
+            outputs.add(out)
+        assert started == [1, 2, blocks - 1]
+        assert len(outputs) == 1, outputs
+        assert json.loads(outputs.pop())["num_windows"] == t - 30
+
+    def test_zero_workers_is_refused_as_size_refuses_it(self, tmp_path, capsys):
+        returns_path, factors_path = self.write_inputs(tmp_path)
+        config = tmp_path / "size.json"
+        config.write_text(json.dumps({"kind": "size", "scenarios": ["null-i"], "n": 30, "p": 4,
+                                      "K": 1, "replications": 2, "master_seed": 1}))
+        size = run_cli(capsys, "size", "--config", str(config), "--workers", "0",
+                       "--out", str(tmp_path / "size.csv"))
+        residual = run_cli(
+            capsys, "residual-test", "--returns", str(returns_path),
+            "--factors", str(factors_path), "--window", "40", "--K", "2", "--workers", "0",
+        )
+        assert size == residual == (2, "", 'error: "workers" must be at least 1, got 0\n')
+
+    @pytest.mark.parametrize("method, workers", [("fork", None), ("spawn", 1), ("forkserver", 1)])
+    def test_default_workers_follow_the_start_method(self, monkeypatch, method, workers):
+        # Forked pool processes inherit the loaded package; others import it afresh.
+        monkeypatch.setattr(cli.multiprocessing, "get_start_method", lambda: method)
+        expected = CPUS if workers is None else workers
+        assert cli._default_workers() == expected
 
     def test_window_longer_than_sample(self, tmp_path, capsys):
         returns_path, factors_path = self.write_inputs(tmp_path, t=30)

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import multiprocessing
+import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from hdwhite.factor import (
     sliding_window_rates,
 )
 from hdwhite.distributions import std_normal_sf
-from hdwhite.panel import TimeSeriesPanel, sample_autocovariance
+from hdwhite.panel import WINDOW_BLOCK, TimeSeriesPanel, sample_autocovariance
 from hdwhite.statistics import SumResult, fisher_combine, run_all
 
 from oracles import longdouble_run_pair_sums
@@ -551,3 +554,95 @@ class TestWindowEngine:
         )
         sliding_window_rates(panel, window, 2)
         assert built == []
+
+
+# Panels of several blocks of 64 windows at window 30, K=2, each with a row
+# scaled by 1e7 that windows 41-70 hold, on both sides of the first block
+# boundary: the Gram route, (K+1) p >= 30, over 270 windows in five blocks,
+# the last of 14; and the cross route over 130 windows in three blocks.
+JOB_ROUTES = {"gram": (300, 12), "cross": (160, 4)}
+JOB_WINDOW = 30
+WORKER_COUNTS = (1, 2, 3, 50)
+
+
+def job_panel(route, seed=80):
+    t, p = JOB_ROUTES[route]
+    values = np.random.default_rng(seed).standard_normal((t, p))
+    values[70] *= 1e7
+    return values
+
+
+class TestWindowJobs:
+    """Blocks of 64 windows as jobs of ``harness.run_jobs``."""
+
+    @pytest.mark.parametrize("route", sorted(JOB_ROUTES))
+    def test_a_block_starts_with_the_windows_it_has_in_a_full_pass(self, route):
+        panel = TimeSeriesPanel(job_panel(route))
+        full = list(_window_panels(panel, JOB_WINDOW, 2))
+        blocks = -(-len(full) // WINDOW_BLOCK)
+        for block in range(blocks):
+            alone = list(islice(_window_panels(panel, JOB_WINDOW, 2, block), WINDOW_BLOCK))
+            assert len(alone) == min(WINDOW_BLOCK, len(full) - block * WINDOW_BLOCK)
+            for got, want in zip(alone, full[block * WINDOW_BLOCK :]):
+                assert np.shares_memory(got.values, panel.values)
+                np.testing.assert_array_equal(got.values, want.values)
+                np.testing.assert_array_equal(got._moments.products, want._moments.products)
+                assert got._moments.pair_sums == want._moments.pair_sums
+
+    @pytest.mark.parametrize("route", sorted(JOB_ROUTES))
+    def test_every_worker_count_gives_the_same_summary(self, route):
+        # At alpha 0.3 some windows of every test reject and some do not,
+        # so a block lost or counted twice would show in the rates.
+        panel = TimeSeriesPanel(job_panel(route))
+        summaries = []
+        for workers in WORKER_COUNTS:
+            summaries.append(sliding_window_rates(panel, JOB_WINDOW, 2, 0.3, workers=workers))
+            assert multiprocessing.active_children() == []
+        rates = [summaries[0].rate_max, summaries[0].rate_sum, summaries[0].rate_fc]
+        assert all(0.0 < rate < 1.0 for rate in rates), rates
+        assert [s.to_json() for s in summaries] == [summaries[0].to_json()] * len(WORKER_COUNTS)
+
+    def test_a_failing_last_block_raises_alike_at_every_worker_count(self):
+        # Column 3 is zero from row 128 on, so windows 128 and 129, the
+        # last block's, hold none of it, and every earlier window holds
+        # some: window 127 passes and window 128 raises.
+        values = job_panel("cross")
+        values[128:, 2] = 0.0
+        first = 2 * WINDOW_BLOCK
+        run_all(TimeSeriesPanel(values[first - 1 : first - 1 + JOB_WINDOW]), 2, 0.05)
+        with pytest.raises(DegenerateColumnError) as per_window:
+            run_all(TimeSeriesPanel(values[first : first + JOB_WINDOW]), 2, 0.05)
+        for workers in WORKER_COUNTS:
+            with pytest.raises(DegenerateColumnError) as engine:
+                sliding_window_rates(TimeSeriesPanel(values), JOB_WINDOW, 2, workers=workers)
+            assert multiprocessing.active_children() == []
+            assert str(engine.value) == str(per_window.value), workers
+        assert "column 3 has sample variance 0.000e+00" in str(per_window.value)
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
+    def test_worker_count_is_checked(self, workers):
+        panel = TimeSeriesPanel(job_panel("cross"))
+        with pytest.raises(ConfigError, match='^"workers" must be'):
+            sliding_window_rates(panel, JOB_WINDOW, 2, workers=workers)
+
+    @pytest.mark.parametrize("route", sorted(JOB_ROUTES))
+    def test_an_overflowing_window_is_a_data_error(self, route):
+        # Two rows of 1e80: their inner product squares past float64 in
+        # SUM's band sums.
+        values = job_panel(route)
+        values[100:102] *= 1e80
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^sum-test sums overflow float64"):
+                sliding_window_rates(TimeSeriesPanel(values), JOB_WINDOW, 2)
+
+    @pytest.mark.parametrize("route", sorted(JOB_ROUTES))
+    def test_large_units_keep_every_window_p_value(self, route):
+        values = np.random.default_rng(81).standard_normal((120, JOB_ROUTES[route][1]))
+        plain = _window_panels(TimeSeriesPanel(values), JOB_WINDOW, 2)
+        scaled = _window_panels(TimeSeriesPanel(values * 1e70), JOB_WINDOW, 2)
+        for start, (a, b) in enumerate(zip(plain, scaled)):
+            want, got = run_all(a, 2, 0.05), run_all(b, 2, 0.05)
+            assert abs(got.max.p_value - want.max.p_value) <= 1e-14, start
+            assert abs(got.sum.p_value - want.sum.p_value) <= 1e-14, start
+            assert abs(got.p_fc - want.p_fc) <= 1e-14, start

@@ -1,7 +1,9 @@
 """Monte Carlo harness: config expansion, seeding, determinism, emitters."""
 
+import functools
 import json
 import multiprocessing
+import operator
 import os
 import re
 import sys
@@ -525,6 +527,13 @@ class TestSchedule:
         assert started == [2, 3, 1], "2 workers are this process and 1 pool process"
         run_experiment(small_size_config(replications=1, workers=8))
         assert started == [2, 3, 1], "a single job runs in process"
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_come_back_in_job_order(self, workers):
+        # run_jobs, which run_experiment and the sliding windows share.
+        results = harness.run_jobs(functools.partial(operator.mul, 3), 40, workers)
+        assert results == [3 * job for job in range(40)]
+        assert multiprocessing.active_children() == []
 
     @needs_fork
     def test_first_error_is_the_serial_one(self, monkeypatch):

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,35 @@ class TestMaxTest:
                 messages.add(str(raised.value))
         assert messages == {
             f"column 4 has sample variance {variance:.3e} <= 1e-12; autocorrelations are undefined"
+        }
+
+    @pytest.mark.parametrize("width", [6, 200], ids=["float64", "screened"])
+    @pytest.mark.parametrize("scale", [1e155, 1e160])
+    def test_overflowing_column_is_named_on_both_paths(self, width, scale):
+        # Columns 3 on are scaled so far that their sums of squares
+        # overflow: fresh, a sliding window and (at p = 6, where SUM takes
+        # the cross route) a panel carrying the cross route's moments.
+        values = np.random.default_rng(4).standard_normal((40, width))
+        values[:, 2:] *= scale
+        panels = [TimeSeriesPanel(values)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            longer = TimeSeriesPanel(np.vstack([values, values[:1]]))
+            panels.append(next(panel_module._window_panels(longer, 40, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if width == 6:
+                panels.append(TimeSeriesPanel(values))
+                panel_module._pair_sums(panels[-1], 2)
+                assert panels[-1]._moments is not None
+            messages = set()
+            for panel in panels:
+                for call in (max_test, sample_autocorrelation):
+                    with pytest.raises(DataError) as raised:
+                        call(panel, 2)
+                    messages.add(str(raised.value))
+        assert messages == {
+            "column 3's sum of squares overflows float64; the tests are scale-invariant, "
+            "so rescale the panel"
         }
 
 
@@ -439,6 +469,20 @@ class TestSumTest:
             assert sample_autocovariance(shared, 0) is cov0
             assert (cov0.tobytes(), products.tobytes()) == before
 
+    @pytest.mark.parametrize("lags, route", [(1, "cross"), (7, "gram")])
+    def test_overflowing_sums_are_a_data_error(self, monkeypatch, lags, route):
+        # Entries of 1e80: x_t'x_s squares past float64.  The sums are not
+        # finite, which once read as rows that are mutually orthogonal.
+        panel = TimeSeriesPanel(np.random.default_rng(5).standard_normal((60, 8)) * 1e80)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as raised:
+                sum_test_by_route(monkeypatch, panel, lags, route)
+        assert str(raised.value) == (
+            "sum-test sums overflow float64; the tests are scale-invariant, "
+            "so rescale the panel"
+        )
+
     def test_needs_four_rows(self):
         with pytest.raises(ConfigError, match="at least 4 rows"):
             sum_test(TimeSeriesPanel(np.random.default_rng(3).standard_normal((3, 2))), 1)
@@ -544,6 +588,14 @@ class TestRunAll:
         plain = run_all(panel, int(lags), float(alpha))
         assert report.to_csv_row() == plain.to_csv_row()
         assert report.to_json() == plain.to_json()
+
+    @pytest.mark.parametrize("lags", [1, 7], ids=["cross", "gram"])
+    def test_large_units_keep_the_p_values(self, lags):
+        values = np.random.default_rng(5).standard_normal((60, 8))
+        want = run_all(TimeSeriesPanel(values), lags, 0.05).to_flat_dict()
+        got = run_all(TimeSeriesPanel(values * 1e70), lags, 0.05).to_flat_dict()
+        for name in ("p_max", "p_sum", "p_fc"):
+            assert abs(got[name] - want[name]) <= 1e-14, name
 
     def test_common_offset_needs_centering(self):
         # The tests assume mean zero: an uncentred offset is a constant
