@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .errors import (
     ConfigError, DataError, check_array, check_integer, check_level, check_probability,
 )
 from .harness import run_jobs
-from .panel import WINDOW_BLOCK, TimeSeriesPanel, _window_panels, read_csv_array
+from .panel import TimeSeriesPanel, _window_blocks, _window_panels, read_csv_array
 from .statistics import check_run_all_arguments, run_all
 
 __all__ = [
@@ -225,7 +224,7 @@ def _block_rejections(panel: TimeSeriesPanel, window: int, lags: int, alpha: flo
     """
     counts = [0, 0, 0]
     with np.errstate(over="ignore", invalid="ignore"):
-        for piece in islice(_window_panels(panel, window, lags, block), WINDOW_BLOCK):
+        for piece in _window_panels(panel, window, lags, block):
             report = run_all(piece, lags, alpha)
             counts[0] += int(report.reject_max)
             counts[1] += int(report.reject_sum)
@@ -248,7 +247,7 @@ def sliding_window_rates(
     about 1e-13.  With a dominant row, a window's SUM is exact where a
     fresh panel's cross route cancels.
 
-    Each block of ``WINDOW_BLOCK`` windows starts from scratch, so each is
+    Each block of 64 windows starts from scratch, so each is
     one job of ``harness.run_jobs``, the scheduler the Monte Carlo harness
     runs on: ``workers`` counts the processes that test blocks, this one
     included, and no more of them start than there are blocks.  The panel
@@ -266,9 +265,9 @@ def sliding_window_rates(
         )
     alpha = check_run_all_arguments(window, panel.p, lags, alpha)
     num_windows = t - window
-    blocks = -(-num_windows // WINDOW_BLOCK)
     task = partial(_block_rejections, panel, window, lags, alpha)
-    counts = [sum(column) for column in zip(*run_jobs(task, blocks, workers))]
+    blocks = run_jobs(task, _window_blocks(num_windows), workers)
+    counts = [sum(column) for column in zip(*blocks)]
     return SlidingWindowSummary(
         window_length=window,
         lags=int(lags),

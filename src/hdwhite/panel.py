@@ -497,16 +497,22 @@ def _pair_sums(panel: TimeSeriesPanel, lags: int) -> tuple[float, float, float]:
     return off_diagonal, residue, total
 
 
-def _window_panels(panel: TimeSeriesPanel, window: int, lags: int, first_block: int = 0):
-    """Yield the panel of every length-``window`` sliding window, moments
-    filled in, from the first window of block ``first_block`` on.
+def _window_blocks(num_windows: int) -> int:
+    """How many blocks of ``WINDOW_BLOCK`` windows ``num_windows`` fill."""
+    return -(-num_windows // WINDOW_BLOCK)
+
+
+def _window_panels(panel: TimeSeriesPanel, window: int, lags: int, block: int):
+    """Yield the panel of every length-``window`` sliding window in block
+    ``block`` (the windows that start at rows 64 block to 64 block + 63,
+    or to the last start), moments filled in.
 
     Each window is a read-only view of ``panel.values`` (no copy and no
     finiteness scan) carrying its ``_Moments`` at this K, which serve every
     K' <= K.
 
-    The products are formed from scratch for the first window of every
-    block of ``WINDOW_BLOCK`` and rolled from window to window inside it:
+    The products are formed from scratch for the block's first window and
+    rolled from window to window inside it:
     lag k gains x_{s+w} x_{s+w-k}' and loses x_{s+k} x_s' when the window
     moves on from start s, all K+1 rank-2 updates in one batched matmul.
     Each rank-one term x_a x_b' rounds every entry by at most about
@@ -517,8 +523,8 @@ def _window_panels(panel: TimeSeriesPanel, window: int, lags: int, first_block: 
     1e-13 of the per-window value, and makes it exact after an outlying row
     leaves or while a column is zero.
 
-    SUM takes its sums from one Gram matrix per block, formed over the
-    block's w + 63 rows, whichever route ``sum_test`` would take on a fresh
+    SUM takes its sums from one Gram matrix, formed over the block's
+    w + 63 rows, whichever route ``sum_test`` would take on a fresh
     window.  ``_band_pair_sums`` lays it out as a band of w - 1 entries per
     row and gives every window of the block its sums from running sums
     along the band rows, O(w) reads per window: the sums of ``sum_test``,
@@ -527,10 +533,9 @@ def _window_panels(panel: TimeSeriesPanel, window: int, lags: int, first_block: 
     only.
 
     A block reads only its own w + 63 rows and starts from scratch, so the
-    blocks are independent: ``factor.sliding_window_rates`` runs each as
-    one job of ``harness.run_jobs``, the one scheduler, which starts here
-    at its block and takes that block's windows.  A window is the same
-    bits whichever block the generator starts from.
+    ``_window_blocks`` blocks of a panel are independent:
+    ``factor.sliding_window_rates`` runs each as one job of
+    ``harness.run_jobs``, the one scheduler.
 
     Moments that overflow float64 are carried as inf or nan, for
     ``sum_test`` and MAX to report; numpy warns of the overflow unless the
@@ -546,26 +551,25 @@ def _window_panels(panel: TimeSeriesPanel, window: int, lags: int, first_block: 
     left = np.empty((lags + 1, p, 2))
     right = np.empty((lags + 1, 2, p))
     update = np.empty((lags + 1, p, p))
-    for s in range(first_block * WINDOW_BLOCK, num_windows):
-        offset = s % WINDOW_BLOCK
-        if not offset:
-            # The block's rows, which every window of the block reads.
-            block = x[s : s + w - 1 + min(WINDOW_BLOCK, num_windows - s)]
-            block_sums = _band_pair_sums(block, lags, w)
-            row_max = np.abs(block).max(axis=1)
-        else:
+    first = block * WINDOW_BLOCK
+    # The block's rows, which every window of the block reads.
+    span = x[first : min(first + WINDOW_BLOCK, num_windows) + w - 1]
+    block_sums = _band_pair_sums(span, lags, w)
+    row_max = np.abs(span).max(axis=1)
+    for offset in range(len(span) - w + 1):
+        if offset:
             a = offset - 1
-            left[:, :, 0] = block[a + w]
-            np.negative(block[a : a + lags + 1], out=left[:, :, 1])
-            right[:, 0, :] = block[a + w - lags : a + w + 1][::-1]
-            right[:, 1, :] = block[a]
+            left[:, :, 0] = span[a + w]
+            np.negative(span[a : a + lags + 1], out=left[:, :, 1])
+            right[:, 0, :] = span[a + w - lags : a + w + 1][::-1]
+            right[:, 1, :] = span[a]
             np.matmul(left, right, out=update)
             products = products + update
             bound += UNIT_ROUNDOFF * (
                 row_max[a + w] * row_max[a + w - lags : a + w + 1].sum()
                 + row_max[a] * row_max[a : a + lags + 1].sum()
             )
-        rows = block[offset : offset + w]
+        rows = span[offset : offset + w]
         if not offset or bound > ROLLING_TOLERANCE * np.diagonal(products[0]).min():
             products, bound = lag_products(rows, lags), 0.0
         products.flags.writeable = False

@@ -4,7 +4,7 @@ import dataclasses
 import math
 import multiprocessing
 import warnings
-from itertools import islice
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from hdwhite.errors import ConfigError, DataError, DegenerateColumnError, LagErr
 from hdwhite.factor import (
     FactorData,
     SlidingWindowSummary,
-    _window_panels,
     build_factor_data,
     ols_residuals,
     read_factors_csv,
@@ -24,10 +23,18 @@ from hdwhite.factor import (
     sliding_window_rates,
 )
 from hdwhite.distributions import std_normal_sf
-from hdwhite.panel import WINDOW_BLOCK, TimeSeriesPanel, sample_autocovariance
+from hdwhite.panel import WINDOW_BLOCK, TimeSeriesPanel, _window_panels, sample_autocovariance
 from hdwhite.statistics import SumResult, fisher_combine, run_all
 
 from oracles import longdouble_run_pair_sums
+
+
+def every_window(panel, window, lags):
+    """Every sliding window of ``panel._window_panels``, block after block."""
+    blocks = panel_module._window_blocks(panel.n - window)
+    return chain.from_iterable(
+        _window_panels(panel, window, lags, block) for block in range(blocks)
+    )
 
 
 def synthetic_data(t=40, p=6, seed=42, noise=1.0):
@@ -391,7 +398,7 @@ def assert_windows_match(values, window, lags):
     panel = TimeSeriesPanel(values)
     oracle = longdouble_run_pair_sums(values, lags, window)
     starts = 0
-    for start, piece in enumerate(_window_panels(panel, window, lags)):
+    for start, piece in enumerate(every_window(panel, window, lags)):
         rows = values[start : start + window]
         assert np.shares_memory(piece.values, panel.values)
         np.testing.assert_array_equal(piece.values, rows)
@@ -450,7 +457,7 @@ class TestWindowEngine:
         # no product and no Gram matrix, and keep the stack they carry.
         values, window = engine_panel(route, seed=76)
         lag_list = (2, 1, 5)
-        pieces = list(_window_panels(TimeSeriesPanel(values), window, 5))
+        pieces = list(every_window(TimeSeriesPanel(values), window, 5))
         wants = [
             [run_all(TimeSeriesPanel(values[start : start + window]), lags, 0.05)
              for lags in lag_list]
@@ -524,7 +531,7 @@ class TestWindowEngine:
         values, window = engine_panel(route, seed=74)
         panel = TimeSeriesPanel(values)
         pieces, snapshots = [], []
-        for piece in _window_panels(panel, window, 2):
+        for piece in every_window(panel, window, 2):
             run_all(piece, 2, 0.05)
             pieces.append(piece)
             snapshots.append((
@@ -576,18 +583,24 @@ class TestWindowJobs:
     """Blocks of 64 windows as jobs of ``harness.run_jobs``."""
 
     @pytest.mark.parametrize("route", sorted(JOB_ROUTES))
-    def test_a_block_starts_with_the_windows_it_has_in_a_full_pass(self, route):
+    def test_the_blocks_hold_every_window_once_in_order(self, route):
         panel = TimeSeriesPanel(job_panel(route))
-        full = list(_window_panels(panel, JOB_WINDOW, 2))
-        blocks = -(-len(full) // WINDOW_BLOCK)
-        for block in range(blocks):
-            alone = list(islice(_window_panels(panel, JOB_WINDOW, 2, block), WINDOW_BLOCK))
-            assert len(alone) == min(WINDOW_BLOCK, len(full) - block * WINDOW_BLOCK)
-            for got, want in zip(alone, full[block * WINDOW_BLOCK :]):
-                assert np.shares_memory(got.values, panel.values)
-                np.testing.assert_array_equal(got.values, want.values)
-                np.testing.assert_array_equal(got._moments.products, want._moments.products)
-                assert got._moments.pair_sums == want._moments.pair_sums
+        num_windows = panel.n - JOB_WINDOW
+        blocks = [
+            list(_window_panels(panel, JOB_WINDOW, 2, block))
+            for block in range(panel_module._window_blocks(num_windows))
+        ]
+        sizes = [WINDOW_BLOCK] * (num_windows // WINDOW_BLOCK) + [num_windows % WINDOW_BLOCK]
+        assert [len(windows) for windows in blocks] == sizes
+        for start, piece in enumerate(chain.from_iterable(blocks)):
+            assert np.shares_memory(piece.values, panel.values)
+            np.testing.assert_array_equal(piece.values, panel.values[start : start + JOB_WINDOW])
+        for windows in blocks:
+            # Each block forms its first window's products from scratch.
+            first = windows[0]
+            np.testing.assert_array_equal(
+                first._moments.products, panel_module.lag_products(first.values, 2)
+            )
 
     @pytest.mark.parametrize("route", sorted(JOB_ROUTES))
     def test_every_worker_count_gives_the_same_summary(self, route):
@@ -601,6 +614,24 @@ class TestWindowJobs:
         rates = [summaries[0].rate_max, summaries[0].rate_sum, summaries[0].rate_fc]
         assert all(0.0 < rate < 1.0 for rate in rates), rates
         assert [s.to_json() for s in summaries] == [summaries[0].to_json()] * len(WORKER_COUNTS)
+
+    @pytest.mark.skipif(
+        "forkserver" not in multiprocessing.get_all_start_methods(),
+        reason="no forkserver start method on this platform",
+    )
+    def test_a_forkserver_pool_gives_the_serial_summary(self):
+        # Python 3.14 starts pools by forkserver on Linux: the panel and
+        # task then reach the pool process pickled, through its initializer.
+        panel = TimeSeriesPanel(job_panel("cross"))
+        serial = sliding_window_rates(panel, JOB_WINDOW, 2, 0.3)
+        previous = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("forkserver", force=True)
+        try:
+            pooled = sliding_window_rates(panel, JOB_WINDOW, 2, 0.3, workers=2)
+        finally:
+            multiprocessing.set_start_method(previous, force=True)
+        assert pooled == serial
+        assert multiprocessing.active_children() == []
 
     def test_a_failing_last_block_raises_alike_at_every_worker_count(self):
         # Column 3 is zero from row 128 on, so windows 128 and 129, the
@@ -639,8 +670,8 @@ class TestWindowJobs:
     @pytest.mark.parametrize("route", sorted(JOB_ROUTES))
     def test_large_units_keep_every_window_p_value(self, route):
         values = np.random.default_rng(81).standard_normal((120, JOB_ROUTES[route][1]))
-        plain = _window_panels(TimeSeriesPanel(values), JOB_WINDOW, 2)
-        scaled = _window_panels(TimeSeriesPanel(values * 1e70), JOB_WINDOW, 2)
+        plain = every_window(TimeSeriesPanel(values), JOB_WINDOW, 2)
+        scaled = every_window(TimeSeriesPanel(values * 1e70), JOB_WINDOW, 2)
         for start, (a, b) in enumerate(zip(plain, scaled)):
             want, got = run_all(a, 2, 0.05), run_all(b, 2, 0.05)
             assert abs(got.max.p_value - want.max.p_value) <= 1e-14, start

@@ -2,6 +2,7 @@
 
 import csv
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -34,6 +35,14 @@ from oracles import (
     longdouble_autocorrelation,
     longdouble_run_pair_sums,
 )
+
+
+def every_window(panel, window, lags):
+    """Every sliding window of ``panel._window_panels``, block after block."""
+    blocks = panel_module._window_blocks(panel.n - window)
+    return chain.from_iterable(
+        panel_module._window_panels(panel, window, lags, block) for block in range(blocks)
+    )
 
 
 class TestPanelConstruction:
@@ -150,7 +159,7 @@ class TestAutocovariance:
         for p in (4, 12):
             x = rng.standard_normal((160, p))
             x[80] *= 1e4
-            panels += panel_module._window_panels(TimeSeriesPanel(x), 30, 2)
+            panels += every_window(TimeSeriesPanel(x), 30, 2)
         for panel in panels:
             cov0 = sample_autocovariance(panel, 0)
             assert np.array_equal(cov0, cov0.T), "lag-0 matrix must be exactly symmetric"
@@ -303,7 +312,7 @@ def scaled_panel(kind, p):
         panel_module._pair_sums(panel, 1)
         assert panel._moments is not None
         return panel
-    windows = panel_module._window_panels(TimeSeriesPanel(rng.standard_normal((30, p))), 25, 1)
+    windows = panel_module._window_panels(TimeSeriesPanel(rng.standard_normal((30, p))), 25, 1, 0)
     next(windows)
     return next(windows)
 
@@ -358,7 +367,7 @@ def test_window_pair_sums_match_the_longdouble_oracle(lags, window, p):
     # windows take the band's sums on both routes.
     values = np.random.default_rng(window + lags).standard_normal((window + 70, p))
     values[40] *= 1e7
-    pieces = list(panel_module._window_panels(TimeSeriesPanel(values), window, lags))
+    pieces = list(every_window(TimeSeriesPanel(values), window, lags))
     wants = longdouble_run_pair_sums(values, lags, window)
     assert len(pieces) == 70
     for start, piece in enumerate(pieces):

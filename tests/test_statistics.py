@@ -135,7 +135,7 @@ class TestMaxTest:
         for x in (rng.standard_normal((n, p)), rng.standard_t(3, (n, p))):
             want = per_lag_max_stat(x, lags)
             longer = TimeSeriesPanel(np.vstack([x, rng.standard_normal(p)]))
-            window = next(panel_module._window_panels(longer, n, lags))
+            window = next(panel_module._window_panels(longer, n, lags, 0))
             assert max_test(window, lags).t_max == want
             if panel_module._cross_route(n, p, lags):
                 carried = TimeSeriesPanel(x)
@@ -204,7 +204,7 @@ class TestMaxTest:
         carried = TimeSeriesPanel(values)
         panel_module._pair_sums(carried, 2)
         longer = TimeSeriesPanel(np.vstack([values, values[:1]]))
-        window = next(panel_module._window_panels(longer, n, 2))
+        window = next(panel_module._window_panels(longer, n, 2, 0))
         assert fresh._moments is None and carried._moments is not None
         messages = set()
         for panel in (fresh, carried, window):
@@ -227,7 +227,7 @@ class TestMaxTest:
         panels = [TimeSeriesPanel(values)]
         with np.errstate(over="ignore", invalid="ignore"):
             longer = TimeSeriesPanel(np.vstack([values, values[:1]]))
-            panels.append(next(panel_module._window_panels(longer, 40, 2)))
+            panels.append(next(panel_module._window_panels(longer, 40, 2, 0)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if width == 6:
