@@ -315,23 +315,6 @@ def _replicate(
     return (report.reject_max, report.reject_sum, report.reject_fc)
 
 
-class _LocalCounter:
-    """The claim counter of a run without a pool: nothing else claims, so
-    its lock is always free."""
-
-    def __init__(self):
-        self.value = 0
-
-    def get_lock(self):
-        return self
-
-    def acquire(self, timeout=None):
-        return True
-
-    def release(self):
-        pass
-
-
 # How long one wait for the claim counter's lock lasts before the claimer
 # asks again whether it should stop.
 _CLAIM_WAIT_S = 0.1
@@ -421,7 +404,8 @@ def run_jobs(task, jobs: int, workers: int) -> list:
     The jobs are claimed one at a time from a counter, so no worker waits
     for another between jobs.  This process claims jobs itself, beside a
     pool of ``min(workers, jobs) - 1`` processes that claim from the same
-    shared counter; one worker, or one job, starts no pool.  ``task`` must
+    shared counter.  One worker, or one job, starts no pool and claims
+    nothing: the jobs run in order in this process.  ``task`` must
     pickle where pool workers are spawned; it reaches each pool worker
     once, through the pool's initializer, never with a job.  A result
     depends only on its job, so the list is that of a serial run for any
@@ -437,19 +421,17 @@ def run_jobs(task, jobs: int, workers: int) -> list:
     """
     check_integer('"workers"', workers, 1)
     helpers = min(workers, jobs) - 1  # no more than one process per job
-    futures = []
+    if helpers <= 0:
+        return [task(job) for job in range(jobs)]
     with ExitStack() as stack:
-        if helpers > 0:
-            context = multiprocessing.get_context()
-            counter = context.Value("q", 0)
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=helpers, mp_context=context,
-                initializer=_set_pool_state, initargs=(counter, task),
-            ))
-            stack.callback(_stop_claims, counter, jobs)
-            futures = [pool.submit(_pool_task, jobs) for _ in range(helpers)]
-        else:
-            counter = _LocalCounter()
+        context = multiprocessing.get_context()
+        counter = context.Value("q", 0)
+        pool = stack.enter_context(ProcessPoolExecutor(
+            max_workers=helpers, mp_context=context,
+            initializer=_set_pool_state, initargs=(counter, task),
+        ))
+        stack.callback(_stop_claims, counter, jobs)
+        futures = [pool.submit(_pool_task, jobs) for _ in range(helpers)]
         # A pool worker finishes only once the counter is at the end, or
         # when the pool is broken: either way there is nothing left to claim.
         claims = [_claim_jobs(counter, task, jobs, stopped=lambda: any(f.done() for f in futures))]

@@ -12,7 +12,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -52,12 +51,6 @@ ROLLING_TOLERANCE = 1e-13
 # The unit roundoff of float64, 2^-53.
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
-# ``sample_autocorrelation`` scales its matrix in row blocks of at most
-# this many entries (512 KiB), so that p up to 256 takes a single block.
-# numpy adds a 128 KiB buffer while it forms a block; at p = 600 a block
-# and its buffer stay below a quarter of p^2 floats.
-_SCALING_BLOCK = 2**16
-
 # float32's unit roundoff, 2^-24: MAX's screen rounds to it.
 _SCREEN_ROUNDOFF = 2.0**-24
 # MAX screens its lags in float32 when one lag's product takes n p^2 at or
@@ -89,13 +82,10 @@ class TimeSeriesPanel:
     """Immutable n x p panel of observations, rows indexed by time.
 
     The constructor stores a C-contiguous, read-only float64 copy of the
-    input, so the panel never aliases the caller's array.  The lag-0
-    autocovariance is formed on first use and kept for the panel's
-    lifetime: p^2 more floats, paid once however many calls read it.
-    MAX reads it only on a panel that carries its moments; on any other
-    panel it scales unit columns and never forms it (see
-    ``sample_autocorrelation``).  Equality and hashing are by identity,
-    as for any object.
+    input, so the panel never aliases the caller's array.  Beside it the
+    panel keeps only the lag products SUM's cross route carries (see
+    ``_Moments``); every other moment is formed on demand.  Equality and
+    hashing are by identity, as for any object.
     """
 
     values: np.ndarray = field(repr=False)
@@ -119,14 +109,6 @@ class TimeSeriesPanel:
             )
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    @cached_property
-    def _lag0_autocovariance(self) -> np.ndarray:
-        # cached_property stores into the instance __dict__, which a frozen
-        # dataclass allows.  Read-only, since every caller shares it.
-        cov = _autocovariance(self, 0)
-        cov.flags.writeable = False
-        return cov
 
     @property
     def n(self) -> int:
@@ -170,29 +152,19 @@ def sample_autocovariance(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
     Entry (i, j) is (1/n) * sum_{t=1}^{n-k} x[t+k, i] * x[t, j].  The
     divisor stays n for every lag, and no mean is subtracted.
 
-    Lag 0 is cached on the panel: every call returns the same read-only
-    array, which holds p^2 floats for as long as the panel lives.  Copy
-    it before writing into it.  Every other lag is a fresh, writable
-    p x p array, and the only one the call makes.  MAX calls this only on
-    a panel that carries its moments (see ``sample_autocorrelation``).
+    Every lag, 0 included, is a fresh, writable p x p array, and the only
+    one the call makes: the panel's carried product (see ``_Moments``)
+    divided by n, or else X[k:]' X[:n-k] formed and divided in place.
+    Products carried from ``_pair_sums`` are the same bits; rolled ones
+    from ``_window_panels`` agree to about 1e-13 of the smallest lag-0
+    diagonal entry.  MAX calls this only on a panel that carries its
+    moments (see ``_max_autocorrelation``).
 
     Lag 0 is exactly symmetric with no pass to make it so: numpy forms
     X'X by a symmetric rank-k update, and the window engine's updates
     x_a x_a' - x_b x_b' add the same products to entries (i, j) and (j, i).
     """
     _check_lag(panel.n, lag)
-    if lag == 0:
-        return panel._lag0_autocovariance
-    return _autocovariance(panel, lag)
-
-
-def _autocovariance(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
-    """A fresh lag-k autocovariance: the panel's carried product (see
-    ``_Moments``) divided by n, or else X[k:]' X[:n-k] formed and divided
-    in place.  Products carried from ``_pair_sums`` are the same bits;
-    rolled ones from ``_window_panels`` agree to about 1e-13 of the
-    smallest lag-0 diagonal entry.
-    """
     n = panel.n
     moments = panel._moments
     if moments is not None and lag <= moments.lags:
@@ -228,30 +200,23 @@ def sample_autocorrelation(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
     - A panel that carries none scales its columns to unit norm once,
       Y = X / |X|, and returns Y[k:]' Y[:n-k]: the divisor n cancels, and
       no X'X is formed.  A call holds Y and the result.
-    - A panel that carries moments scales its lag-k autocovariance on
-      both sides by the inverse square roots of the lag-0 diagonal, read
-      from the panel's lag-0 cache.  Each block of ``_SCALING_BLOCK``
-      entries is multiplied in place by the matching rows of
-      ``np.outer(inv_scale, inv_scale)``, the same bits as the whole
-      product.  Apart from the cache, a call holds one p x p array and
-      one block; lag 0 copies the shared cache first.
+    - A panel that carries moments takes the inverse square roots s of
+      its lag-0 diagonal, then multiplies its lag-k autocovariance in
+      place by ``np.outer(s, s)``: the same bits as the plain product.
+      The lag-0 matrix is dropped before lag k is formed, so a call holds
+      at most the result and one p x p scale matrix.
     """
     _check_lag(panel.n, lag)
     if panel._moments is None:
         y = _unit_columns(panel)
         return y[lag:].T @ y[: panel.n - lag]
-    d = np.diagonal(sample_autocovariance(panel, 0))
-    _check_variances(d)
-    inv_scale = 1.0 / np.sqrt(d)
+    variances = np.diagonal(sample_autocovariance(panel, 0)).copy()
+    _check_variances(variances)
+    inv_scale = 1.0 / np.sqrt(variances)
     corr = sample_autocovariance(panel, lag)
-    if lag == 0:
-        corr = corr.copy()
-    # Rows i..i+rows of np.outer(inv_scale, inv_scale), the same bits
-    # without np.outer's call overhead, which shows at small p.
-    rows = _SCALING_BLOCK // panel.p or 1
-    for i in range(0, panel.p, rows):
-        block = corr[i : i + rows]
-        block *= inv_scale[i : i + rows, None] * inv_scale
+    # np.outer(inv_scale, inv_scale)'s bits, without its call overhead,
+    # which shows at small p.
+    corr *= inv_scale[:, None] * inv_scale
     return corr
 
 
@@ -287,18 +252,23 @@ def _unit_columns(panel: TimeSeriesPanel) -> np.ndarray:
     return x / np.sqrt(norms)
 
 
-def _fresh_max_autocorrelation(panel: TimeSeriesPanel, lags: int) -> float:
-    """The largest |autocorrelation| over lags 1..``lags`` of a panel that
-    carries no moments: MAX's kernel there, which forms no X'X.
+def _max_autocorrelation(panel: TimeSeriesPanel, lags: int) -> float:
+    """The largest |autocorrelation| over lags 1..``lags``: MAX's kernel.
 
-    The columns are scaled to unit norm once (``_unit_columns``).  From
-    ``_SCREEN_MIN_WORK`` multiply-adds a lag on, each lag is screened by a
-    float32 product Y32[k:]' Y32[:n-k] written into one reused p x p
-    buffer.  Its entries are within half of ``_screen_slack(n)`` of the
-    exact ones, so the entry of largest exact magnitude lies within the
-    slack of the screen's largest.  The entries that do, the candidates,
-    are computed again as float64 dot products of Y's columns, and the
-    largest of those is the lag's.
+    A panel that carries its moments (a sliding window, or one after
+    SUM's cross route) takes each lag from ``sample_autocorrelation``,
+    which scales the carried product: no product is formed up to the
+    carried K.  It holds one lag's autocorrelations, dropped before the
+    next lag is formed, and one p x p scale matrix.
+
+    Any other panel forms no X'X.  Its columns are scaled to unit norm
+    once (``_unit_columns``).  From ``_SCREEN_MIN_WORK`` multiply-adds a
+    lag on, each lag is screened by a float32 product Y32[k:]' Y32[:n-k]
+    written into one reused p x p buffer.  Its entries are within half of
+    ``_screen_slack(n)`` of the exact ones, so the entry of largest exact
+    magnitude lies within the slack of the screen's largest.  The entries
+    that do, the candidates, are computed again as float64 dot products
+    of Y's columns, and the largest of those is the lag's.
 
     A lag with more than p candidates takes its largest entry from its
     float64 product instead: tied columns do that, and so does an n large
@@ -311,27 +281,28 @@ def _fresh_max_autocorrelation(panel: TimeSeriesPanel, lags: int) -> float:
     more p x p float64 array.
     """
     n, p = panel.n, panel.p
-    y = _unit_columns(panel)
-    screen = n * p * p >= _SCREEN_MIN_WORK
+    carried = panel._moments is not None
+    if not carried:
+        y = _unit_columns(panel)
+    screen = not carried and n * p * p >= _SCREEN_MIN_WORK
     if screen:
         y32 = y.astype(np.float32)
         buffer = np.empty((p, p), dtype=np.float32)
         slack = _screen_slack(n)
     largest = 0.0
     for k in range(1, lags + 1):
-        lead, base = y[k:], y[: n - k]
         if screen:
             np.matmul(y32[k:].T, y32[: n - k], out=buffer)
             np.abs(buffer, out=buffer)
             candidates = _screen_candidates(buffer, slack)
             if candidates is not None:
                 i, j = np.divmod(candidates, p)
-                refined = np.einsum("ti,ti->i", lead[:, i], base[:, j])
+                refined = np.einsum("ti,ti->i", y[k:, i], y[: n - k, j])
                 largest = max(largest, float(np.abs(refined).max()))
                 continue
             screen = False
             del y32, buffer
-        corr = lead.T @ base
+        corr = sample_autocorrelation(panel, k) if carried else y[k:].T @ y[: n - k]
         largest = max(largest, float(corr.max()), -float(corr.min()))
         del corr
     return largest

@@ -228,7 +228,9 @@ def max_power_bounds(
     With x_alpha = 2 log(K p^2) - log log(K p^2) + q_alpha, the power at
     a single entry of size rho is bounded below by
     Phi(sqrt(n) rho - sqrt(x_alpha)) + Phi(-sqrt(n) rho - sqrt(x_alpha))
-    and above by that plus alpha.  Both ends are clipped to [0, 1].  rho
+    and above by that plus alpha.  Both ends are clipped to [0, 1].  When
+    x_alpha <= 0 (small K p^2 and a large alpha), every t_max^2 >= 0
+    clears it, so the test rejects every panel: both ends are 1.  rho
     is a correlation, so it must be finite with |rho| <= 1; p and n must
     be integers, and K must satisfy ``check_lag_budget`` for n rows.
     """
@@ -241,6 +243,8 @@ def max_power_bounds(
         raise ConfigError(f"rho must be a correlation in [-1, 1], got {rho}")
     log_np = math.log(lags * p * p)
     x_alpha = 2.0 * log_np - math.log(log_np) + gumbel_quantile(alpha)
+    if x_alpha <= 0.0:
+        return 1.0, 1.0
     root = math.sqrt(x_alpha)
     drift = math.sqrt(n) * rho
     lower = std_normal_cdf(drift - root) + std_normal_cdf(-drift - root)

@@ -10,10 +10,9 @@
   chi-square with 4 degrees of freedom.  Hedges between the two regimes.
 
 The lagged moments both tests read are formed, carried and shared by
-``panel``: MAX through ``_fresh_max_autocorrelation`` on a panel that
-carries no moments and ``sample_autocorrelation`` on one that does, SUM
-through ``_pair_sums``.  This module holds only the formulas on top of
-them.
+``panel``, which also picks each test's kernel: MAX's through
+``_max_autocorrelation``, SUM's through ``_pair_sums``.  This module
+holds only the formulas on top of them.
 """
 
 from __future__ import annotations
@@ -24,10 +23,7 @@ from dataclasses import dataclass
 
 from .distributions import chi2_4_sf, gumbel_sf, std_normal_sf
 from .errors import ConfigError, DataError, check_level, check_probability
-from .panel import (
-    TimeSeriesPanel, _fresh_max_autocorrelation, _pair_sums, check_lag_budget,
-    sample_autocorrelation,
-)
+from .panel import TimeSeriesPanel, _max_autocorrelation, _pair_sums, check_lag_budget
 
 # Guard against log(0) when a p-value underflows to exactly zero.
 P_VALUE_FLOOR = 1e-300
@@ -61,34 +57,18 @@ def max_test(panel: TimeSeriesPanel, lags: int) -> MaxResult:
 
     The max runs over all p^2 entries of each autocorrelation matrix,
     diagonal included.  Requires p >= 2 so the recentring constants are
-    defined.  The panel takes one of two paths, chosen once:
-
-    - A panel that carries no moments (a fresh one, or one after
-      ``sum_test``'s Gram route) goes to ``panel._fresh_max_autocorrelation``.
-      It scales the columns to unit norm once and forms K lag products of
-      them, no lag-0 product.  On a large enough panel each lag is
-      screened in float32, and only the entries within the screen's
-      rounding bound of its largest are computed again in float64, so
-      ``t_max`` is the float64 value to a few ulps.  Working set: about
-      0.63 p^2 + 1.5 n p floats.
-    - A panel that carries its moments (a sliding window, or one after
-      ``sum_test``'s cross route) scales each lag's carried product by
-      the lag-0 diagonal through ``sample_autocorrelation``: no product
-      formed up to the carried K.  Working set: the cached lag-0 matrix,
-      one lag's autocorrelations, dropped before the next lag is formed,
-      and a scaling block of at most 512 KiB.
+    defined.  ``panel._max_autocorrelation`` gives the largest entry.  On
+    a panel that carries no moments (a fresh one, or one after
+    ``sum_test``'s Gram route) it forms K lag products of unit columns,
+    screened in float32 on large panels, so that ``t_max`` is the float64
+    value to a few ulps, in about 0.63 p^2 + 1.5 n p floats.  On a panel
+    that carries its moments (a sliding window, or one after
+    ``sum_test``'s cross route) it scales each carried product by the
+    lag-0 diagonal, in about 2 p^2 floats.
     """
     n, p = panel.n, panel.p
     _check_max_arguments(n, p, lags)
-    if panel._moments is None:
-        largest = _fresh_max_autocorrelation(panel, lags)
-    else:
-        largest = 0.0
-        for k in range(1, lags + 1):
-            corr = sample_autocorrelation(panel, k)
-            largest = max(largest, float(corr.max()), -float(corr.min()))
-            del corr
-    t_max = math.sqrt(n) * largest
+    t_max = math.sqrt(n) * _max_autocorrelation(panel, lags)
     log_np = math.log(lags * p * p)
     y = t_max * t_max - 2.0 * log_np + math.log(log_np)
     return MaxResult(

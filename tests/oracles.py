@@ -59,9 +59,9 @@ def brute_max_stat(x: np.ndarray, lags: int) -> float:
 
 
 def per_lag_max_stat(x: np.ndarray, lags: int) -> float:
-    """The max statistic as the package computed it before the lag-0
-    moment was cached: a fresh lag-0 product for every lag, each lag
-    scaled by the outer product of inverse roots, then ``abs().max()``.
+    """The max statistic in its per-lag form: a fresh lag-0 product for
+    every lag, each lag scaled by the outer product of inverse roots,
+    then ``abs().max()``.
 
     Same matmuls in the same order as the package's path for a panel that
     carries its moments, so the two must agree bit for bit there; the

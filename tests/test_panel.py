@@ -170,34 +170,31 @@ class TestAutocovariance:
         w = np.linalg.eigvalsh(sample_autocovariance(panel, 0))
         assert w.min() > -1e-10, f"lag-0 covariance has eigenvalue {w.min()}"
 
-    def test_lag0_is_cached_and_read_only(self):
-        x = np.random.default_rng(21).standard_normal((40, 7))
-        panel = TimeSeriesPanel(x)
-        cov0 = sample_autocovariance(panel, 0)
+    def test_every_lag_is_a_fresh_writable_array(self):
+        # On a fresh panel, one carrying the cross route's products at K=2,
+        # and a rolled sliding window.  Lag 3 lies past the carried K.
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((40, 7))
         fresh = x.T @ x / 40
         fresh = (fresh + fresh.T) / 2.0
-        assert cov0.tobytes() == fresh.tobytes()
-        assert sample_autocovariance(panel, 0) is cov0
-        with pytest.raises(ValueError):
-            cov0[0, 0] = 1.0
-
-    def test_lag0_formed_once_per_panel(self, monkeypatch):
-        cached = TimeSeriesPanel.__dict__["_lag0_autocovariance"]
-        formed = []
-
-        def spy(panel, fn=cached.func):
-            formed.append(panel)
-            return fn(panel)
-
-        monkeypatch.setattr(cached, "func", spy)
-        rng = np.random.default_rng(22)
-        panels = [TimeSeriesPanel(rng.standard_normal((30, 6))) for _ in range(2)]
-        for panel in panels:
-            run_all(panel, 3, 0.05)
+        assert sample_autocovariance(TimeSeriesPanel(x), 0).tobytes() == fresh.tobytes()
+        carried = TimeSeriesPanel(x)
+        panel_module._pair_sums(carried, 2)
+        windows = panel_module._window_panels(TimeSeriesPanel(rng.standard_normal((30, 7))), 25, 2, 0)
+        next(windows)
+        for panel in (TimeSeriesPanel(x), carried, next(windows)):
+            shared = [panel.values]
+            if panel._moments is not None:
+                shared.append(panel._moments.products)
+            before = [a.tobytes() for a in shared]
             for lag in range(4):
-                sample_autocorrelation(panel, lag)
-        assert len(formed) == len(panels)
-        assert all(a is b for a, b in zip(formed, panels))
+                cov = sample_autocovariance(panel, lag)
+                again = sample_autocovariance(panel, lag)
+                assert cov is not again and cov.tobytes() == again.tobytes()
+                assert cov.flags.writeable
+                assert not any(np.shares_memory(cov, a) for a in shared)
+                cov[:] = 1.0
+            assert [a.tobytes() for a in shared] == before
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(4)
@@ -282,7 +279,6 @@ class TestAutocorrelation:
         panel = TimeSeriesPanel(values)
         with pytest.raises(LagError):
             sample_autocorrelation(panel, lag)
-        assert "_lag0_autocovariance" not in vars(panel), "X'X formed for a bad lag"
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -641,10 +637,3 @@ def test_equality_and_hash_are_by_identity(kind):
     assert a != b and not (a == b)
     assert b in [b] and a not in [b]
     assert hash(a) == hash(a) and len({a, b, a}) == 2
-
-
-def test_lag0_cache_survives_identity_equality():
-    a, b = identity_pair(TimeSeriesPanel)
-    assert sample_autocovariance(a, 0) is sample_autocovariance(a, 0)
-    assert sample_autocovariance(b, 0) is not sample_autocovariance(a, 0)
-    assert np.array_equal(sample_autocovariance(b, 0), sample_autocovariance(a, 0))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hdwhite.distributions import std_normal_cdf, std_normal_quantile
+from hdwhite.distributions import gumbel_quantile, std_normal_cdf, std_normal_quantile
 from hdwhite.errors import ConfigError, LagError
 from hdwhite.power import (
     PowerInputs,
@@ -242,6 +242,17 @@ class TestMaxPowerBounds:
     def test_rho_must_be_a_correlation(self, rho):
         with pytest.raises(ConfigError, match=r"rho must be a correlation in \[-1, 1\]"):
             max_power_bounds(rho, 100, 40, 1, 0.05)
+
+    @pytest.mark.parametrize("rho, n, p, lags, alpha", [
+        (0.1, 100, 2, 1, 0.9),
+        (0.0, 100, 2, 1, 0.99),
+        (-0.5, 100, 3, 1, 0.99),
+    ])
+    def test_negative_critical_value_rejects_every_panel(self, rho, n, p, lags, alpha):
+        # x_alpha < 0 here, so t_max^2 >= 0 always clears it.
+        log_np = math.log(lags * p * p)
+        assert 2.0 * log_np - math.log(log_np) + gumbel_quantile(alpha) < 0.0
+        assert max_power_bounds(rho, n, p, lags, alpha) == (1.0, 1.0)
 
     def test_unit_correlation_accepted(self):
         for rho in (1.0, -1.0):

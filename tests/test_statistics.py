@@ -13,9 +13,7 @@ from hdwhite import panel as panel_module
 from hdwhite import statistics
 from hdwhite.distributions import chi2_4_cdf, gumbel_sf, std_normal_sf
 from hdwhite.errors import ConfigError, DataError, DegenerateColumnError
-from hdwhite.panel import (
-    DEGENERATE_VARIANCE_TOL, TimeSeriesPanel, sample_autocorrelation, sample_autocovariance,
-)
+from hdwhite.panel import DEGENERATE_VARIANCE_TOL, TimeSeriesPanel, sample_autocorrelation
 from hdwhite.statistics import (
     REPORT_COLUMNS,
     check_run_all_arguments,
@@ -437,37 +435,54 @@ class TestSumTest:
     def test_wide_panel_max_working_set(self):
         # On a panel that carries no moments MAX holds the unit columns,
         # their float32 copy, one float32 lag product and its mask: about
-        # 0.63 p^2 + 1.5 n p = 0.93 p^2 floats here.  The cached lag-0
-        # matrix and one lag's autocorrelations alone would be 2 p^2.
+        # 0.63 p^2 + 1.5 n p = 0.93 p^2 floats here.  The lag-0 matrix and
+        # one lag's autocorrelations alone would be 2 p^2.  run_all on the
+        # Gram route is held to the same bound: it forms no lag-0 matrix.
         n, p = 120, 600
         panel = TimeSeriesPanel(np.random.default_rng(32).standard_normal((n, p)))
+        assert not panel_module._cross_route(n, p, 2)
+        for call in (max_test, lambda panel, lags: run_all(panel, lags, 0.05)):
+            tracemalloc.start()
+            try:
+                call(panel, 2)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.2 * p * p * 8, f"peak traced allocation {peak / (8 * p * p):.2f} p^2 floats"
+        assert panel._moments is None
+        # Scaling in place writes only into fresh arrays: neither the
+        # panel's values nor a carried product changes.
+        cross = TimeSeriesPanel(np.random.default_rng(33).standard_normal((200, 30)))
+        sum_test(cross, 2)
+        for shared in (panel, cross):
+            kept = [shared.values]
+            if shared._moments is not None:
+                kept.append(shared._moments.products)
+            before = [a.tobytes() for a in kept]
+            for k in range(3):
+                corr = sample_autocorrelation(shared, k)
+                assert corr.flags.writeable
+                assert not any(np.shares_memory(corr, a) for a in kept)
+                corr[:] = 0.0
+            max_test(shared, 2)
+            assert [a.tobytes() for a in kept] == before
+
+    def test_carried_max_working_set(self):
+        # On a panel that carries its moments MAX holds one lag's
+        # autocorrelations and one p x p scale matrix at a time, beyond
+        # the carried stack: 2 p^2 floats and numpy's buffers.  A lag-0
+        # matrix kept beside them would make it 3 p^2.
+        n, p = 1250, 400
+        panel = TimeSeriesPanel(np.random.default_rng(34).standard_normal((n, p)))
+        sum_test(panel, 2)
+        assert panel._moments is not None
         tracemalloc.start()
         try:
             max_test(panel, 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.2 * p * p * 8, f"peak traced allocation {peak / (8 * p * p):.2f} p^2 floats"
-        # run_all on the Gram route never forms the lag-0 matrix.
-        assert not panel_module._cross_route(n, p, 2)
-        run_all(panel, 2, 0.05)
-        assert panel._moments is None and "_lag0_autocovariance" not in vars(panel)
-        # Scaling in place writes only into fresh arrays: neither the
-        # shared lag-0 matrix nor a carried product changes.
-        cross = TimeSeriesPanel(np.random.default_rng(33).standard_normal((200, 30)))
-        sum_test(cross, 2)
-        for shared in (panel, cross):
-            cov0 = sample_autocovariance(shared, 0)
-            products = shared._moments.products if shared._moments is not None else cov0
-            before = cov0.tobytes(), products.tobytes()
-            corr0 = sample_autocorrelation(shared, 0)
-            assert corr0.flags.writeable and not np.shares_memory(corr0, cov0)
-            corr0[:] = 0.0
-            for k in range(3):
-                sample_autocorrelation(shared, k)
-            max_test(shared, 2)
-            assert sample_autocovariance(shared, 0) is cov0
-            assert (cov0.tobytes(), products.tobytes()) == before
+        assert peak < 2.2 * p * p * 8, f"peak traced allocation {peak / (8 * p * p):.2f} p^2 floats"
 
     @pytest.mark.parametrize("lags, route", [(1, "cross"), (7, "gram")])
     def test_overflowing_sums_are_a_data_error(self, monkeypatch, lags, route):
@@ -715,7 +730,6 @@ class TestRunAll:
             assert (panel.n * p * p >= panel_module._SCREEN_MIN_WORK) == screened
             run_all(panel, 2, 0.05)
             assert calls == [] and panel._moments is None
-            assert "_lag0_autocovariance" not in vars(panel)
             # One Gram matrix for SUM and lags 1..2 for MAX; no lag-0 product.
             assert ProductCountingArray.products == 1 + 2
 
