@@ -66,8 +66,8 @@ for suffix, t, p in cases:
             fh.write(header + "\n")
             for date, row in zip(dates, rows):
                 fh.write(date + "," + ",".join(repr(float(v)) for v in row) + "\n")
-# 40 x 300 at K=2 takes SUM's Gram route, (K+1) p >= n, so MAX runs
-# the kernel of a panel that carries no moments, float32 screen and all.
+# 40 x 300 at K=2 is a Gram-route shape, (K+1) p >= n, so MAX runs its
+# unit-column kernel, float32 screen and all.
 np.savetxt("wide.csv", np.random.default_rng(2).standard_normal((40, 300)), delimiter=",")
 PY
 

@@ -44,11 +44,13 @@ def _cmd_test(args) -> int:
 
 def _check_out_path(path: str) -> None:
     """Raise, before the grid runs, the OSError that writing ``path``
-    would raise after it: for a missing, non-directory or unwritable
-    parent, and for a path that is a directory or an unwritable file.
+    would raise after it: for an empty path, a missing, non-directory or
+    unwritable parent, and a path that is a directory or an unwritable file.
     """
     parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
+    if not path:
+        code, where = errno.ENOENT, path
+    elif not os.path.isdir(parent):
         code, where = (errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT), parent
     elif os.path.isdir(path):
         code, where = errno.EISDIR, path

@@ -278,7 +278,8 @@ def gen_ma_panel(
 
     This is the one-lag moving average the sum-test power theory is
     stated for; it accepts arbitrary conformable matrices rather than the
-    scenario sampler's block draws.
+    scenario sampler's block draws.  n must be at least 2, the fewest rows
+    a panel holds.
     """
     a0 = check_array("a0", a0)
     a1 = check_array("a1", a1)
@@ -286,7 +287,7 @@ def gen_ma_panel(
         raise ConfigError(
             f"coefficient matrices must be square with equal shapes, got {a0.shape} and {a1.shape}"
         )
-    check_integer("n", n, 1)
+    check_integer("n", n, 2)
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     z = draw_innovations(rng, n + 1, a0.shape[0], innovation)

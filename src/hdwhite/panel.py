@@ -83,14 +83,13 @@ class TimeSeriesPanel:
 
     The constructor stores a C-contiguous, read-only float64 copy of the
     input, so the panel never aliases the caller's array.  Beside it the
-    panel keeps only the lag products SUM's cross route carries (see
+    panel keeps only the lag products ``_shared_moments`` carries (see
     ``_Moments``); every other moment is formed on demand.  Equality and
     hashing are by identity, as for any object.
     """
 
     values: np.ndarray = field(repr=False)
-    # The lagged moments up to some K: set by ``_window_panels``, or by
-    # ``_pair_sums`` on SUM's cross route; None until then.
+    # Lagged moments up to some K, set by ``_window_panels`` or ``_shared_moments``.
     _moments: _Moments | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -123,14 +122,22 @@ class TimeSeriesPanel:
         """Build a panel from array-like data.
 
         ``center=True`` subtracts each column's mean once, here and only
-        here; all downstream moments use the stored values as-is.
+        here; all downstream moments use the stored values as-is.  The raw
+        values are checked first, as for ``center=False``; a column whose
+        centring overflows float64 then raises ``DataError`` naming it.
         """
-        values = check_array("panel", values, DataError)
-        if center:
-            if values.ndim != 2:
-                raise DataError(f"panel must be 2-dimensional, got {values.ndim} dims")
-            values = values - values.mean(axis=0, keepdims=True)
-        return cls(values)
+        panel = cls(values)
+        if not center:
+            return panel
+        with np.errstate(over="ignore", invalid="ignore"):
+            centred = panel.values - panel.values.mean(axis=0, keepdims=True)
+        overflowed = ~np.isfinite(centred).all(axis=0)
+        if overflowed.any():
+            raise DataError(
+                f"centring column {int(np.argmax(overflowed)) + 1} overflows float64; "
+                f"the tests are scale-invariant, so rescale the panel"
+            )
+        return cls(centred)
 
 
 def check_lag_budget(n: int, lags: int) -> None:
@@ -155,10 +162,10 @@ def sample_autocovariance(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
     Every lag, 0 included, is a fresh, writable p x p array, and the only
     one the call makes: the panel's carried product (see ``_Moments``)
     divided by n, or else X[k:]' X[:n-k] formed and divided in place.
-    Products carried from ``_pair_sums`` are the same bits; rolled ones
+    Products from ``_shared_moments`` are the same bits; rolled ones
     from ``_window_panels`` agree to about 1e-13 of the smallest lag-0
-    diagonal entry.  MAX calls this only on a panel that carries its
-    moments (see ``_max_autocorrelation``).
+    diagonal entry.  MAX calls this only where ``_shared_moments`` gives
+    moments up to its K (see ``_max_autocorrelation``).
 
     Lag 0 is exactly symmetric with no pass to make it so: numpy forms
     X'X by a symmetric rank-k update, and the window engine's updates
@@ -255,33 +262,28 @@ def _unit_columns(panel: TimeSeriesPanel) -> np.ndarray:
 def _max_autocorrelation(panel: TimeSeriesPanel, lags: int) -> float:
     """The largest |autocorrelation| over lags 1..``lags``: MAX's kernel.
 
-    A panel that carries its moments (a sliding window, or one after
-    SUM's cross route) takes each lag from ``sample_autocorrelation``,
-    which scales the carried product: no product is formed up to the
-    carried K.  It holds one lag's autocorrelations, dropped before the
-    next lag is formed, and one p x p scale matrix.
+    Where ``_shared_moments`` gives moments (a sliding window, or a
+    ``_cross_route`` shape), each lag comes from ``sample_autocorrelation``,
+    which scales the shared product; it holds one lag's autocorrelations
+    and one p x p scale matrix.
 
-    Any other panel forms no X'X.  Its columns are scaled to unit norm
+    A Gram-route shape forms no X'X: its columns are scaled to unit norm
     once (``_unit_columns``).  From ``_SCREEN_MIN_WORK`` multiply-adds a
     lag on, each lag is screened by a float32 product Y32[k:]' Y32[:n-k]
-    written into one reused p x p buffer.  Its entries are within half of
-    ``_screen_slack(n)`` of the exact ones, so the entry of largest exact
-    magnitude lies within the slack of the screen's largest.  The entries
-    that do, the candidates, are computed again as float64 dot products
-    of Y's columns, and the largest of those is the lag's.
-
-    A lag with more than p candidates takes its largest entry from its
-    float64 product instead: tied columns do that, and so does an n large
-    enough that the slack stops separating the entries.  The lags after
-    it skip the screen.  On smaller panels every lag is a float64 product.
+    in one reused p x p buffer, whose entries are within half of
+    ``_screen_slack(n)`` of the exact ones.  The entries within the slack
+    of the screen's largest, the candidates, are computed again as
+    float64 dot products of Y's columns; the largest is the lag's.  A lag
+    with more than p candidates (tied columns, or an n so large that the
+    slack stops separating entries) takes its float64 product instead,
+    and later lags skip the screen.  Smaller panels take float64 products.
 
     Working set: Y, its float32 copy, the float32 buffer and its p^2-byte
-    mask, about 0.63 p^2 + 1.5 n p floats, and the candidates' two
-    gathered columns, at most p x n each.  A lag that falls back holds one
-    more p x p float64 array.
+    mask, about 0.63 p^2 + 1.5 n p floats, and at most 2 p n gathered
+    floats, or one p x p float64 array in a lag that falls back.
     """
     n, p = panel.n, panel.p
-    carried = panel._moments is not None
+    carried = _shared_moments(panel, lags) is not None
     if not carried:
         y = _unit_columns(panel)
     screen = not carried and n * p * p >= _SCREEN_MIN_WORK
@@ -435,33 +437,43 @@ def _cross_pair_sums(products: np.ndarray, sq: np.ndarray):
     return frob - float(sq @ sq), SCALE_RESOLUTION * frob, terms
 
 
+def _shared_moments(panel: TimeSeriesPanel, lags: int) -> _Moments | None:
+    """The lagged moments MAX and SUM share on ``panel`` at ``lags``, or None.
+
+    The one place that decides them, from (n, p, K) alone.  Moments carried
+    up to some K >= ``lags`` serve as they are; else a ``_cross_route``
+    shape forms the K+1 lag products and SUM's sums once and carries them,
+    read-only, replacing a smaller K (sums that overflow as inf or nan).
+    """
+    moments = panel._moments
+    if moments is not None and lags <= moments.lags:
+        return moments
+    if not _cross_route(panel.n, panel.p, lags):
+        return None
+    x = panel.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = lag_products(x, lags)
+        sums = _cross_pair_sums(products, np.einsum("ti,ti->t", x, x))
+    products.flags.writeable = False
+    object.__setattr__(panel, "_moments", _Moments(products, sums))
+    return panel._moments
+
+
 def _pair_sums(panel: TimeSeriesPanel, lags: int) -> tuple[float, float, float]:
     """SUM's pair sum, its residue and its total over lags 1..``lags``.
 
-    Moments the panel carries up to some K >= ``lags`` serve as they are.
-    Otherwise ``_cross_route`` picks the source: the Gram route forms X X'
-    and keeps nothing; the cross route forms the K+1 lag products once and
-    carries them on the panel, read-only, with the sums, so that MAX and
-    every later SUM call up to this K read them rather than forming them
-    again.  The lag terms are added one at a time in order l = 1..K:
+    From ``_shared_moments``, else from X X' (``_gram_pair_sums``), kept
+    nowhere.  The lag terms are added one at a time in order l = 1..K:
     ``sum()`` compensates from Python 3.12 on, and so rounds differently.
     A sum that overflows float64 comes back as inf or nan, with no
     warning, for ``sum_test`` to report.
     """
-    moments = panel._moments
-    if moments is not None and lags <= moments.lags:
-        sums = moments.pair_sums
-    elif not _cross_route(panel.n, panel.p, lags):
+    moments = _shared_moments(panel, lags)
+    if moments is None:
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = _gram_pair_sums(panel.values, lags)
+            off_diagonal, residue, terms = _gram_pair_sums(panel.values, lags)
     else:
-        x = panel.values
-        with np.errstate(over="ignore", invalid="ignore"):
-            products = lag_products(x, lags)
-            sums = _cross_pair_sums(products, np.einsum("ti,ti->t", x, x))
-        products.flags.writeable = False
-        object.__setattr__(panel, "_moments", _Moments(products, sums))
-    off_diagonal, residue, terms = sums
+        off_diagonal, residue, terms = moments.pair_sums
     total = 0.0
     for term in terms[:lags]:
         total += term

@@ -260,24 +260,26 @@ def signal_detectable(
 
     True iff the largest |rho_ij(k)| over lags k and strictly upper
     triangular pairs i < j reaches b0 * sqrt(log p / n).  Equality counts
-    as detectable.  n must be an integer of at least 1, and b0 and every
-    matrix entry finite.
+    as detectable.  The matrices must be square and of one shape, n an
+    integer of at least 1, and b0 and every matrix entry finite.
     """
     if not gammas:
         raise ConfigError("need at least one autocorrelation matrix")
     check_integer("n", n, 1)
     check_number("b0", b0)
     mats = [check_array("autocorrelation matrix", g) for g in gammas]
-    p = mats[0].shape[0]
-    if p < 2:
-        raise ConfigError(f"p must be at least 2, got {p}")
+    shape = mats[0].shape
     for g in mats:
-        if g.ndim != 2 or g.shape != (p, p):
+        if g.ndim != 2 or g.shape != shape or shape[0] != shape[1]:
             raise ConfigError(
-                f"all autocorrelation matrices must be {p}x{p}, got shape {g.shape}"
+                f"autocorrelation matrices must be square and of one shape, got shapes "
+                f"{shape} and {g.shape}"
             )
         if not np.isfinite(g).all():
             raise ConfigError("autocorrelation matrices must be finite")
+    p = shape[0]
+    if p < 2:
+        raise ConfigError(f"p must be at least 2, got {p}")
     upper = np.triu_indices(p, k=1)
     largest = max(float(np.abs(g[upper]).max()) for g in mats)
     return largest >= b0 * math.sqrt(math.log(p) / n)

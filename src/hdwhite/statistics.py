@@ -9,10 +9,10 @@
 - Fisher combination: -2 log of each test's p-value, summed; null limit
   chi-square with 4 degrees of freedom.  Hedges between the two regimes.
 
-The lagged moments both tests read are formed, carried and shared by
-``panel``, which also picks each test's kernel: MAX's through
-``_max_autocorrelation``, SUM's through ``_pair_sums``.  This module
-holds only the formulas on top of them.
+``panel._shared_moments`` alone decides, from the panel's shape, which
+lagged moments the two tests share, so each test's kernel (MAX's
+``_max_autocorrelation``, SUM's ``_pair_sums``) and its bits do not
+depend on which test ran first.  This module holds only the formulas.
 """
 
 from __future__ import annotations
@@ -57,14 +57,11 @@ def max_test(panel: TimeSeriesPanel, lags: int) -> MaxResult:
 
     The max runs over all p^2 entries of each autocorrelation matrix,
     diagonal included.  Requires p >= 2 so the recentring constants are
-    defined.  ``panel._max_autocorrelation`` gives the largest entry.  On
-    a panel that carries no moments (a fresh one, or one after
-    ``sum_test``'s Gram route) it forms K lag products of unit columns,
-    screened in float32 on large panels, so that ``t_max`` is the float64
-    value to a few ulps, in about 0.63 p^2 + 1.5 n p floats.  On a panel
-    that carries its moments (a sliding window, or one after
-    ``sum_test``'s cross route) it scales each carried product by the
-    lag-0 diagonal, in about 2 p^2 floats.
+    defined.  ``panel._max_autocorrelation`` gives the largest entry: on
+    SUM's Gram-route shapes, (K+1) p >= n, from unit columns, to a few ulps
+    of the float64 value; on its cross-route shapes and sliding windows,
+    from the lag products it shares with ``sum_test``, with the same bits
+    whichever test runs first.
     """
     n, p = panel.n, panel.p
     _check_max_arguments(n, p, lags)
@@ -105,15 +102,13 @@ def sum_test(panel: TimeSeriesPanel, lags: int) -> SumResult:
     by n(n-1).  The studentizer is the U-statistic estimate of tr(Sigma^2)
     built from all ordered pairs.
 
-    The sums come from ``panel._pair_sums``, by one of two routes.  The
-    Gram route, when (K+1) p >= n, forms the n x n matrix X X':
-    O(n^2 (p + K)) time and O(n^2) memory, none of it kept.  The cross
-    route forms the K+1 p x p products X'X and X[l:]' X[:n-l] once,
-    O((K+1) n p^2) time, and keeps them on the panel with the sums:
-    (K+1) p^2 floats, fewer than the panel's n p, which ``max_test`` then
-    reads.  Both routes give the same numbers up to rounding.  A panel
-    that carries its moments up to some K >= lags (a sliding window, or a
-    panel this test ran on before by the cross route) uses them as given.
+    The sums come from ``panel._pair_sums``, by one of two routes fixed by
+    the shape.  The Gram route, when (K+1) p >= n, forms the n x n matrix
+    X X': O(n^2 (p + K)) time and O(n^2) memory, none of it kept.  The
+    cross route shares the K+1 p x p products X'X and X[l:]' X[:n-l] with
+    ``max_test``: the first of the two forms them, in O((K+1) n p^2)
+    time, and keeps them on the panel with the sums, (K+1) p^2 floats.
+    Both routes give the same numbers up to rounding.
 
     Raises ``DataError`` when a sum overflows float64 (entries of about
     1e77 and up), and then when the pair sum behind the studentizer is no
@@ -232,8 +227,8 @@ class TestReport:
 
 
 def run_all(panel: TimeSeriesPanel, lags: int, alpha: float) -> TestReport:
-    """Run the sum, max and Fisher-combined tests at level alpha, in that order:
-    MAX reads the lag products SUM keeps, and SUM's error comes first."""
+    """Run the sum, max and Fisher-combined tests at level alpha, in that
+    order, so that SUM's error comes first."""
     alpha = check_run_all_arguments(panel.n, panel.p, lags, alpha)
     sm = sum_test(panel, lags)
     mx = max_test(panel, lags)

@@ -107,6 +107,18 @@ class TestTestSubcommand:
             "so rescale the panel\n"
         )
 
+    def test_centring_overflow_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        values = np.random.default_rng(6).standard_normal((40, 5))
+        values[[3, 9], 2] = 1e308
+        write_panel_csv(TimeSeriesPanel(values), str(path))
+        code, out, err = run_cli(capsys, "test", "--input", str(path), "--K", "1", "--center")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: centring column 3 overflows float64; the tests are scale-invariant, "
+            "so rescale the panel\n"
+        )
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "test", "--input", str(tmp_path / "nope.csv"), "--K", "1"
@@ -226,9 +238,10 @@ class TestExperimentSubcommands:
                 "--seed", "101")
         assert out_a.read_text() != out_b.read_text()
 
-    @pytest.mark.parametrize(
-        "where", ["missing-parent", "parent-is-file", "path-is-dir", "read-only-parent"]
-    )
+    @pytest.mark.parametrize("where", [
+        "missing-parent", "parent-is-file", "path-is-dir", "read-only-parent",
+        "empty", "empty-in-config",
+    ])
     def test_unwritable_output_fails_before_the_run(self, tmp_path, capsys, monkeypatch, where):
         (tmp_path / "plain.txt").write_text("")
         locked = tmp_path / "locked"
@@ -240,17 +253,25 @@ class TestExperimentSubcommands:
             "parent-is-file": tmp_path / "plain.txt" / "rates.csv",
             "path-is-dir": tmp_path,
             "read-only-parent": locked / "rates.csv",
+            "empty": "",
+            "empty-in-config": None,
         }[where]
 
         def must_not_run(cfg):
             raise AssertionError("the grid ran before the output path was checked")
 
         monkeypatch.setattr("hdwhite.cli.run_experiment", must_not_run)
-        cfg = self.write_config(tmp_path)
-        code, out, err = run_cli(capsys, "size", "--config", str(cfg), "--out", str(out_path))
+        if out_path is None:
+            cfg = self.write_config(tmp_path, out="")
+            code, out, err = run_cli(capsys, "size", "--config", str(cfg))
+        else:
+            cfg = self.write_config(tmp_path)
+            code, out, err = run_cli(capsys, "size", "--config", str(cfg), "--out", str(out_path))
         assert code == 4
         assert out == ""
         assert err.startswith("error: ")
+        if where.startswith("empty"):
+            assert err == "error: [Errno 2] No such file or directory: ''\n"
         assert not (tmp_path / "absent").exists()
 
     @pytest.mark.parametrize("extra, message", [

@@ -203,6 +203,10 @@ BAD_CALLS = {
     "detectable-complex": (lambda: signal_detectable([EYE * 1j], 100, 1.0), "autocorrelation"),
     "detectable-ragged": (lambda: signal_detectable([[[1.0, 0.0], [0.0]]], 100, 1.0),
                           "autocorrelation"),
+    # These two raised a bare IndexError and a DataError about the panel.
+    "detectable-scalar": (lambda: signal_detectable([np.float64(0.3)], 100, 1.0),
+                          "autocorrelation"),
+    "ma-panel-one-row": (lambda: gen_ma_panel(np.eye(2), np.eye(2), 1, 0), "n must be at least 2"),
     "cell-result-rate": (lambda: CellResult(CELL, "0.5", 0.1, 0.1, 10, 0.0, 0.0, 0.0),
                          "rate_max"),
     "window-summary-count": (lambda: SlidingWindowSummary(60, 2, 0.05, "3", 0.1, 0.2, 0.15),

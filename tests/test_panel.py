@@ -110,6 +110,30 @@ class TestPanelConstruction:
         means = panel.values.mean(axis=0)
         assert np.abs(means).max() < 1e-12, f"column means {means} not removed"
 
+    def test_center_checks_the_raw_values_first(self):
+        # The uncentred message, not a numpy warning and a whole column of
+        # inf - inf blamed on row 1.
+        values = np.random.default_rng(4).standard_normal((10, 4))
+        values[5, 2] = np.inf
+        for center in (False, True):
+            with pytest.raises(DataError, match=r"non-finite value at row 6, column 3$"):
+                TimeSeriesPanel.from_array(values, center=center)
+
+    @pytest.mark.parametrize("big", [[1e308, 1e308], [1.7e308, -1.7e308, -1.7e308]],
+                             ids=["mean", "difference"])
+    def test_center_names_a_column_whose_centring_overflows(self, big):
+        # The mean of column 3 overflows, or, with a finite mean, the
+        # difference from it does.
+        values = np.random.default_rng(5).standard_normal((10, 4))
+        values[2 : 2 + len(big), 2] = big
+        assert TimeSeriesPanel.from_array(values).values[2, 2] == big[0]
+        with pytest.raises(DataError) as raised:
+            TimeSeriesPanel.from_array(values, center=True)
+        assert str(raised.value) == (
+            "centring column 3 overflows float64; the tests are scale-invariant, "
+            "so rescale the panel"
+        )
+
     def test_center_defaults_off(self):
         raw = np.ones((5, 2)) * 3.0
         panel = TimeSeriesPanel.from_array(raw)

@@ -88,7 +88,7 @@ def counting_panel(values) -> TimeSeriesPanel:
 
 def orthogonal_signal_free_panel() -> TimeSeriesPanel:
     """Columns supported on time points further apart than any tested lag,
-    so every lag-1..3 autocovariance is exactly zero."""
+    so every lag-1..6 autocovariance is exactly zero."""
     values = np.zeros((35, 5))
     for j in range(5):
         values[7 * j, j] = 1.0
@@ -97,11 +97,13 @@ def orthogonal_signal_free_panel() -> TimeSeriesPanel:
 
 class TestMaxTest:
     def test_signal_free_panel(self):
-        result = max_test(orthogonal_signal_free_panel(), 3)
-        assert result.t_max == 0.0
-        log_np = math.log(3 * 25)
-        assert result.gumbel_y == pytest.approx(-2.0 * log_np + math.log(log_np), abs=1e-14)
-        assert result.p_value > 0.99
+        # K=3 takes SUM's cross-route shape, K=6 its Gram-route shape.
+        for lags in (3, 6):
+            result = max_test(orthogonal_signal_free_panel(), lags)
+            assert result.t_max == 0.0
+            log_np = math.log(lags * 25)
+            assert result.gumbel_y == pytest.approx(-2.0 * log_np + math.log(log_np), abs=1e-14)
+            assert result.p_value > 0.99
 
     def test_hand_panel_matches_bruteforce(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -127,8 +129,10 @@ class TestMaxTest:
         # and must give exactly the bits of one lag-0 product per lag, on
         # SUM's cross-route and Gram-route shapes alike: a sliding window
         # that forms its moments from scratch, and on the cross route a
-        # panel after sum_test.  A fresh panel takes the unit-column kernel,
-        # whose bits differ, and must hold the long-double oracle.
+        # panel after sum_test and a fresh one, which carries them too.  A
+        # fresh panel of a Gram-route shape (the first (K+1) p rows) takes
+        # the unit-column kernel, whose bits differ, and must hold the
+        # long-double oracle.
         rng = np.random.default_rng(100 * lags + p)
         for x in (rng.standard_normal((n, p)), rng.standard_t(3, (n, p))):
             want = per_lag_max_stat(x, lags)
@@ -140,13 +144,17 @@ class TestMaxTest:
                 sum_test(carried, lags)
                 assert carried._moments is not None
                 assert max_test(carried, lags).t_max == want
-            got = max_test(TimeSeriesPanel(x), lags).t_max
-            oracle = float(longdouble_max_stat(x, lags))
+                assert max_test(TimeSeriesPanel(x), lags).t_max == want
+            fresh = TimeSeriesPanel(x[: (lags + 1) * p])
+            assert not panel_module._cross_route(fresh.n, p, lags)
+            got = max_test(fresh, lags).t_max
+            assert fresh._moments is None
+            oracle = float(longdouble_max_stat(fresh.values, lags))
             assert got == pytest.approx(oracle, rel=LONGDOUBLE_TOL, abs=0)
 
     def test_result_internal_consistency(self):
         rng = np.random.default_rng(15)
-        result = max_test(TimeSeriesPanel(rng.standard_normal((60, 8))), 2)
+        result = max_test(TimeSeriesPanel(rng.standard_normal((24, 8))), 2)
         assert result.t_max >= 0.0
         log_np = math.log(2 * 64)
         y = result.t_max**2 - 2.0 * log_np + math.log(log_np)
@@ -156,17 +164,20 @@ class TestMaxTest:
     def test_scale_invariance(self):
         rng = np.random.default_rng(16)
         x = rng.standard_normal((40, 5))
-        base = max_test(TimeSeriesPanel(x), 2).t_max
-        scaled = max_test(TimeSeriesPanel(x * [0.2, 5.0, 1.0, 41.0, 0.003]), 2).t_max
-        assert abs(base - scaled) < 1e-10
+        # Both kernels: SUM's cross route at 40 rows, its Gram route at 15.
+        for rows in (x, x[:15]):
+            base = max_test(TimeSeriesPanel(rows), 2).t_max
+            scaled = max_test(TimeSeriesPanel(rows * [0.2, 5.0, 1.0, 41.0, 0.003]), 2).t_max
+            assert abs(base - scaled) < 1e-10
 
     def test_planted_autocorrelation_detected(self):
         # One component follows an MA(1) with coefficient 0.6; the max
-        # test at K=1 should reject nearly always at n=200.
+        # test at K=1 should reject nearly always at n=200, at p = 10 (SUM's
+        # cross-route shape) and p = 100 (its Gram-route shape).
         rng = np.random.default_rng(17)
         rejections = 0
-        for _ in range(200):
-            z = rng.standard_normal((201, 10))
+        for rep in range(200):
+            z = rng.standard_normal((201, 10 if rep % 2 else 100))
             x = z[1:].copy()
             x[:, 0] += 0.6 * z[:-1, 0]
             result = max_test(TimeSeriesPanel(x), 1)
@@ -186,19 +197,22 @@ class TestMaxTest:
     def test_degenerate_column_propagates(self):
         values = np.random.default_rng(2).standard_normal((20, 3))
         values[:, 0] = 0.0
-        with pytest.raises(DegenerateColumnError):
-            max_test(TimeSeriesPanel(values), 1)
+        for rows in (values, values[:6]):
+            with pytest.raises(DegenerateColumnError):
+                max_test(TimeSeriesPanel(rows), 1)
 
     @pytest.mark.parametrize("width", [6, 240], ids=["float64", "screened"])
     @pytest.mark.parametrize("variance", [0.0, 1e-14])
     def test_degenerate_column_raises_alike_on_both_paths(self, width, variance):
-        # Fresh, carrying the cross route's moments, and a sliding window:
-        # the same error, naming the same column with the same variance.
+        # Fresh (the first 3 p rows, a Gram-route shape at K=2), carrying
+        # the cross route's moments, and a sliding window: the same error,
+        # naming the same column with the same variance.
         n = 2 * 3 * width + 2
         values = np.random.default_rng(3).standard_normal((n, width))
         values[:, 3] = math.sqrt(variance)
         values[:, 5] = 0.0
-        fresh = TimeSeriesPanel(values)
+        fresh = TimeSeriesPanel(values[: 3 * width])
+        assert not panel_module._cross_route(fresh.n, width, 2)
         carried = TimeSeriesPanel(values)
         panel_module._pair_sums(carried, 2)
         longer = TimeSeriesPanel(np.vstack([values, values[:1]]))
@@ -210,6 +224,7 @@ class TestMaxTest:
                 with pytest.raises(DegenerateColumnError) as raised:
                     call(panel, 2)
                 messages.add(str(raised.value))
+        assert fresh._moments is None
         assert messages == {
             f"column 4 has sample variance {variance:.3e} <= 1e-12; autocorrelations are undefined"
         }
@@ -218,11 +233,13 @@ class TestMaxTest:
     @pytest.mark.parametrize("scale", [1e155, 1e160])
     def test_overflowing_column_is_named_on_both_paths(self, width, scale):
         # Columns 3 on are scaled so far that their sums of squares
-        # overflow: fresh, a sliding window and (at p = 6, where SUM takes
-        # the cross route) a panel carrying the cross route's moments.
+        # overflow: fresh (the first 3 p rows, a Gram-route shape at K=2),
+        # a sliding window and (at p = 6, where SUM takes the cross route)
+        # a panel carrying the cross route's moments.
         values = np.random.default_rng(4).standard_normal((40, width))
         values[:, 2:] *= scale
-        panels = [TimeSeriesPanel(values)]
+        panels = [TimeSeriesPanel(values[: 3 * width])]
+        assert not panel_module._cross_route(panels[0].n, width, 2)
         with np.errstate(over="ignore", invalid="ignore"):
             longer = TimeSeriesPanel(np.vstack([values, values[:1]]))
             panels.append(next(panel_module._window_panels(longer, 40, 2, 0)))
@@ -269,7 +286,7 @@ def tied_panel(kind):
 
 
 class TestMaxScreen:
-    """The float32 screen of a panel that carries no moments."""
+    """The float32 screen of MAX on a Gram-route shape."""
 
     @pytest.mark.parametrize("kind", ["duplicated", "negated", "near", "all-equal"])
     def test_every_tied_entry_is_refined(self, monkeypatch, kind):
@@ -433,8 +450,8 @@ class TestSumTest:
         assert peak < 4 * 2**20, f"peak traced allocation {peak / 2**20:.2f} MiB"
 
     def test_wide_panel_max_working_set(self):
-        # On a panel that carries no moments MAX holds the unit columns,
-        # their float32 copy, one float32 lag product and its mask: about
+        # On a Gram-route shape MAX holds the unit columns, their float32
+        # copy, one float32 lag product and its mask: about
         # 0.63 p^2 + 1.5 n p = 0.93 p^2 floats here.  The lag-0 matrix and
         # one lag's autocorrelations alone would be 2 p^2.  run_all on the
         # Gram route is held to the same bound: it forms no lag-0 matrix.
@@ -685,8 +702,10 @@ class TestRunAll:
 
     def test_carried_moments_serve_smaller_lags(self, monkeypatch):
         # The K=5 stack serves SUM and MAX at K=2 and stays on the panel,
-        # with the bits of a stack carried at K=2.  A fresh panel's MAX
-        # takes the unit-column kernel and holds the long-double oracle.
+        # with the bits of a stack carried at K=2, and of a fresh panel,
+        # whose MAX forms that stack itself.  The carried MAX and, on the
+        # first (K+1) p rows, a Gram-route shape, the unit-column kernel hold
+        # the long-double oracle.
         x = np.random.default_rng(44).standard_normal((400, 10))
 
         def carried_at(lags):
@@ -695,10 +714,14 @@ class TestRunAll:
 
         want = {lags: carried_at(lags) for lags in (2, 5)}
         for lags in (2, 5):
-            fresh = max_test(TimeSeriesPanel(x), lags).t_max
+            assert repr(max_test(TimeSeriesPanel(x), lags)) == repr(want[lags][1])
             oracle = float(longdouble_max_stat(x, lags))
-            assert fresh == pytest.approx(oracle, rel=LONGDOUBLE_TOL, abs=0)
             assert want[lags][1].t_max == pytest.approx(oracle, rel=LONGDOUBLE_TOL, abs=0)
+            rows = x[: (lags + 1) * 10]
+            fresh = TimeSeriesPanel(rows)
+            assert not panel_module._cross_route(fresh.n, fresh.p, lags)
+            oracle = float(longdouble_max_stat(rows, lags))
+            assert max_test(fresh, lags).t_max == pytest.approx(oracle, rel=LONGDOUBLE_TOL, abs=0)
         calls = []
         original = panel_module.lag_products
         monkeypatch.setattr(
@@ -713,6 +736,37 @@ class TestRunAll:
             assert repr(max_test(panel, lags)) == repr(want[lags][1])
             assert panel._moments is carried
         assert calls == [5] and carried.lags == 5
+
+    @pytest.mark.parametrize("lags", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n, p", [(200, 20), (60, 40)], ids=["cross", "gram"])
+    def test_call_order_does_not_change_the_bits(self, monkeypatch, n, p, lags):
+        # Each kernel follows from (n, p, K): MAX alone, MAX then SUM, and
+        # SUM then MAX give the same t_max and t_sum bits, and a panel forms
+        # its lag products at most once (once on the cross route).
+        formed = []
+        original = panel_module.lag_products
+        monkeypatch.setattr(
+            panel_module, "lag_products", lambda x, k: formed.append(x) or original(x, k)
+        )
+        cross = panel_module._cross_route(n, p, lags)
+        rng = np.random.default_rng(300 + 10 * lags + p)
+        for x in (rng.standard_normal((n, p)), rng.standard_t(3, (n, p))):
+            panels = [TimeSeriesPanel(x) for _ in range(4)]
+            alone = max_test(panels[0], lags).t_max, sum_test(panels[1], lags).t_sum
+            max_first = max_test(panels[2], lags).t_max, sum_test(panels[2], lags).t_sum
+            t_sum = sum_test(panels[3], lags).t_sum
+            sum_first = max_test(panels[3], lags).t_max, t_sum
+            assert repr(alone) == repr(max_first) == repr(sum_first)
+            for panel in panels:
+                assert sum(a is panel.values for a in formed) == cross
+        # A carried K below ``lags`` never feeds MAX: after SUM at K=1 on a
+        # 40 x 12 panel, MAX gives a fresh panel's bits at every K, also at
+        # K=3 and 5, Gram-route shapes where both take the unit columns.
+        for seed in range(5):
+            x = np.random.default_rng(seed).standard_normal((40, 12))
+            panel = TimeSeriesPanel(x)
+            sum_test(panel, 1)
+            assert max_test(panel, lags).t_max == max_test(TimeSeriesPanel(x), lags).t_max
 
     def test_gram_route_keeps_no_products(self, monkeypatch):
         calls = []
@@ -739,7 +793,11 @@ class TestRunAll:
     ], ids=["gram", "cross"])
     def test_orthogonal_rows_outrank_a_degenerate_column(self, values):
         # The rows are mutually orthogonal and the last column is zero.
-        # SUM runs first in run_all, so its error is the one raised.
+        # SUM runs first in run_all, so its error is the one raised.  MAX
+        # alone raises for the column, on the panel and on its first 2p
+        # rows, a Gram-route shape at K=1, where it takes the unit columns.
+        with pytest.raises(DegenerateColumnError):
+            max_test(TimeSeriesPanel(values[: 2 * values.shape[1]]), 1)
         panel = TimeSeriesPanel(values)
         with pytest.raises(DegenerateColumnError):
             max_test(panel, 1)
