@@ -277,7 +277,7 @@ def gen_ma_panel(
     """Generate x_t = A0 z_t + A1 z_{t-1} for explicit coefficient matrices.
 
     This is the one-lag moving average the sum-test power theory is
-    stated for; it accepts arbitrary conformable matrices rather than the
+    stated for; it accepts any finite conformable matrices rather than the
     scenario sampler's block draws.  n must be at least 2, the fewest rows
     a panel holds.
     """
@@ -287,6 +287,8 @@ def gen_ma_panel(
         raise ConfigError(
             f"coefficient matrices must be square with equal shapes, got {a0.shape} and {a1.shape}"
         )
+    if not (np.isfinite(a0).all() and np.isfinite(a1).all()):
+        raise ConfigError("coefficient matrices must be finite")
     check_integer("n", n, 2)
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)

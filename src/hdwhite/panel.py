@@ -165,7 +165,7 @@ def sample_autocovariance(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
     Products from ``_shared_moments`` are the same bits; rolled ones
     from ``_window_panels`` agree to about 1e-13 of the smallest lag-0
     diagonal entry.  MAX calls this only where ``_shared_moments`` gives
-    moments up to its K (see ``_max_autocorrelation``).
+    moments up to its K (see ``_carried_autocorrelation``).
 
     Lag 0 is exactly symmetric with no pass to make it so: numpy forms
     X'X by a symmetric rank-k update, and the window engine's updates
@@ -201,30 +201,14 @@ def sample_autocorrelation(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
     of the lag-0 variances of columns i and j.  A variance at or below
     ``DEGENERATE_VARIANCE_TOL`` makes that meaningless and raises,
     naming the first offending column (1-based); a bad lag raises
-    ``LagError`` before any of that.  Two paths, chosen by whether the
-    panel carries its moments (see ``_Moments``):
-
-    - A panel that carries none scales its columns to unit norm once,
-      Y = X / |X|, and returns Y[k:]' Y[:n-k]: the divisor n cancels, and
-      no X'X is formed.  A call holds Y and the result.
-    - A panel that carries moments takes the inverse square roots s of
-      its lag-0 diagonal, then multiplies its lag-k autocovariance in
-      place by ``np.outer(s, s)``: the same bits as the plain product.
-      The lag-0 matrix is dropped before lag k is formed, so a call holds
-      at most the result and one p x p scale matrix.
+    ``LagError`` before any of that.  One path, whatever the panel
+    carries: its columns are scaled to unit norm once, Y = X / |X|, and
+    Y[k:]' Y[:n-k] is returned, so the divisor n cancels and no X'X is
+    formed.  A call holds Y and the result.
     """
     _check_lag(panel.n, lag)
-    if panel._moments is None:
-        y = _unit_columns(panel)
-        return y[lag:].T @ y[: panel.n - lag]
-    variances = np.diagonal(sample_autocovariance(panel, 0)).copy()
-    _check_variances(variances)
-    inv_scale = 1.0 / np.sqrt(variances)
-    corr = sample_autocovariance(panel, lag)
-    # np.outer(inv_scale, inv_scale)'s bits, without its call overhead,
-    # which shows at small p.
-    corr *= inv_scale[:, None] * inv_scale
-    return corr
+    y = _unit_columns(panel)
+    return y[lag:].T @ y[: panel.n - lag]
 
 
 def _check_variances(variances: np.ndarray) -> None:
@@ -259,13 +243,26 @@ def _unit_columns(panel: TimeSeriesPanel) -> np.ndarray:
     return x / np.sqrt(norms)
 
 
+def _carried_autocorrelation(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
+    """MAX's lag-k autocorrelations on a panel whose moments reach ``lag``:
+    the lag-k autocovariance times ``np.outer(s, s)`` in place, with s the
+    inverse square roots of the lag-0 diagonal, which is dropped before
+    lag k is formed; a call holds the result and one p x p scale matrix."""
+    variances = np.diagonal(sample_autocovariance(panel, 0)).copy()
+    _check_variances(variances)
+    inv_scale = 1.0 / np.sqrt(variances)
+    corr = sample_autocovariance(panel, lag)
+    # np.outer(inv_scale, inv_scale)'s bits, without its call overhead,
+    # which shows at small p.
+    corr *= inv_scale[:, None] * inv_scale
+    return corr
+
+
 def _max_autocorrelation(panel: TimeSeriesPanel, lags: int) -> float:
     """The largest |autocorrelation| over lags 1..``lags``: MAX's kernel.
 
     Where ``_shared_moments`` gives moments (a sliding window, or a
-    ``_cross_route`` shape), each lag comes from ``sample_autocorrelation``,
-    which scales the shared product; it holds one lag's autocorrelations
-    and one p x p scale matrix.
+    ``_cross_route`` shape), each lag comes from ``_carried_autocorrelation``.
 
     A Gram-route shape forms no X'X: its columns are scaled to unit norm
     once (``_unit_columns``).  From ``_SCREEN_MIN_WORK`` multiply-adds a
@@ -304,7 +301,7 @@ def _max_autocorrelation(panel: TimeSeriesPanel, lags: int) -> float:
                 continue
             screen = False
             del y32, buffer
-        corr = sample_autocorrelation(panel, k) if carried else y[k:].T @ y[: n - k]
+        corr = _carried_autocorrelation(panel, k) if carried else y[k:].T @ y[: n - k]
         largest = max(largest, float(corr.max()), -float(corr.min()))
         del corr
     return largest

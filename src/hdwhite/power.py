@@ -143,6 +143,12 @@ class SumPowerBreakdown:
         return json.dumps(self.to_dict())
 
 
+# float64's smallest normal number over its epsilon: while the largest
+# variance term is at least this, every term that moves the power by an
+# epsilon or more is a normal number.
+_TERM_FLOOR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+
+
 def _tr(m: np.ndarray) -> float:
     return float(np.trace(m))
 
@@ -196,15 +202,28 @@ def sum_power(inp: PowerInputs) -> SumPowerBreakdown:
 
     The vanishing remainder of the variance expansion is dropped, so the
     result is an approximation; the null case A1 = 0 returns exactly the
-    level alpha.
+    level alpha.  Scaling A0 and A1 by one factor c leaves the power as
+    it is, but scales the variance terms by c^8: a term that overflows
+    float64, or a largest one below ``_TERM_FLOOR``, raises ConfigError.
     """
-    s0 = inp.a0.T @ inp.a0
-    s1 = inp.a1.T @ inp.a1
-    c = inp.a0.T @ inp.a1
     n = inp.n
-
-    mu_s = _tr(s0 @ s1) + (2.0 / n) * _tr(c) ** 2
-    terms = sum_variance_terms(s0, s1, c, n, inp.nu4)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            s0 = inp.a0.T @ inp.a0
+            s1 = inp.a1.T @ inp.a1
+            c = inp.a0.T @ inp.a1
+            mu_s = _tr(s0 @ s1) + (2.0 / n) * _tr(c) ** 2
+            terms = sum_variance_terms(s0, s1, c, n, inp.nu4)
+            xi0 = _tr(s0 @ s0 + s1 @ s1) + 2.0 * _tr(c.T @ c)
+        sizes = [abs(getattr(terms, f.name)) for f in fields(terms)]
+        finite = all(map(math.isfinite, [mu_s, xi0, *sizes]))
+    except OverflowError:
+        finite = False
+    if not finite or ((inp.a0.any() or inp.a1.any()) and not max(sizes) >= _TERM_FLOOR):
+        raise ConfigError(
+            f"the sum-test power's trace terms {'underflow' if finite else 'overflow'} "
+            f"float64; scaling A0 and A1 together leaves the power unchanged, so rescale them"
+        )
     var = terms.total()
     if not var > 0.0:
         raise ConfigError(
@@ -212,7 +231,6 @@ def sum_power(inp: PowerInputs) -> SumPowerBreakdown:
             "(both coefficient matrices are zero?)"
         )
     sigma_s1 = math.sqrt(var)
-    xi0 = _tr(s0 @ s0 + s1 @ s1) + 2.0 * _tr(c.T @ c)
     z_alpha = std_normal_quantile(1.0 - inp.alpha)
     beta = std_normal_cdf(mu_s / sigma_s1 - z_alpha * math.sqrt(2.0) * xi0 / (n * sigma_s1))
     return SumPowerBreakdown(

@@ -344,6 +344,24 @@ class TestPowerTheorySubcommand:
         assert code == 0
         assert 0.0 < json.loads(out)["beta_sum"] < 1.0
 
+    @pytest.mark.parametrize(
+        "scale, kind", [(1e40, "overflow"), (1e200, "overflow"), (1e-60, "underflow")]
+    )
+    def test_trace_terms_out_of_range_exit_2(self, tmp_path, capsys, scale, kind):
+        # 1e40 printed a traceback and exited 1.
+        a0_path = tmp_path / "a0.csv"
+        a1_path = tmp_path / "a1.csv"
+        self.write_matrix(a0_path, scale * np.eye(5))
+        self.write_matrix(a1_path, 0.3 * scale * np.eye(5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "power-theory", "--a0", str(a0_path), "--a1", str(a1_path),
+                "--n", "200",
+            )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: the sum-test power's trace terms {kind} float64;")
+
     def test_bad_matrix_cell(self, tmp_path, capsys):
         a0_path = tmp_path / "a0.csv"
         a0_path.write_text("1.0,0.0\nx,1.0\n")

@@ -207,6 +207,9 @@ BAD_CALLS = {
     "detectable-scalar": (lambda: signal_detectable([np.float64(0.3)], 100, 1.0),
                           "autocorrelation"),
     "ma-panel-one-row": (lambda: gen_ma_panel(np.eye(2), np.eye(2), 1, 0), "n must be at least 2"),
+    # This raised the panel's DataError.
+    "ma-panel-nan": (lambda: gen_ma_panel(np.full((3, 3), np.nan), EYE, 10, 0),
+                     "coefficient matrices must be finite"),
     "cell-result-rate": (lambda: CellResult(CELL, "0.5", 0.1, 0.1, 10, 0.0, 0.0, 0.0),
                          "rate_max"),
     "window-summary-count": (lambda: SlidingWindowSummary(60, 2, 0.05, "3", 0.1, 0.2, 0.15),
@@ -237,6 +240,11 @@ BAD_ARRAYS = {
     "factor-factors-text": (lambda: FactorData(RETURNS, [["x"] * 3] * 20), DataError, "factors"),
     "sym-sqrt-complex": (lambda: sym_sqrt(EYE + 0j), NotSymmetricError, "matrix"),
     "sym-sqrt-ragged": (lambda: sym_sqrt([[1.0, 0.0], [0.0]]), NotSymmetricError, "matrix"),
+    # These returned an all-NaN root, the second with a RuntimeWarning.
+    "sym-sqrt-nan": (lambda: sym_sqrt([[1.0, 0.0], [np.nan, 1.0]]), NotSymmetricError,
+                     "non-finite value at row 2, column 1"),
+    "sym-sqrt-inf": (lambda: sym_sqrt([[np.inf, 0.0], [0.0, 1.0]]), NotSymmetricError,
+                     "non-finite value at row 1, column 1"),
 }
 
 

@@ -1,6 +1,7 @@
 """Analytic power for the sum test and envelope bounds for the max test."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -150,10 +151,29 @@ class TestSumPower:
         a0 = np.eye(4) + 0.1 * rng.standard_normal((4, 4))
         a1 = 0.25 * rng.standard_normal((4, 4))
         base = sum_power(PowerInputs(a0=a0, a1=a1, n=90, nu4=4.5, alpha=0.1))
-        scaled = sum_power(
-            PowerInputs(a0=3.7 * a0, a1=3.7 * a1, n=90, nu4=4.5, alpha=0.1)
-        )
-        assert scaled.beta_sum == pytest.approx(base.beta_sum, rel=1e-12)
+        for factor in (3.7, 1e-30, 1e30):
+            scaled = sum_power(
+                PowerInputs(a0=factor * a0, a1=factor * a1, n=90, nu4=4.5, alpha=0.1)
+            )
+            assert scaled.beta_sum == pytest.approx(base.beta_sum, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "scale, kind", [(1e40, "overflow"), (1e200, "overflow"), (1e-60, "underflow")]
+    )
+    def test_trace_terms_out_of_float64_range_are_config_errors(self, scale, kind):
+        # These raised a bare OverflowError, printed numpy RuntimeWarnings
+        # first, and blamed zero matrices.  The same pair times 1e-30 and
+        # 1e30 keeps its power (test_joint_rescaling_leaves_power_unchanged).
+        rng = np.random.default_rng(34)
+        a0 = np.eye(4) + 0.1 * rng.standard_normal((4, 4))
+        a1 = 0.25 * rng.standard_normal((4, 4))
+        inp = PowerInputs(a0=scale * a0, a1=scale * a1, n=90, nu4=4.5, alpha=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as exc:
+                sum_power(inp)
+        assert f"trace terms {kind} float64" in str(exc.value)
+        assert "scaling A0 and A1 together leaves the power unchanged" in str(exc.value)
 
     def test_input_validation(self):
         eye = np.eye(3)

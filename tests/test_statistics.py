@@ -468,19 +468,23 @@ class TestSumTest:
             assert peak < 1.2 * p * p * 8, f"peak traced allocation {peak / (8 * p * p):.2f} p^2 floats"
         assert panel._moments is None
         # Scaling in place writes only into fresh arrays: neither the
-        # panel's values nor a carried product changes.
+        # panel's values nor a carried product changes, through the public
+        # function or MAX's carried step.
         cross = TimeSeriesPanel(np.random.default_rng(33).standard_normal((200, 30)))
         sum_test(cross, 2)
         for shared in (panel, cross):
             kept = [shared.values]
+            calls = [sample_autocorrelation]
             if shared._moments is not None:
                 kept.append(shared._moments.products)
+                calls.append(panel_module._carried_autocorrelation)
             before = [a.tobytes() for a in kept]
-            for k in range(3):
-                corr = sample_autocorrelation(shared, k)
-                assert corr.flags.writeable
-                assert not any(np.shares_memory(corr, a) for a in kept)
-                corr[:] = 0.0
+            for call in calls:
+                for k in range(3):
+                    corr = call(shared, k)
+                    assert corr.flags.writeable
+                    assert not any(np.shares_memory(corr, a) for a in kept)
+                    corr[:] = 0.0
             max_test(shared, 2)
             assert [a.tobytes() for a in kept] == before
 
@@ -767,6 +771,30 @@ class TestRunAll:
             panel = TimeSeriesPanel(x)
             sum_test(panel, 1)
             assert max_test(panel, lags).t_max == max_test(TimeSeriesPanel(x), lags).t_max
+
+    @pytest.mark.parametrize("lags", [1, 2, 3])
+    @pytest.mark.parametrize("n, p", [(200, 20), (60, 40)], ids=["cross", "gram"])
+    def test_public_autocorrelation_ignores_what_the_panel_carries(self, n, p, lags):
+        # sample_autocorrelation takes one path: the same bits before and
+        # after max_test, sum_test and run_all, which leave the cross
+        # route's products on the panel, and on a rolled sliding window
+        # the bits of a fresh panel of the window's rows.
+        x = np.random.default_rng(400 + 10 * lags + p).standard_normal((n, p))
+        panel = TimeSeriesPanel(x)
+
+        def bits(panel):
+            return [sample_autocorrelation(panel, k).tobytes() for k in range(lags + 1)]
+
+        before = bits(panel)
+        for test in (max_test, sum_test, lambda panel, lags: run_all(panel, lags, 0.05)):
+            test(panel, lags)
+            assert bits(panel) == before
+        assert (panel._moments is not None) == panel_module._cross_route(n, p, lags)
+        windows = panel_module._window_panels(panel, n // 2, lags, 0)
+        next(windows)
+        window = next(windows)
+        assert window._moments is not None
+        assert bits(window) == bits(TimeSeriesPanel(window.values))
 
     def test_gram_route_keeps_no_products(self, monkeypatch):
         calls = []
