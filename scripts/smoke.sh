@@ -9,8 +9,9 @@
 # it writes its inputs there with `python` (numpy) and its outputs beside
 # them, and fails on the first non-zero exit.  Each command that takes
 # --workers runs at two worker counts, whose outputs must be
-# byte-identical.  With --against DIR, every file written here must also
-# be byte-identical to the file of the same name in DIR, such as the
+# byte-identical.  Two malformed inputs must each fail with their exit
+# code and message.  With --against DIR, every file written here must
+# also be byte-identical to the file of the same name in DIR, such as the
 # directory of an earlier run.
 set -euo pipefail
 
@@ -25,6 +26,17 @@ if (($# == 0)); then
 fi
 cmd=("$@")
 run() { "${cmd[@]}" "$@"; }
+# fails CODE MESSAGE OUT ARG...: running ARG... must exit CODE and print
+# exactly MESSAGE to stderr, which is kept in OUT.
+fails() {
+  local code=$1 message=$2 out=$3 status=0
+  shift 3
+  run "$@" 2> "$out" || status=$?
+  if ((status != code)) || [[ "$(cat "$out")" != "$message" ]]; then
+    echo "expected exit $code and '$message', got exit $status and '$(cat "$out")'" >&2
+    exit 1
+  fi
+}
 
 cat > power.json <<'JSON'
 {"kind": "power", "scenarios": ["var1", "varma1"], "n": 40, "p": 8,
@@ -38,8 +50,11 @@ python - <<'PY'
 import numpy as np
 np.savetxt("a0.csv", np.eye(4), delimiter=",")
 np.savetxt("a1.csv", 0.3 * np.eye(4), delimiter=",")
+np.savetxt("a0-2x3.csv", np.ones((2, 3)), delimiter=",")
 rng = np.random.default_rng(1)
 np.savetxt("panel.csv", rng.standard_normal((30, 4)), delimiter=",")
+with open("panel-nan.csv", "w") as fh:
+    fh.write("1.0,2.0\n3.0,4.0\n5.0,nan\n7.0,8.0\n")
 # p=4, T=60 tests its 30 windows by SUM's cross route, in one block
 # of 64; p=12, T=120 tests its 90 by the Gram route, (K+1) p >= 30,
 # and p=4, T=160 its 130 by the cross route, both across a block
@@ -91,6 +106,10 @@ for suffix in "" -gram -cross -outlier; do
 done
 run test --input panel.csv --K 2 | tee test-panel.json
 run test --input wide.csv --K 2 | tee test-wide.json
+fails 2 "error: a0 must be square, got shape (2, 3)" power-theory-2x3.err \
+  power-theory --a0 a0-2x3.csv --a1 a0-2x3.csv --n 100
+fails 3 "error: non-finite value 'nan' (row 3, column 2)" test-nan.err \
+  test --input panel-nan.csv --K 1
 
 if [[ -n "$against" ]]; then
   for file in *; do

@@ -142,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--header", action="store_true",
                         help="first non-blank CSV line is a header")
     p_test.add_argument("--center", action="store_true",
-                        help="subtract column means before testing")
+                        help="subtract column means before testing; this biases SUM and "
+                             "FC upward once p nears n (README, Input conventions)")
     p_test.add_argument("--format", choices=("json", "csv"), default="json")
     p_test.set_defaults(func=_cmd_test)
 

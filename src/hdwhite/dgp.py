@@ -281,14 +281,10 @@ def gen_ma_panel(
     scenario sampler's block draws.  n must be at least 2, the fewest rows
     a panel holds.
     """
-    a0 = check_array("a0", a0)
-    a1 = check_array("a1", a1)
-    if a0.ndim != 2 or a0.shape != a1.shape or a0.shape[0] != a0.shape[1]:
-        raise ConfigError(
-            f"coefficient matrices must be square with equal shapes, got {a0.shape} and {a1.shape}"
-        )
-    if not (np.isfinite(a0).all() and np.isfinite(a1).all()):
-        raise ConfigError("coefficient matrices must be finite")
+    a0 = check_array("a0", a0, square=True)
+    a1 = check_array("a1", a1, square=True)
+    if a0.shape != a1.shape:
+        raise ConfigError(f"a0 and a1 must have equal shapes, got {a0.shape} and {a1.shape}")
     check_integer("n", n, 2)
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)

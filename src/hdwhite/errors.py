@@ -9,10 +9,13 @@ Every public entry point checks its arguments with the rules below, so a
 bad value raises ConfigError (or LagError; a bad array raises the
 caller's own error), never a bare TypeError or ValueError:
 ``check_integer`` (a Python or numpy integer; not a bool, not 4.0),
-``check_number`` (a finite real that is not a bool), ``check_array`` (an
-array of real numbers), ``check_level`` (a number in (0, 1)),
-``check_probability`` (a number in [0, 1]) and ``Choice`` (a known option
-name).  Each message names the argument, or the config key in quotes.
+``check_number`` (a finite real that is not a bool), ``check_array`` (a
+finite 2-d array of real numbers, square on request, whose first
+non-finite entry is named by its 1-based row and column),
+``check_level`` (a number in (0, 1)), ``check_probability`` (a number in
+[0, 1]) and ``Choice`` (a known option name).  Each message names the
+argument, or the config key in quotes.  Callers test only their domain
+rules (row counts, matching shapes, symmetry) after these.
 """
 
 from __future__ import annotations
@@ -104,23 +107,37 @@ def check_number(name: str, value, finite: bool = True) -> float:
     return value
 
 
-def check_array(name: str, value, error=ConfigError, copy: bool = False) -> np.ndarray:
-    """Convert to a float64 array: a fresh C-ordered one with ``copy``,
+def check_array(
+    name: str, value, error=ConfigError, copy: bool = False, square: bool = False
+) -> np.ndarray:
+    """Convert to a float64 matrix: a fresh C-ordered one with ``copy``,
     else ``value`` itself when it already is one.
 
-    Complex values are refused, not cut to their real part, and a value
-    numpy cannot convert (text, a ragged list) raises ``error`` too.  Only
-    the dtype is tested; the entries are not scanned.
+    In this order, each check raising ``error`` with ``name``: the value
+    converts to real numbers (complex values are refused, not cut to
+    their real part, and so are non-numeric text and ragged lists), it
+    has exactly 2 dimensions (p x p with ``square``), and every entry is
+    finite; the first NaN or inf in row-major order is named by its
+    1-based row and column.
     """
     try:
         array = np.asarray(value)
-        if array.dtype.kind != "c":
-            if copy:
-                return np.array(array, dtype=np.float64, order="C")
-            return array.astype(np.float64, copy=False)
+        real = array.dtype.kind != "c"
+        if real:
+            array = (np.array(array, np.float64, order="C") if copy
+                     else array.astype(np.float64, copy=False))
     except (TypeError, ValueError) as exc:
         raise error(f"{name} must be an array of real numbers: {exc}") from None
-    raise error(f"{name} must be real, got a complex array")
+    if not real:
+        raise error(f"{name} must be real, got a complex array")
+    if array.ndim != 2:
+        raise error(f"{name} must be 2-dimensional, got shape {array.shape}")
+    if square and array.shape[0] != array.shape[1]:
+        raise error(f"{name} must be square, got shape {array.shape}")
+    if not np.isfinite(array).all():
+        row, column = np.argwhere(~np.isfinite(array))[0]
+        raise error(f"{name} contains a non-finite value at row {row + 1}, column {column + 1}")
+    return array
 
 
 def check_level(name: str, value) -> float:

@@ -53,9 +53,7 @@ class FactorData:
     def __post_init__(self):
         y = check_array("excess returns", self.excess_returns, DataError, copy=True)
         f = check_array("factors", self.factors, DataError, copy=True)
-        if y.ndim != 2:
-            raise DataError(f"excess returns must be 2-d, got {y.ndim}-d")
-        if f.ndim != 2 or f.shape[1] != 3:
+        if f.shape[1] != 3:
             raise DataError(f"factors must be T x 3, got shape {f.shape}")
         if y.shape[0] != f.shape[0]:
             raise DataError(
@@ -64,10 +62,6 @@ class FactorData:
             )
         if y.shape[0] < MIN_ROWS:
             raise DataError(f"need at least {MIN_ROWS} rows, got {y.shape[0]}")
-        if not np.isfinite(y).all():
-            raise DataError("excess returns contain non-finite values")
-        if not np.isfinite(f).all():
-            raise DataError("factors contain non-finite values")
         for j in range(3):
             if float(np.var(f[:, j])) == 0.0:
                 raise DataError(

@@ -33,12 +33,7 @@ def sym_sqrt(s: np.ndarray) -> np.ndarray:
     NotPsdError
         If an eigenvalue falls below ``-EIG_CLAMP_TOL``.
     """
-    s = check_array("matrix", s, NotSymmetricError)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise NotSymmetricError(f"expected a square matrix, got shape {s.shape}")
-    if not np.isfinite(s).all():
-        i, j = np.argwhere(~np.isfinite(s))[0]
-        raise NotSymmetricError(f"matrix contains a non-finite value at row {i + 1}, column {j + 1}")
+    s = check_array("matrix", s, NotSymmetricError, square=True)
     scale = max(1.0, float(np.abs(s).max())) if s.size else 1.0
     asym = float(np.abs(s - s.T).max()) if s.size else 0.0
     if asym > SYMMETRY_TOL * scale:

@@ -94,18 +94,11 @@ class TimeSeriesPanel:
 
     def __post_init__(self):
         values = check_array("panel", self.values, DataError, copy=True)
-        if values.ndim != 2:
-            raise DataError(f"panel must be 2-dimensional, got {values.ndim} dims")
         n, p = values.shape
         if n < 2:
             raise DataError(f"panel needs at least 2 rows, got {n}")
         if p < 1:
             raise DataError("panel needs at least 1 column")
-        if not np.isfinite(values).all():
-            r, c = np.argwhere(~np.isfinite(values))[0]
-            raise DataError(
-                f"panel contains a non-finite value at row {int(r) + 1}, column {int(c) + 1}"
-            )
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 

@@ -48,16 +48,12 @@ class PowerInputs:
     alpha: float
 
     def __post_init__(self):
-        a0 = check_array("a0", self.a0)
-        a1 = check_array("a1", self.a1)
-        if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
-            raise ConfigError(f"a0 must be square, got shape {a0.shape}")
+        a0 = check_array("a0", self.a0, square=True)
+        a1 = check_array("a1", self.a1, square=True)
         if a1.shape != a0.shape:
             raise ConfigError(
                 f"a0 and a1 must have equal shapes, got {a0.shape} and {a1.shape}"
             )
-        if not (np.isfinite(a0).all() and np.isfinite(a1).all()):
-            raise ConfigError("coefficient matrices must be finite")
         check_integer("n", self.n, 2)
         if not check_number("nu4", self.nu4) >= 1.0:
             raise ConfigError(
@@ -205,7 +201,14 @@ def sum_power(inp: PowerInputs) -> SumPowerBreakdown:
     level alpha.  Scaling A0 and A1 by one factor c leaves the power as
     it is, but scales the variance terms by c^8: a term that overflows
     float64, or a largest one below ``_TERM_FLOOR``, raises ConfigError.
+    So does a nonzero pair whose truncated variance expansion is not
+    positive, as it can be at small nu4.
     """
+    if not (inp.a0.any() or inp.a1.any()):
+        raise ConfigError(
+            "variance expansion is not positive; the alternative is degenerate "
+            "(both coefficient matrices are zero?)"
+        )
     n = inp.n
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -219,7 +222,7 @@ def sum_power(inp: PowerInputs) -> SumPowerBreakdown:
         finite = all(map(math.isfinite, [mu_s, xi0, *sizes]))
     except OverflowError:
         finite = False
-    if not finite or ((inp.a0.any() or inp.a1.any()) and not max(sizes) >= _TERM_FLOOR):
+    if not finite or not max(sizes) >= _TERM_FLOOR:
         raise ConfigError(
             f"the sum-test power's trace terms {'underflow' if finite else 'overflow'} "
             f"float64; scaling A0 and A1 together leaves the power unchanged, so rescale them"
@@ -227,8 +230,8 @@ def sum_power(inp: PowerInputs) -> SumPowerBreakdown:
     var = terms.total()
     if not var > 0.0:
         raise ConfigError(
-            "variance expansion is not positive; the alternative is degenerate "
-            "(both coefficient matrices are zero?)"
+            f"the truncated variance expansion totals {var:.3e} at nu4 = {inp.nu4}, which is "
+            f"not a positive variance; the approximation gives no power for this (A0, A1)"
         )
     sigma_s1 = math.sqrt(var)
     z_alpha = std_normal_quantile(1.0 - inp.alpha)
@@ -285,16 +288,16 @@ def signal_detectable(
         raise ConfigError("need at least one autocorrelation matrix")
     check_integer("n", n, 1)
     check_number("b0", b0)
-    mats = [check_array("autocorrelation matrix", g) for g in gammas]
+    mats = [
+        check_array(f"autocorrelation matrix {k}", g, square=True)
+        for k, g in enumerate(gammas, start=1)
+    ]
     shape = mats[0].shape
     for g in mats:
-        if g.ndim != 2 or g.shape != shape or shape[0] != shape[1]:
+        if g.shape != shape:
             raise ConfigError(
-                f"autocorrelation matrices must be square and of one shape, got shapes "
-                f"{shape} and {g.shape}"
+                f"autocorrelation matrices must be of one shape, got shapes {shape} and {g.shape}"
             )
-        if not np.isfinite(g).all():
-            raise ConfigError("autocorrelation matrices must be finite")
     p = shape[0]
     if p < 2:
         raise ConfigError(f"p must be at least 2, got {p}")

@@ -332,6 +332,26 @@ class TestPowerTheorySubcommand:
         )
         assert code == 2
 
+    def test_non_square_matrix_is_named(self, tmp_path, capsys):
+        a0_path = tmp_path / "a0.csv"
+        self.write_matrix(a0_path, np.ones((2, 3)))
+        code, out, err = run_cli(
+            capsys, "power-theory", "--a0", str(a0_path), "--a1", str(a0_path), "--n", "100",
+        )
+        assert (code, out, err) == (2, "", "error: a0 must be square, got shape (2, 3)\n")
+
+    def test_expansion_not_positive_exit_2(self, tmp_path, capsys):
+        a0_path = tmp_path / "a0.csv"
+        a1_path = tmp_path / "a1.csv"
+        self.write_matrix(a0_path, [[-0.5, -0.5], [-0.5, -0.1]])
+        self.write_matrix(a1_path, [[1.2, -0.7], [-0.9, 0.2]])
+        code, out, err = run_cli(
+            capsys, "power-theory", "--a0", str(a0_path), "--a1", str(a1_path),
+            "--n", "1000", "--nu4", "1",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: the truncated variance expansion totals -5.970e-04 at nu4")
+
     def test_one_by_one_matrices(self, tmp_path, capsys):
         a0_path = tmp_path / "a0.csv"
         a1_path = tmp_path / "a1.csv"

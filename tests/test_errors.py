@@ -1,5 +1,6 @@
 """The argument checks in ``hdwhite.errors``, and the public calls built on them."""
 
+import functools
 import math
 
 import numpy as np
@@ -171,8 +172,61 @@ TERMS = SumVarianceTerms(*[0.1] * 12)
 RETURNS = np.random.default_rng(6).standard_normal((20, 3))
 FACTORS = np.random.default_rng(7).standard_normal((20, 3))
 
+
+def _eye_with(*entries):
+    """The 3 x 3 identity with each (row, column, value) of ``entries`` written in."""
+    matrix = np.eye(3)
+    for row, column, value in entries:
+        matrix[row, column] = value
+    return matrix
+
+
+# Every kind of bad array, with the message that follows the argument's
+# name.  The NaN matrix also holds a later inf, and its message names the
+# first of the two in row-major order, by 1-based row and column.
+BAD_INPUTS = {
+    "complex": (EYE + 1j, "must be real, got a complex array"),
+    "text": ([["a", "b"], ["c", "d"]], "must be an array of real numbers: "),
+    "ragged": ([[1.0, 0.0], [0.0]], "must be an array of real numbers: "),
+    "1d": (np.ones(3), "must be 2-dimensional, got shape (3,)"),
+    "3d": (np.ones((3, 3, 3)), "must be 2-dimensional, got shape (3, 3, 3)"),
+    "non-square": (np.ones((3, 2)), "must be square, got shape (3, 2)"),
+    "nan": (_eye_with((2, 1, np.nan), (2, 2, np.inf)),
+            "contains a non-finite value at row 3, column 2"),
+    "inf": (_eye_with((0, 2, -np.inf)), "contains a non-finite value at row 1, column 3"),
+}
+
+# Every array-taking public entry point: a call of the bad array, the
+# name its messages give that array, whether the array must be square,
+# and the error class.  Of two coefficient matrices, a0 goes by the entry
+# point's name and a1 adds "-a1".
+ARRAY_CALLS = {
+    "panel": (TimeSeriesPanel, "panel", False, DataError),
+    "from-array": (lambda a: TimeSeriesPanel.from_array(a, center=True), "panel", False,
+                   DataError),
+    "factor-returns": (lambda a: FactorData(a, FACTORS), "excess returns", False, DataError),
+    "factor-factors": (lambda a: FactorData(RETURNS, a), "factors", False, DataError),
+    "sym-sqrt": (sym_sqrt, "matrix", True, NotSymmetricError),
+    "power-inputs": (lambda a: PowerInputs(a, EYE, 100, 3.0, 0.05), "a0", True, ConfigError),
+    "power-inputs-a1": (lambda a: PowerInputs(EYE, a, 100, 3.0, 0.05), "a1", True,
+                        ConfigError),
+    "ma-panel": (lambda a: gen_ma_panel(a, EYE, 50, 1), "a0", True, ConfigError),
+    "ma-panel-a1": (lambda a: gen_ma_panel(EYE, a, 50, 1), "a1", True, ConfigError),
+    "detectable": (lambda a: signal_detectable([EYE, a], 100, 1.0),
+                   "autocorrelation matrix 2", True, ConfigError),
+}
+# {entry-input id: (call, error class, message)} for every entry point
+# and every bad input it can get.
+ARRAY_CONTRACT = {
+    f"{entry}-{kind}": (functools.partial(call, value), error, f"{name} {message}")
+    for entry, (call, name, square, error) in ARRAY_CALLS.items()
+    for kind, (value, message) in BAD_INPUTS.items()
+    if square or kind != "non-square"
+}
+
+
 # Each call answered a bad value with a bare TypeError or ValueError
-# before the checks moved into ``errors``; the second item is a word the
+# before the checks moved into ``errors``; the second item is text the
 # message must contain.
 BAD_CALLS = {
     "run_all-alpha-str": (lambda: run_all(PANEL, 1, "0.05"), "alpha"),
@@ -197,24 +251,18 @@ BAD_CALLS = {
     "make-sigma-p": (lambda: make_sigma(Scenario.NULL_I, "4"), "p"),
     "fourth-moment": (lambda: fourth_moment("x"), "Innovation"),
     "ma-panel-n": (lambda: gen_ma_panel(EYE, EYE, "50", 1), "n"),
-    "ma-panel-complex": (lambda: gen_ma_panel(EYE * 1j, EYE, 50, 1), "a0"),
-    "power-inputs-complex": (lambda: PowerInputs(EYE, EYE + 0j, 100, 3.0, 0.05), "a1"),
-    "power-inputs-text": (lambda: PowerInputs([["a"]], EYE, 100, 3.0, 0.05), "a0"),
-    "detectable-complex": (lambda: signal_detectable([EYE * 1j], 100, 1.0), "autocorrelation"),
-    "detectable-ragged": (lambda: signal_detectable([[[1.0, 0.0], [0.0]]], 100, 1.0),
-                          "autocorrelation"),
-    # These two raised a bare IndexError and a DataError about the panel.
+    # This raised a bare IndexError.
     "detectable-scalar": (lambda: signal_detectable([np.float64(0.3)], 100, 1.0),
-                          "autocorrelation"),
+                          "autocorrelation matrix 1 must be 2-dimensional, got shape ()"),
+    # This raised a DataError about the panel.
     "ma-panel-one-row": (lambda: gen_ma_panel(np.eye(2), np.eye(2), 1, 0), "n must be at least 2"),
-    # This raised the panel's DataError.
-    "ma-panel-nan": (lambda: gen_ma_panel(np.full((3, 3), np.nan), EYE, 10, 0),
-                     "coefficient matrices must be finite"),
     "cell-result-rate": (lambda: CellResult(CELL, "0.5", 0.1, 0.1, 10, 0.0, 0.0, 0.0),
                          "rate_max"),
     "window-summary-count": (lambda: SlidingWindowSummary(60, 2, 0.05, "3", 0.1, 0.2, 0.15),
                              "num_windows"),
     "sum-power-sigma": (lambda: SumPowerBreakdown(1.0, "x", 1.0, 0.5, TERMS), "sigma_s1"),
+    **{key: (call, message) for key, (call, error, message) in ARRAY_CONTRACT.items()
+       if error is ConfigError},
 }
 
 
@@ -227,25 +275,10 @@ def test_every_public_call_answers_a_bad_value_with_config_error(call, name):
 
 
 # Array inputs that numpy converted by dropping the imaginary part (with
-# only a ComplexWarning) or refused with a bare ValueError; each now
-# raises the error its function gives for a bad shape.
-BAD_ARRAYS = {
-    "panel-complex": (lambda: TimeSeriesPanel(RETURNS + 1j), DataError, "panel"),
-    "panel-text": (lambda: TimeSeriesPanel([["a", "b"], ["c", "d"]]), DataError, "panel"),
-    "panel-ragged": (lambda: TimeSeriesPanel([[1.0, 2.0], [3.0]]), DataError, "panel"),
-    "from-array-complex": (lambda: TimeSeriesPanel.from_array(RETURNS + 1j, center=True),
-                           DataError, "panel"),
-    "factor-returns-complex": (lambda: FactorData(RETURNS * 1j, FACTORS), DataError,
-                               "excess returns"),
-    "factor-factors-text": (lambda: FactorData(RETURNS, [["x"] * 3] * 20), DataError, "factors"),
-    "sym-sqrt-complex": (lambda: sym_sqrt(EYE + 0j), NotSymmetricError, "matrix"),
-    "sym-sqrt-ragged": (lambda: sym_sqrt([[1.0, 0.0], [0.0]]), NotSymmetricError, "matrix"),
-    # These returned an all-NaN root, the second with a RuntimeWarning.
-    "sym-sqrt-nan": (lambda: sym_sqrt([[1.0, 0.0], [np.nan, 1.0]]), NotSymmetricError,
-                     "non-finite value at row 2, column 1"),
-    "sym-sqrt-inf": (lambda: sym_sqrt([[np.inf, 0.0], [0.0, 1.0]]), NotSymmetricError,
-                     "non-finite value at row 1, column 1"),
-}
+# only a ComplexWarning) or refused with a bare ValueError, and NaN or inf
+# entries that were not located; each now raises the error its function
+# gives for bad data, naming the first non-finite entry.
+BAD_ARRAYS = {key: case for key, case in ARRAY_CONTRACT.items() if case[1] is not ConfigError}
 
 
 @pytest.mark.parametrize("call, error, name", BAD_ARRAYS.values(), ids=BAD_ARRAYS.keys())

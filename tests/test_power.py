@@ -204,8 +204,22 @@ class TestSumPower:
 
     def test_degenerate_coefficients_rejected(self):
         zero = np.zeros((3, 3))
-        with pytest.raises(ConfigError, match="degenerate"):
+        message = r"degenerate \(both coefficient matrices are zero\?\)$"
+        with pytest.raises(ConfigError, match=message):
             sum_power(PowerInputs(a0=zero, a1=zero, n=100, nu4=3.0, alpha=0.05))
+
+    def test_a_nonzero_pair_whose_expansion_is_not_positive_is_named(self):
+        # At nu4 = 1 (Rademacher innovations) term_3's (nu4 - 3) part
+        # outweighs the rest; the message blamed zero matrices.
+        a0 = np.array([[-0.5, -0.5], [-0.5, -0.1]])
+        a1 = np.array([[1.2, -0.7], [-0.9, 0.2]])
+        with pytest.raises(ConfigError) as exc:
+            sum_power(PowerInputs(a0=a0, a1=a1, n=1000, nu4=1.0, alpha=0.05))
+        assert str(exc.value) == (
+            "the truncated variance expansion totals -5.970e-04 at nu4 = 1.0, which is not a "
+            "positive variance; the approximation gives no power for this (A0, A1)"
+        )
+        assert sum_power(PowerInputs(a0=a0, a1=a1, n=1000, nu4=2.0, alpha=0.05)).sigma_s1 > 0.0
 
 
 class TestMaxPowerBounds:
@@ -357,5 +371,8 @@ class TestSignalDetectable:
         for bad in (math.nan, math.inf):
             quiet = np.zeros((4, 4))
             quiet[2, 3] = bad
-            with pytest.raises(ConfigError, match="must be finite"):
+            with pytest.raises(
+                ConfigError,
+                match=r"^autocorrelation matrix 2 contains a non-finite value at row 3, column 4$",
+            ):
                 signal_detectable([loud, quiet], 50, 1.0)
