@@ -12,7 +12,8 @@
 # byte-identical.  Two malformed inputs must each fail with their exit
 # code and message.  With --against DIR, every file written here must
 # also be byte-identical to the file of the same name in DIR, such as the
-# directory of an earlier run.
+# directory of an earlier run.  A command that runs longer than `limit`
+# (300) seconds, such as one whose worker processes hang, is stopped and named.
 set -euo pipefail
 
 against=
@@ -25,7 +26,16 @@ if (($# == 0)); then
   exit 2
 fi
 cmd=("$@")
-run() { "${cmd[@]}" "$@"; }
+limit=300
+# run ARG...: run the CLI with ARG..., stopped (exit 124) after $limit seconds.
+run() {
+  local status=0
+  timeout "$limit" "${cmd[@]}" "$@" || status=$?
+  if ((status == 124)); then
+    echo "timed out after ${limit} s: ${cmd[*]} $*" >&2
+  fi
+  return "$status"
+}
 # fails CODE MESSAGE OUT ARG...: running ARG... must exit CODE and print
 # exactly MESSAGE to stderr, which is kept in OUT.
 fails() {

@@ -111,9 +111,9 @@ def _cmd_residual_test(args) -> int:
 
 
 def _default_workers() -> int:
-    """The CPUs this process may run on where pool processes are forked,
+    """The CPUs this process may run on where helper processes are forked,
     and 1 elsewhere (spawn, and forkserver, Python 3.14's default on
-    Linux): such a pool process imports hdwhite afresh.  Measured on a
+    Linux): such a helper process imports hdwhite afresh.  Measured on a
     2-CPU Linux host, residual-test's windows on a 1000 x 100 panel at
     window 120, K=2 (880 windows) took 0.19 s in one process and 0.33 s
     with one spawned or forkserver helper, and the helper broke even only
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt.add_argument("--workers", type=int, default=None,
                       help="the processes that test blocks of 64 windows, this one "
                            "included (default: the CPUs this process may run on where "
-                           "pool processes are forked, else 1); the output is the same "
+                           "helper processes are forked, else 1); the output is the same "
                            "for any count")
     p_rt.set_defaults(func=_cmd_residual_test)
     return parser

@@ -245,11 +245,11 @@ def sliding_window_rates(
     one job of ``harness.run_jobs``, the scheduler the Monte Carlo harness
     runs on: ``workers`` counts the processes that test blocks, this one
     included, and no more of them start than there are blocks.  The panel
-    reaches each pool process once.  A block's counts do not depend on
+    reaches each helper process once.  A block's counts do not depend on
     which process tested it, so the summary is the same for any worker
     count, and so is the error of a failing window: the first in window
     order.  The window, K and alpha are checked before any window is
-    formed, and the worker count before any pool starts.
+    formed, and the worker count before any helper starts.
     """
     t = panel.n
     window = check_integer("window length", window, MIN_ROWS)

@@ -5,10 +5,10 @@ block size m for alternatives).  Every cell runs R replications; each
 replication owns an RNG stream derived purely from (master seed, cell,
 replication index).  The whole grid's replications are numbered in grid
 order and run by ``run_jobs``, which claims numbered jobs one at a time
-from a counter, by the calling process and the workers of a process pool
+from a counter, by the calling process and the helper processes it starts
 beside it, and returns their results in job order; the per-cell counts
 are summed from them, so results are byte-identical for any worker
-count.  ``run_jobs`` is the package's one process pool: the sliding-window
+count.  ``run_jobs`` is the package's one scheduler: the sliding-window
 tests of ``factor`` run on it too.
 Outputs are a flat CSV, a grouped markdown table, and per-m power-curve
 CSVs.
@@ -21,11 +21,10 @@ import json
 import multiprocessing
 import traceback
 import zlib
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
+from multiprocessing.connection import wait
 from operator import itemgetter
 
 import numpy as np
@@ -352,42 +351,25 @@ def _claim_jobs(counter, task, end, stopped=lambda: False):
             return done, (job, exc)
 
 
-# A pool worker's shared claim counter and task, set by the pool's
-# initializer: inherited where the worker is forked, pickled once per
-# worker where it is spawned, and never sent with a job.
-_counter = None
-_task = None
-
-
-def _set_pool_state(counter, task) -> None:
-    global _counter, _task
-    _counter, _task = counter, task
-
-
 class _RemoteTraceback(Exception):
-    """A pool worker's formatted traceback, chained as the cause of its error."""
+    """A helper process's formatted traceback, chained as the cause of its error."""
 
 
-def _pool_task(end):
-    """One pool worker's share of the jobs, claimed from the shared counter.
-
-    A failure comes back as (job, exception, the worker's formatted
-    traceback), since a pickled exception loses its traceback.
-    """
-    done, failure = _claim_jobs(_counter, _task, end)
+def _helper(counter, task, end, writer) -> None:
+    """A helper process: send ``_claim_jobs``' (done, failure) through ``writer``,
+    a failure with its formatted traceback, which a pickled exception loses."""
+    done, failure = _claim_jobs(counter, task, end)
     if failure is not None:
         exc = failure[1]
-        text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
-        failure += (text,)
-    return done, failure
+        failure += ("".join(traceback.format_exception(type(exc), exc, exc.__traceback__)),)
+    writer.send((done, failure))
 
 
 def _stop_claims(counter, end: int) -> None:
     """Move the counter to the end, so that no one claims another job.
 
-    A worker killed while it holds the counter's lock never releases it;
-    the pool is broken then and no worker is left to claim, so the lock
-    is given up on after a second.
+    A helper killed while it holds the counter's lock never releases it;
+    no one claims after that, so the lock is given up on after a second.
     """
     lock = counter.get_lock()
     if lock.acquire(timeout=1.0):
@@ -401,41 +383,55 @@ def run_jobs(task, jobs: int, workers: int) -> list:
     """Run ``task(job)`` for job = 0..jobs-1 on ``workers`` processes, this
     one included; return the results in job order.
 
-    The jobs are claimed one at a time from a counter, so no worker waits
-    for another between jobs.  This process claims jobs itself, beside a
-    pool of ``min(workers, jobs) - 1`` processes that claim from the same
-    shared counter.  One worker, or one job, starts no pool and claims
-    nothing: the jobs run in order in this process.  ``task`` must
-    pickle where pool workers are spawned; it reaches each pool worker
-    once, through the pool's initializer, never with a job.  A result
-    depends only on its job, so the list is that of a serial run for any
-    worker count.
+    This process and the ``min(workers, jobs) - 1`` helper processes it
+    starts claim the jobs one at a time from a shared counter, so none
+    waits for another between jobs.  One worker, or one job, starts no
+    helper: the jobs run in order in this process.  A helper gets the
+    counter, ``task`` and the write end of a pipe as its arguments, so
+    ``task`` must pickle where helpers are spawned, and sends its results
+    through the pipe once it is done.  A result depends only on its job,
+    so the list is that of a serial run for any worker count.
 
-    A failing job moves the counter to the end, as does this process's
-    exit on an exception or interrupt, so every worker stops after its
-    current job; the failure with the lowest job index, the one a serial
-    run meets first, is raised, with a pool worker's traceback as its
-    cause.  Once any pool worker is done, or dies, this process claims no
-    more jobs; a dead worker surfaces as ``BrokenProcessPool``.  The pool
-    is shut down, and its processes joined, before this returns or raises.
+    A failing job moves the counter to the end, so every process stops
+    after its current job; the failure with the lowest job index, the one
+    a serial run meets first, is raised, with a helper's traceback as its
+    cause.  Once any helper has sent its results or exited, this process
+    claims no more jobs; a helper that exits without sending them raises
+    ``BrokenProcessPool``.  On that, and on an exception or interrupt
+    here, the counter is moved to the end and the helpers still running
+    are ended.  Every helper is joined before this returns or raises.
     """
     check_integer('"workers"', workers, 1)
     helpers = min(workers, jobs) - 1  # no more than one process per job
     if helpers <= 0:
         return [task(job) for job in range(jobs)]
-    with ExitStack() as stack:
-        context = multiprocessing.get_context()
-        counter = context.Value("q", 0)
-        pool = stack.enter_context(ProcessPoolExecutor(
-            max_workers=helpers, mp_context=context,
-            initializer=_set_pool_state, initargs=(counter, task),
-        ))
-        stack.callback(_stop_claims, counter, jobs)
-        futures = [pool.submit(_pool_task, jobs) for _ in range(helpers)]
-        # A pool worker finishes only once the counter is at the end, or
-        # when the pool is broken: either way there is nothing left to claim.
-        claims = [_claim_jobs(counter, task, jobs, stopped=lambda: any(f.done() for f in futures))]
-        claims += [future.result() for future in as_completed(futures)]
+    counter = multiprocessing.Value("q", 0)
+    processes, unread = [], {}  # every helper; those whose results are unread, by pipe
+    try:
+        for _ in range(helpers):
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            process = multiprocessing.Process(target=_helper, args=(counter, task, jobs, writer))
+            # The helper holds the only write end: the read end turns ready as it exits.
+            with writer:
+                process.start()
+            processes.append(process)
+            unread[reader] = process
+        # Nothing is left to claim once a helper has sent its results or died.
+        claims = [_claim_jobs(counter, task, jobs, stopped=lambda: bool(wait(list(unread), 0)))]
+        while unread:
+            for reader in wait(list(unread)):
+                try:
+                    claims.append(reader.recv())
+                except EOFError:
+                    from concurrent.futures.process import BrokenProcessPool
+                    raise BrokenProcessPool("a helper exited without its results") from None
+                del unread[reader]
+    finally:
+        _stop_claims(counter, jobs)
+        for process in unread.values():  # it may block on a full pipe
+            process.terminate()
+        for process in processes:
+            process.join()
     results = [None] * jobs
     failures = []
     for done, failure in claims:
@@ -444,7 +440,7 @@ def run_jobs(task, jobs: int, workers: int) -> list:
         if failure is not None:
             failures.append(failure)
     if failures:
-        # This process's failure is (job, exc); a pool worker's adds its traceback.
+        # This process's failure is (job, exc); a helper's adds its traceback.
         _, exc, *remote = min(failures, key=itemgetter(0))
         if remote:
             exc.__cause__ = _RemoteTraceback(*remote)

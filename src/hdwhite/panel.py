@@ -120,17 +120,19 @@ class TimeSeriesPanel:
         centring overflows float64 then raises ``DataError`` naming it.
         """
         panel = cls(values)
-        if not center:
-            return panel
-        with np.errstate(over="ignore", invalid="ignore"):
-            centred = panel.values - panel.values.mean(axis=0, keepdims=True)
-        overflowed = ~np.isfinite(centred).all(axis=0)
-        if overflowed.any():
-            raise DataError(
-                f"centring column {int(np.argmax(overflowed)) + 1} overflows float64; "
-                f"the tests are scale-invariant, so rescale the panel"
-            )
-        return cls(centred)
+        if center:
+            centred = panel.values  # a fresh copy no one else holds yet: centred in place
+            centred.flags.writeable = True
+            with np.errstate(over="ignore", invalid="ignore"):
+                centred -= centred.mean(axis=0, keepdims=True)
+            centred.flags.writeable = False
+            overflowed = ~np.isfinite(centred).all(axis=0)
+            if overflowed.any():
+                raise DataError(
+                    f"centring column {int(np.argmax(overflowed)) + 1} overflows float64; "
+                    f"the tests are scale-invariant, so rescale the panel"
+                )
+        return panel
 
 
 def check_lag_budget(n: int, lags: int) -> None:

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hdwhite import cli, harness
+from hdwhite import cli
 from hdwhite.cli import main
 from hdwhite.errors import ParseError
 from hdwhite.factor import read_factors_csv, read_returns_csv
@@ -464,32 +464,29 @@ class TestResidualTestSubcommand:
             assert 0.0 <= payload[key] <= 1.0
 
     @pytest.mark.parametrize("t, p", [(300, 12), (160, 4)], ids=["gram", "cross"])
-    def test_every_worker_count_prints_the_same_summary(self, tmp_path, capsys, monkeypatch, t, p):
+    def test_every_worker_count_prints_the_same_summary(
+        self, tmp_path, capsys, started_processes, t, p
+    ):
         # Window 30 at K=2: the Gram route over 270 windows in five blocks
         # of 64, the last partial, or the cross route over 130 in three.
         # Month 70, scaled by 1e7, is in windows 41-70, on both sides of
-        # the first block boundary.  A pool starts one process fewer than
-        # the workers, and never more than one per block.  The default
-        # count runs in the other residual-test tests.
-        started = []
-
-        class Recording(harness.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                started.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+        # the first block boundary.  A run starts one helper process fewer
+        # than the workers, and never more than one per block.  The
+        # default count runs in the other residual-test tests.
         returns_path, factors_path = self.write_inputs(tmp_path, t=t, p=p, outlier=70)
         argv = ["residual-test", "--returns", str(returns_path), "--factors", str(factors_path),
                 "--window", "30", "--K", "2", "--alpha", "0.3"]
         blocks = -(-(t - 30) // 64)
         outputs = set()
+        started = []
         for workers in (1, 2, 3, 50):
             code, out, err = run_cli(capsys, *argv, "--workers", str(workers))
             assert (code, err) == (0, ""), workers
             assert multiprocessing.active_children() == []
             outputs.add(out)
-        assert started == [1, 2, blocks - 1]
+            started.append(len(started_processes))
+            started_processes.clear()
+        assert started == [0, 1, 2, blocks - 1]
         assert len(outputs) == 1, outputs
         assert json.loads(outputs.pop())["num_windows"] == t - 30
 

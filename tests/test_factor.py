@@ -617,8 +617,8 @@ class TestWindowJobs:
         reason="no forkserver start method on this platform",
     )
     def test_a_forkserver_pool_gives_the_serial_summary(self):
-        # Python 3.14 starts pools by forkserver on Linux: the panel and
-        # task then reach the pool process pickled, through its initializer.
+        # Python 3.14 starts processes by forkserver on Linux: the panel
+        # and task then reach the helper pickled, as process arguments.
         panel = TimeSeriesPanel(job_panel("cross"))
         serial = sliding_window_rates(panel, JOB_WINDOW, 2, 0.3)
         previous = multiprocessing.get_start_method(allow_none=True)

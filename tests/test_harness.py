@@ -335,18 +335,22 @@ class TestRunExperiment:
                 outputs.append([path.read_bytes() for path in paths])
             assert outputs[1] == outputs[0] and outputs[2] == outputs[0], raw["kind"]
 
-    def test_spawned_workers_share_the_counter(self):
-        # Workers that are not forked get the counter through the pool's
-        # initializer.  Python 3.14 starts pool workers by forkserver on
-        # Linux, and spawn is the default elsewhere.
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_spawned_workers_share_the_counter(self, method):
+        # Helpers that are not forked get the counter, the task and their
+        # pipe pickled, as process arguments.  Python 3.14 starts processes
+        # by forkserver on Linux, and spawn is the default elsewhere.
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
         serial = run_experiment(small_size_config(p=[4, 5], replications=12))
         previous = multiprocessing.get_start_method(allow_none=True)
-        multiprocessing.set_start_method("spawn", force=True)
+        multiprocessing.set_start_method(method, force=True)
         try:
             pooled = run_experiment(small_size_config(p=[4, 5], replications=12, workers=2))
         finally:
             multiprocessing.set_start_method(previous, force=True)
         assert pooled == serial
+        assert multiprocessing.active_children() == []
 
     def test_replication_accounting(self):
         cfg = small_size_config(replications=17)
@@ -418,6 +422,9 @@ _REAL_REPLICATE = harness._replicate
 _PARENT_PID = os.getpid()
 # The replications logged when the parent interrupted itself.
 _INTERRUPTED_AT = []
+# The claim counter, as _recording_claims last saw it in this process.
+_COUNTER = None
+_REAL_CLAIM_JOBS = harness._claim_jobs
 
 
 def _in_worker():
@@ -481,9 +488,15 @@ def _dying_replicate(cell, cell_key, rep, master_seed, alpha):
     return (False, False, False)
 
 
+def _recording_claims(counter, task, end, stopped=lambda: False):
+    global _COUNTER
+    _COUNTER = counter
+    return _REAL_CLAIM_JOBS(counter, task, end, stopped)
+
+
 def _locking_dying_replicate(cell, cell_key, rep, master_seed, alpha):
     if _in_worker():
-        harness._counter.get_lock().acquire()
+        _COUNTER.get_lock().acquire()
         _log_replication(cell_key)
         time.sleep(SLOW_SECONDS)
         os._exit(1)
@@ -494,8 +507,67 @@ def _locking_dying_replicate(cell, cell_key, rep, master_seed, alpha):
     return (False, False, False)
 
 
+# How long the surviving helper of test_a_dead_helper_ends_the_survivor
+# sleeps in its job: the parent must not wait that long.
+SURVIVOR_SECONDS = 20
+# Bytes in each result of a helper that outgrows its pipe's 64 KiB.
+BIG_RESULT = 100_000
+
+
+def _one_helper_dies(job):
+    died = Path(_RAN_LOG + ".died")
+    if not _in_worker():
+        # Hold this process's first job until a helper has died, so that
+        # both helpers get a job whatever their start-up times.
+        deadline = time.monotonic() + 10
+        while not died.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return job
+    try:  # the first helper to get here sleeps in its job; the other dies
+        open(_RAN_LOG, "x").close()
+    except FileExistsError:
+        died.touch()
+        os._exit(1)
+    time.sleep(SURVIVOR_SECONDS)
+    return job
+
+
+def _big_results_then_interrupt(job):
+    if _in_worker():
+        with open(_RAN_LOG, "a") as fh:
+            fh.write(f"{job}\n")
+        return bytes(BIG_RESULT)
+    # Wait until the helper has run the other 3 of 4 jobs and so is
+    # sending its results, then interrupt this process.
+    deadline = time.monotonic() + 10
+    while _ran(Path(_RAN_LOG)) < 3 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(SLOW_SECONDS)
+    raise KeyboardInterrupt
+
+
 def _ran(path):
     return len(path.read_text().splitlines()) if path.exists() else 0
+
+
+def _raised_within(seconds, call, why):
+    """The exceptions ``call()`` raises in a thread that must end within ``seconds``."""
+    raised = []
+
+    def run():
+        try:
+            call()
+        except BaseException as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    if thread.is_alive():
+        for process in multiprocessing.active_children():
+            process.terminate()
+        pytest.fail(why)
+    return raised
 
 
 class TestSchedule:
@@ -505,28 +577,28 @@ class TestSchedule:
     GRID = {"scenarios": ["null-i", "null-ii"], "p": [4, 5], "K": [1, 2],
             "replications": 10, "workers": 2}
 
-    def test_pool_starts_one_process_per_job_at_most(self, monkeypatch):
-        # The calling process runs jobs too, so the pool holds one process
+    def test_pool_starts_one_process_per_job_at_most(self, started_processes):
+        # The calling process runs jobs too, so it starts one helper process
         # fewer than the workers that run jobs.
         started = []
 
-        class Recording(harness.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                started.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
+        def run(**overrides):
+            results = run_experiment(small_size_config(**overrides))
+            started.append(len(started_processes))
+            started_processes.clear()
+            return results
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
-        serial = run_experiment(small_size_config(replications=3))
-        assert started == [], "one worker starts no pool"
-        pooled = run_experiment(small_size_config(replications=3, workers=8))
-        assert started == [2], "3 jobs start 2 pool processes beside this one"
+        serial = run(replications=3)
+        assert started == [0], "one worker starts no process"
+        pooled = run(replications=3, workers=8)
+        assert started == [0, 2], "3 jobs start 2 helpers beside this process"
         assert pooled == serial
-        run_experiment(small_size_config(p=[4, 5], replications=2, workers=8))
-        assert started == [2, 3], "jobs are counted over the whole grid"
-        run_experiment(small_size_config(replications=3, workers=2))
-        assert started == [2, 3, 1], "2 workers are this process and 1 pool process"
-        run_experiment(small_size_config(replications=1, workers=8))
-        assert started == [2, 3, 1], "a single job runs in process"
+        run(p=[4, 5], replications=2, workers=8)
+        assert started == [0, 2, 3], "jobs are counted over the whole grid"
+        run(replications=3, workers=2)
+        assert started == [0, 2, 3, 1], "2 workers are this process and 1 helper"
+        run(replications=1, workers=8)
+        assert started == [0, 2, 3, 1, 0], "a single job runs in process"
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_results_come_back_in_job_order(self, workers):
@@ -555,6 +627,7 @@ class TestSchedule:
             with pytest.raises(DataError) as exc:
                 run_experiment(cfg)
             assert str(exc.value) == expected
+            assert multiprocessing.active_children() == []
 
     @needs_fork
     def test_lowest_failing_job_wins(self, monkeypatch, tmp_path):
@@ -576,6 +649,7 @@ class TestSchedule:
         assert "in _late_failing_replicate" in str(exc.value.__cause__), (
             "the worker's traceback is the cause"
         )
+        assert multiprocessing.active_children() == []
 
     @needs_fork
     def test_failing_replication_stops_the_claims(self, monkeypatch, tmp_path):
@@ -595,6 +669,7 @@ class TestSchedule:
             run_experiment(cfg)
         ran = _ran(log)
         assert FAILING_REP < ran <= FAILING_REP + cfg.workers, f"{ran} of 80 replications ran"
+        assert multiprocessing.active_children() == []
 
     @needs_fork
     def test_parent_exit_stops_the_claims(self, monkeypatch, tmp_path):
@@ -616,6 +691,7 @@ class TestSchedule:
         assert cfg.workers <= seen[0] <= ran <= seen[0] + cfg.workers, (
             f"{ran} of 80 replications ran, {seen[0]} when the parent stopped"
         )
+        assert multiprocessing.active_children() == []
 
     @needs_fork
     def test_every_job_runs_once_under_contention(self, monkeypatch, tmp_path):
@@ -645,29 +721,56 @@ class TestSchedule:
         with pytest.raises(BrokenProcessPool):
             run_experiment(small_size_config(**self.GRID))
         assert _ran(log) < 40, f"the parent ran {_ran(log)} of 80 jobs past a dead worker"
+        assert multiprocessing.active_children() == []
 
     @needs_fork
     def test_claims_give_up_a_lock_held_by_a_dead_worker(self, monkeypatch, tmp_path):
-        # The pool worker takes the counter's lock in its first job, and
-        # dies holding it while the parent waits for it to claim its
-        # second.  That claim must end once the pool is broken instead of
-        # waiting for the lock forever.
+        # The helper takes the counter's lock in its first job, and dies
+        # holding it while the parent waits for it to claim its second.
+        # That claim must end once the helper is dead instead of waiting
+        # for the lock forever.
         this = sys.modules[__name__]
         monkeypatch.setattr(this, "_RAN_LOG", str(tmp_path / "ran"))
+        monkeypatch.setattr(this, "_COUNTER", None)
+        monkeypatch.setattr(harness, "_claim_jobs", _recording_claims)
         monkeypatch.setattr(harness, "_replicate", _locking_dying_replicate)
-        raised = []
-
-        def run():
-            try:
-                run_experiment(small_size_config(**self.GRID))
-            except BaseException as exc:
-                raised.append(exc)
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive(), "the parent waits for a lock no one will release"
+        raised = _raised_within(
+            60, lambda: run_experiment(small_size_config(**self.GRID)),
+            "the parent waits for a lock no one will release",
+        )
         assert len(raised) == 1 and isinstance(raised[0], BrokenProcessPool), raised
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_a_dead_helper_ends_the_survivor(self, monkeypatch, tmp_path):
+        # At 3 workers, the first helper to start a job sleeps in it for
+        # SURVIVOR_SECONDS, and the other dies once it has.  The parent must
+        # raise at once and end the sleeping helper rather than join it.
+        this = sys.modules[__name__]
+        monkeypatch.setattr(this, "_RAN_LOG", str(tmp_path / "sleeper"))
+        raised = _raised_within(
+            SURVIVOR_SECONDS / 2, lambda: harness.run_jobs(_one_helper_dies, 40, 3),
+            "the parent waits for the surviving helper's job",
+        )
+        assert len(raised) == 1 and isinstance(raised[0], BrokenProcessPool), raised
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_an_interrupt_ends_a_helper_blocked_on_its_results(self, monkeypatch, tmp_path):
+        # The helper runs 3 of 4 jobs and then sends 300 kB of results
+        # into a pipe that holds 64 KiB, while the parent, in its one job,
+        # waits for that and is interrupted.  The parent never reads those
+        # results, so it must end the helper rather than wait for it.
+        this = sys.modules[__name__]
+        log = tmp_path / "ran"
+        monkeypatch.setattr(this, "_RAN_LOG", str(log))
+        raised = _raised_within(
+            30, lambda: harness.run_jobs(_big_results_then_interrupt, 4, 2),
+            "the parent waits for a helper blocked on a full pipe",
+        )
+        assert len(raised) == 1 and isinstance(raised[0], KeyboardInterrupt), raised
+        assert _ran(log) == 3
+        assert multiprocessing.active_children() == []
 
 
 class TestEmitters:

@@ -47,6 +47,22 @@ def _write_inputs(tmp_path):
         (tmp_path / f"{kind}.json").write_text(json.dumps(config))
 
 
+def _fresh_python(*argv):
+    """Run ``python -c argv...`` in a fresh interpreter that imports this checkout's hdwhite."""
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return subprocess.run(
+        [sys.executable, "-c", *argv], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+    )
+
+
+def test_importing_the_cli_loads_no_executor():
+    # run_jobs starts its helper processes itself; concurrent.futures is
+    # imported only where a helper that died is reported.
+    done = _fresh_python("import sys, hdwhite.cli; print('concurrent' in sys.modules)")
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
 def test_importing_the_package_and_cli_loads_no_scipy(tmp_path):
     _write_inputs(tmp_path)
     d = str(tmp_path)
@@ -59,11 +75,7 @@ def test_importing_the_package_and_cli_loads_no_scipy(tmp_path):
          "--window", "30", "--K", "2"],
     ]
     # A fresh interpreter, since this one has imported scipy for other tests.
-    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    done = subprocess.run(
-        [sys.executable, "-c", BLOCKED, json.dumps(commands)], capture_output=True, text=True,
-        timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
-    )
+    done = _fresh_python(BLOCKED, json.dumps(commands))
     assert done.returncode == 0, done.stderr
     got = json.loads(done.stdout)
     assert Path(got["file"]).resolve() == Path(hdwhite.__file__).resolve()

@@ -110,6 +110,25 @@ class TestPanelConstruction:
         means = panel.values.mean(axis=0)
         assert np.abs(means).max() < 1e-12, f"column means {means} not removed"
 
+    def test_center_checks_and_copies_the_input_once(self, monkeypatch):
+        # The centred values are the bits of x - mean(x), formed in the
+        # panel's own copy, which is the only one the call converts and scans.
+        raw = np.random.default_rng(3).standard_normal((50, 4)) + 7.0
+        kept = raw.copy()
+        checked = []
+        check_array = panel_module.check_array
+
+        def counting_check(*args, **kwargs):
+            checked.append(args[0])
+            return check_array(*args, **kwargs)
+
+        monkeypatch.setattr(panel_module, "check_array", counting_check)
+        panel = TimeSeriesPanel.from_array(raw, center=True)
+        assert checked == ["panel"]
+        assert panel.values.tobytes() == (raw - raw.mean(axis=0, keepdims=True)).tobytes()
+        assert not panel.values.flags.writeable
+        assert raw.tobytes() == kept.tobytes(), "the caller's array is left alone"
+
     def test_center_checks_the_raw_values_first(self):
         # The uncentred message, not a numpy warning and a whole column of
         # inf - inf blamed on row 1.
