@@ -9,8 +9,10 @@
 # it writes its inputs there with `python` (numpy) and its outputs beside
 # them, and fails on the first non-zero exit.  Each command that takes
 # --workers runs at two worker counts, whose outputs must be
-# byte-identical.  Two malformed inputs must each fail with their exit
-# code and message.  With --against DIR, every file written here must
+# byte-identical.  Three failures must each exit with their code of
+# README's exit-code table and print their message: a non-square
+# power-theory matrix (2), a CSV cell that is NaN (3) and a missing input
+# file (4).  With --against DIR, every file written here must
 # also be byte-identical to the file of the same name in DIR, such as the
 # directory of an earlier run.  A command that runs longer than `limit`
 # (300) seconds, such as one whose worker processes hang, is stopped and named.
@@ -120,6 +122,8 @@ fails 2 "error: a0 must be square, got shape (2, 3)" power-theory-2x3.err \
   power-theory --a0 a0-2x3.csv --a1 a0-2x3.csv --n 100
 fails 3 "error: non-finite value 'nan' (row 3, column 2)" test-nan.err \
   test --input panel-nan.csv --K 1
+fails 4 "error: [Errno 2] No such file or directory: 'missing.csv'" test-missing.err \
+  test --input missing.csv --K 1
 
 if [[ -n "$against" ]]; then
   for file in *; do

@@ -7,8 +7,10 @@ Subcommands:
   power-theory  closed-form sum-test power for explicit (A0, A1)
   residual-test factor-regression residuals + sliding-window testing
 
-Exit codes: 0 success, 2 bad configuration or usage, 3 bad input data,
-4 filesystem failure.
+Exit codes, as README's table gives them: 0 success; 2 bad configuration
+or usage (ConfigError, or an option argparse refuses); 3 bad input data
+(DataError); 4 filesystem failure (OSError).  A failure prints
+``error: ...`` to stderr.
 """
 
 from __future__ import annotations

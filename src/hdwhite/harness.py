@@ -385,21 +385,29 @@ def run_jobs(task, jobs: int, workers: int) -> list:
 
     This process and the ``min(workers, jobs) - 1`` helper processes it
     starts claim the jobs one at a time from a shared counter, so none
-    waits for another between jobs.  One worker, or one job, starts no
-    helper: the jobs run in order in this process.  A helper gets the
-    counter, ``task`` and the write end of a pipe as its arguments, so
-    ``task`` must pickle where helpers are spawned, and sends its results
-    through the pipe once it is done.  A result depends only on its job,
-    so the list is that of a serial run for any worker count.
+    waits for another between jobs.  A claim costs microseconds, so the
+    last process to finish is at most one job behind the others.  One
+    worker, or one job, starts no helper: the jobs run in order in this
+    process.  A helper is a plain ``multiprocessing`` process of the
+    default start method; it gets the counter, ``task`` and the write end
+    of a pipe as its arguments, so ``task`` must pickle where helpers are
+    spawned, and sends its results through the pipe once it is done, so
+    the results must pickle too.  A result depends only on its job, so the
+    list is that of a serial run for any worker count.
 
     A failing job moves the counter to the end, so every process stops
     after its current job; the failure with the lowest job index, the one
     a serial run meets first, is raised, with a helper's traceback as its
     cause.  Once any helper has sent its results or exited, this process
-    claims no more jobs; a helper that exits without sending them raises
-    ``BrokenProcessPool``.  On that, and on an exception or interrupt
-    here, the counter is moved to the end and the helpers still running
-    are ended.  Every helper is joined before this returns or raises.
+    claims no more jobs, and it gives up waiting for the counter's lock
+    if a dead helper held it; a helper that exits without sending its
+    results raises ``BrokenProcessPool``.  That includes a helper whose
+    results, or error, do not pickle: it dies in ``send``, with the
+    pickling traceback only on its stderr, where a serial run, which
+    pickles nothing, returns them.  On that, and on an exception or
+    interrupt here, the counter is moved to the end and the helpers still
+    running are ended.  Every helper is joined before this returns or
+    raises, so none outlives the call.
     """
     check_integer('"workers"', workers, 1)
     helpers = min(workers, jobs) - 1  # no more than one process per job

@@ -163,8 +163,11 @@ def sample_autocovariance(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
     moments up to its K (see ``_carried_autocorrelation``).
 
     Lag 0 is exactly symmetric with no pass to make it so: numpy forms
-    X'X by a symmetric rank-k update, and the window engine's updates
-    x_a x_a' - x_b x_b' add the same products to entries (i, j) and (j, i).
+    X'X by a symmetric rank-k update, which computes each entry once and
+    mirrors it, and the window engine's updates x_a x_a' - x_b x_b' add
+    the same products, in the same order, to entries (i, j) and (j, i).
+    So (C + C')/2 would give back C bit for bit; ``tests/test_panel.py``
+    checks exact symmetry on every route that forms C.
     """
     _check_lag(panel.n, lag)
     n = panel.n
@@ -199,7 +202,9 @@ def sample_autocorrelation(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
     ``LagError`` before any of that.  One path, whatever the panel
     carries: its columns are scaled to unit norm once, Y = X / |X|, and
     Y[k:]' Y[:n-k] is returned, so the divisor n cancels and no X'X is
-    formed.  A call holds Y and the result.
+    formed.  It never reads the products a test left on the panel, so its
+    bits do not depend on which tests ran first.  A call holds Y and the
+    result.
     """
     _check_lag(panel.n, lag)
     y = _unit_columns(panel)
@@ -210,7 +215,9 @@ def _check_variances(variances: np.ndarray) -> None:
     """Raise ``DataError`` naming the first column whose sum of squares is
     not finite, since it overflowed float64, and then
     ``DegenerateColumnError`` naming the first column whose sample
-    variance is at or below ``DEGENERATE_VARIANCE_TOL``."""
+    variance is at or below ``DEGENERATE_VARIANCE_TOL``.  Both of MAX's
+    paths call this, so both raise alike.  Without the overflow check MAX
+    would return t_max = 0.0 on a panel in units of 1e155."""
     if not variances.max() < math.inf:
         col = int(np.argmin(np.isfinite(variances))) + 1
         raise DataError(
@@ -242,7 +249,13 @@ def _carried_autocorrelation(panel: TimeSeriesPanel, lag: int) -> np.ndarray:
     """MAX's lag-k autocorrelations on a panel whose moments reach ``lag``:
     the lag-k autocovariance times ``np.outer(s, s)`` in place, with s the
     inverse square roots of the lag-0 diagonal, which is dropped before
-    lag k is formed; a call holds the result and one p x p scale matrix."""
+    lag k is formed; a call holds the result and one p x p scale matrix
+    beside the carried stack, and leaves nothing on the panel.
+
+    The bits are those of ``(X[k:]' X[:n-k] / n) * np.outer(s, s)``.  This
+    step is MAX's alone: the public ``sample_autocorrelation`` takes the
+    unit-column path on every panel.
+    """
     variances = np.diagonal(sample_autocovariance(panel, 0)).copy()
     _check_variances(variances)
     inv_scale = 1.0 / np.sqrt(variances)
@@ -269,6 +282,8 @@ def _max_autocorrelation(panel: TimeSeriesPanel, lags: int) -> float:
     with more than p candidates (tied columns, or an n so large that the
     slack stops separating entries) takes its float64 product instead,
     and later lags skip the screen.  Smaller panels take float64 products.
+    Either way the largest entry is the float64 value to a few ulps: the
+    tests hold ``t_max`` within 4e-15, relative, of a long-double oracle.
 
     Working set: Y, its float32 copy, the float32 buffer and its p^2-byte
     mask, about 0.63 p^2 + 1.5 n p floats, and at most 2 p n gathered
@@ -342,10 +357,11 @@ def _gram_pair_sums(x: np.ndarray, lags: int):
     pairs t != s of (x_t'x_s)^2; the residue below which that sum counts as
     zero (see ``SCALE_RESOLUTION``); and for each lag l = 1..K the sum over
     pairs t != s of x_t'x_s x_{t+l}'x_{s+l}.  Each is a plain sum of one
-    elementwise product over the t != s entries, so nothing cancels; the
-    residue's pair sum of |x_t|^2 |x_s|^2 is formed from running sums of
-    ``sq``.  ``_band_pair_sums`` gives the same sums for every run of a
-    sliding window.
+    elementwise product over the t != s entries, so nothing cancels: with
+    one row scaled by 1e5 the sums stay within 1e-13 of a long-double
+    oracle.  The residue's pair sum of |x_t|^2 |x_s|^2 is formed from
+    running sums of ``sq``.  ``_band_pair_sums`` gives the same sums for
+    every run of a sliding window.
     """
     gram = x @ x.T
     sq = np.diagonal(gram).copy()
@@ -375,7 +391,10 @@ def _band_pair_sums(x: np.ndarray, lags: int, window: int):
     neighbour: a large row outside a run never reaches that run's sums.
     With r = n - w + 1 runs, the work is O(n^2 p) for X X' and
     O((K + 2) n w) for the rest, not O((K + 2) r w^2); the memory, an
-    n x (n + w) Gram band and one n x w band product.
+    n x (n + w) Gram band and one n x w band product.  A summed-area
+    table over one T x T Gram matrix was tried instead and rejected: it
+    needs O(T^2) memory (+28% peak RSS on the residual-windows benchmark),
+    and its global prefix sums lose precision after a spike.
 
     Returns one (pair sum, residue, lag terms) per run, in order.
     """
@@ -418,7 +437,9 @@ def _cross_pair_sums(products: np.ndarray, sq: np.ndarray):
 
     Uses sum_{t,s} x_t'x_s x_{t+l}'x_{s+l} = ||X[l:]' X[:n-l]||_F^2 and
     subtracts the t = s terms, sum_t |x_t|^2 |x_{t+l}|^2 (``sq`` holds the
-    |x_t|^2).  The residue is ``SCALE_RESOLUTION`` of ||X'X||_F^2.
+    |x_t|^2).  The residue is ``SCALE_RESOLUTION`` of ||X'X||_F^2.  The
+    subtraction cancels when a few rows dominate, so such a panel loses
+    digits here that the Gram route keeps.
     """
     n = sq.shape[0]
     terms = tuple(
@@ -436,6 +457,12 @@ def _shared_moments(panel: TimeSeriesPanel, lags: int) -> _Moments | None:
     up to some K >= ``lags`` serve as they are; else a ``_cross_route``
     shape forms the K+1 lag products and SUM's sums once and carries them,
     read-only, replacing a smaller K (sums that overflow as inf or nan).
+    So ``run_all``, and ``max_test`` followed by ``sum_test``, form K+1
+    p x p products on that route rather than 2K+2, and ``sum_test`` at
+    K = 5, 2, 5 forms them once.  A larger K never reads a smaller stack:
+    a cross-route shape forms the products again, and a Gram-route shape
+    gets None, so MAX takes the unit columns, as on a fresh panel.  The
+    stack is (K+1) p^2 floats, less than the panel's n p on this route.
     """
     moments = panel._moments
     if moments is not None and lags <= moments.lags:
@@ -496,7 +523,8 @@ def _window_panels(panel: TimeSeriesPanel, window: int, lags: int, block: int):
     of the smallest lag-0 diagonal entry, the window's products are formed
     from scratch instead.  That keeps each autocorrelation within about
     1e-13 of the per-window value, and makes it exact after an outlying row
-    leaves or while a column is zero.
+    leaves or while a column is zero, so a zero-variance column raises the
+    ``DegenerateColumnError`` a fresh panel raises.
 
     SUM takes its sums from one Gram matrix, formed over the block's
     w + 63 rows, whichever route ``sum_test`` would take on a fresh
@@ -518,6 +546,12 @@ def _window_panels(panel: TimeSeriesPanel, window: int, lags: int, block: int):
 
     Extra memory: O((K+1) p^2) for the products and O((w + 64)(2w + 64))
     for the Gram band and one band product.
+
+    ``tests/test_factor.py::TestWindowEngine`` holds every window's
+    statistics to 1e-10 of ``run_all`` on a fresh panel, across block
+    boundaries and with rows scaled by 1e3 and 1e5 entering and leaving;
+    ``tests/test_panel.py`` holds each window's SUM sums to 1e-14 of a
+    long-double oracle, with a row scaled by 1e7, on both routes.
     """
     x = panel.values
     p = panel.p

@@ -38,6 +38,9 @@ __all__ = [
 class PowerInputs:
     """Alternative-hypothesis description for the sum-test power formula.
 
+    a0 and a1 are finite square matrices of one shape, n an integer of at
+    least 2, nu4 (the innovations' fourth moment) a finite number of at
+    least 1, and alpha a level; anything else raises ``ConfigError``.
     Equality and hashing are by identity, as for any object.
     """
 
@@ -202,7 +205,10 @@ def sum_power(inp: PowerInputs) -> SumPowerBreakdown:
     it is, but scales the variance terms by c^8: a term that overflows
     float64, or a largest one below ``_TERM_FLOOR``, raises ConfigError.
     So does a nonzero pair whose truncated variance expansion is not
-    positive, as it can be at small nu4.
+    positive, as it can be at small nu4, with the total and nu4 in the
+    message: at nu4 = 1 (Rademacher innovations), A0 = [[-0.5, -0.5],
+    [-0.5, -0.1]] and A1 = [[1.2, -0.7], [-0.9, 0.2]] at n = 1000 total
+    -5.97e-4.
     """
     if not (inp.a0.any() or inp.a1.any()):
         raise ConfigError(
