@@ -9,10 +9,10 @@
 # it writes its inputs there with `python` (numpy) and its outputs beside
 # them, and fails on the first non-zero exit.  Each command that takes
 # --workers runs at two worker counts, whose outputs must be
-# byte-identical.  Three failures must each exit with their code of
+# byte-identical.  Four failures must each exit with their code of
 # README's exit-code table and print their message: a non-square
-# power-theory matrix (2), a CSV cell that is NaN (3) and a missing input
-# file (4).  With --against DIR, every file written here must
+# power-theory matrix (2), a CSV cell that is NaN (3), a missing input
+# file (4) and a power curve asked for in markdown (2).  With --against DIR, every file written here must
 # also be byte-identical to the file of the same name in DIR, such as the
 # directory of an earlier run.  A command that runs longer than `limit`
 # (300) seconds, such as one whose worker processes hang, is stopped and named.
@@ -96,6 +96,11 @@ for suffix, t, p in cases:
 # 40 x 300 at K=2 is a Gram-route shape, (K+1) p >= n, so MAX runs its
 # unit-column kernel, float32 screen and all.
 np.savetxt("wide.csv", np.random.default_rng(2).standard_normal((40, 300)), delimiter=",")
+# 400 x 20 at K=1 is a cross-route shape whose row 200, scaled by 1e7,
+# dominates SUM's pair sum: the route splits it off, so the test answers.
+outlier = np.random.default_rng(3).standard_normal((400, 20))
+outlier[200] *= 1e7
+np.savetxt("outlier.csv", outlier, delimiter=",")
 PY
 
 run size --config size.json --workers 1 --out size-1.csv
@@ -118,12 +123,15 @@ for suffix in "" -gram -cross -outlier; do
 done
 run test --input panel.csv --K 2 | tee test-panel.json
 run test --input wide.csv --K 2 | tee test-wide.json
+run test --input outlier.csv --K 1 | tee test-outlier.json
 fails 2 "error: a0 must be square, got shape (2, 3)" power-theory-2x3.err \
   power-theory --a0 a0-2x3.csv --a1 a0-2x3.csv --n 100
 fails 3 "error: non-finite value 'nan' (row 3, column 2)" test-nan.err \
   test --input panel-nan.csv --K 1
 fails 4 "error: [Errno 2] No such file or directory: 'missing.csv'" test-missing.err \
   test --input missing.csv --K 1
+fails 2 "error: --curve writes CSV only, not --format markdown" curve-markdown.err \
+  power --config power.json --out curve.md --curve --format markdown
 
 if [[ -n "$against" ]]; then
   for file in *; do

@@ -79,6 +79,8 @@ def _cmd_experiment(args) -> int:
         raise ConfigError('no output path: set "out" in the config or pass --out')
     _check_out_path(cfg.out_path)
     curve = kind is ExperimentKind.POWER and args.curve
+    if curve and args.format != "csv":
+        raise ConfigError(f"--curve writes CSV only, not --format {args.format}")
     if curve:
         _check_power_curve(cfg.grid)
     results = run_experiment(cfg)

@@ -238,8 +238,7 @@ def sliding_window_rates(
     from window to window for MAX and shares one Gram matrix among 64
     windows for SUM, whatever SUM's route on a fresh panel; the
     statistics match ``run_all`` on a fresh panel of the same rows to
-    about 1e-13.  With a dominant row, a window's SUM is exact where a
-    fresh panel's cross route cancels.
+    about 1e-13, with a dominant row too.
 
     Each block of 64 windows starts from scratch, so each is
     one job of ``harness.run_jobs``, the scheduler the Monte Carlo harness

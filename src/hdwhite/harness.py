@@ -357,12 +357,17 @@ class _RemoteTraceback(Exception):
 
 def _helper(counter, task, end, writer) -> None:
     """A helper process: send ``_claim_jobs``' (done, failure) through ``writer``,
-    a failure with its formatted traceback, which a pickled exception loses."""
+    a failure with its formatted traceback, which a pickled exception loses.
+    Results or an error that do not pickle fail the helper's first job."""
     done, failure = _claim_jobs(counter, task, end)
-    if failure is not None:
-        exc = failure[1]
-        failure += ("".join(traceback.format_exception(type(exc), exc, exc.__traceback__)),)
-    writer.send((done, failure))
+    try:
+        writer.send((done, None if failure is None else _traced(*failure)))
+    except Exception as exc:  # jobs are claimed in order: the first is the lowest
+        writer.send(([], _traced((done[0] if done else failure)[0], exc)))
+
+
+def _traced(job, exc):
+    return job, exc, "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
 
 
 def _stop_claims(counter, end: int) -> None:
@@ -400,14 +405,13 @@ def run_jobs(task, jobs: int, workers: int) -> list:
     a serial run meets first, is raised, with a helper's traceback as its
     cause.  Once any helper has sent its results or exited, this process
     claims no more jobs, and it gives up waiting for the counter's lock
-    if a dead helper held it; a helper that exits without sending its
-    results raises ``BrokenProcessPool``.  That includes a helper whose
-    results, or error, do not pickle: it dies in ``send``, with the
-    pickling traceback only on its stderr, where a serial run, which
-    pickles nothing, returns them.  On that, and on an exception or
-    interrupt here, the counter is moved to the end and the helpers still
-    running are ended.  Every helper is joined before this returns or
-    raises, so none outlives the call.
+    if a dead helper held it.  A helper whose results, or error, do not
+    pickle fails its lowest job with the pickling error, where a serial
+    run, which pickles nothing, returns them.  A helper that exits without
+    sending its results raises ``BrokenProcessPool``; on that, and on an
+    exception or interrupt here, the counter is moved to the end and the
+    helpers still running are ended.  Every helper is joined before this
+    returns or raises, so none outlives the call.
     """
     check_integer('"workers"', workers, 1)
     helpers = min(workers, jobs) - 1  # no more than one process per job

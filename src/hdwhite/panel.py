@@ -24,23 +24,19 @@ from .errors import (
 # autocorrelated; the offending column is named in the error.
 DEGENERATE_VARIANCE_TOL = 1e-12
 
-# A pair sum below this fraction of its route's reference counts as zero:
-# the rows are mutually orthogonal and SUM cannot be studentized.
-#
-# The cross route forms the pair sum as ||X'X||_F^2 minus sum_t |x_t|^4.
-# When every pair of rows is orthogonal, that difference still leaves a
-# residue of a few machine epsilons of ||X'X||_F^2 (at most 8e-16 of it
-# over 23,000 random such panels), so ||X'X||_F^2 is its reference.
-#
-# The Gram route sums squared off-diagonal entries, with no cancellation.
-# A computed x_t'x_s of two orthogonal rows is at most about p u |x_t| |x_s|
-# (u the unit roundoff), and rows orthogonal only to rounding, such as
-# those of a computed orthogonal basis, are off by about as much.  So its
-# reference is sum_{t != s} |x_t|^2 |x_s|^2, against which the pair sum is
-# a mean squared cosine between rows, and rounding leaves (p u)^2 of it
-# or less.  ||X'X||_F^2 would not do there: one dominant row's |x_t|^4
-# swamps it (a 60 x 30 panel with one row scaled by 1e7 read as orthogonal).
+# A pair sum at or below this fraction of sum_{t != s} |x_t|^2 |x_s|^2
+# counts as zero: the rows are mutually orthogonal and SUM cannot be
+# studentized.  Against that reference the pair sum is a mean squared
+# cosine between rows.  Rounding leaves (p u)^2 of it or less (u the unit
+# roundoff) for rows orthogonal only to rounding, such as those of a
+# computed orthogonal basis, and the cross route's split a few u (see
+# ``_cross_pair_sums``).  ||X'X||_F^2 would not do as the reference: one
+# dominant row's |x_t|^4 swamps it.
 SCALE_RESOLUTION = 1e-12
+# Once the rounding of the cross route's pair sum may pass this fraction
+# of it, the route splits off its ``_SPLIT_ROWS`` largest rows.
+_CANCELLATION_TOLERANCE = 3e-16
+_SPLIT_ROWS = 16
 
 # The window engine forms its lag products and one Gram matrix from
 # scratch once per block of this many windows...
@@ -359,9 +355,8 @@ def _gram_pair_sums(x: np.ndarray, lags: int):
     pairs t != s of x_t'x_s x_{t+l}'x_{s+l}.  Each is a plain sum of one
     elementwise product over the t != s entries, so nothing cancels: with
     one row scaled by 1e5 the sums stay within 1e-13 of a long-double
-    oracle.  The residue's pair sum of |x_t|^2 |x_s|^2 is formed from
-    running sums of ``sq``.  ``_band_pair_sums`` gives the same sums for
-    every run of a sliding window.
+    oracle.  ``_band_pair_sums`` gives the same sums for every run of a
+    sliding window.
     """
     gram = x @ x.T
     sq = np.diagonal(gram).copy()
@@ -370,8 +365,12 @@ def _gram_pair_sums(x: np.ndarray, lags: int):
     terms = tuple(
         float((gram[: n - l, : n - l] * gram[l:, l:]).sum()) for l in range(1, lags + 1)
     )
-    residue = SCALE_RESOLUTION * 2.0 * float(sq[1:] @ np.cumsum(sq[:-1]))
-    return float((gram * gram).sum()), residue, terms
+    return float((gram * gram).sum()), _residue(sq), terms
+
+
+def _residue(sq: np.ndarray) -> float:
+    """``SCALE_RESOLUTION`` of sum_{t != s} |x_t|^2 |x_s|^2, ``sq`` holding the |x_t|^2."""
+    return SCALE_RESOLUTION * 2.0 * float(sq[1:] @ np.cumsum(sq[:-1]))
 
 
 def _band_pair_sums(x: np.ndarray, lags: int, window: int):
@@ -432,22 +431,38 @@ def _band_pair_sums(x: np.ndarray, lags: int, window: int):
     return list(zip(off_diagonal, residues, zip(*terms)))
 
 
-def _cross_pair_sums(products: np.ndarray, sq: np.ndarray):
-    """The sums of ``_gram_pair_sums``, from the raw lag products of ``lag_products``.
+def _cross_pair_sums(x: np.ndarray, products: np.ndarray):
+    """The sums of ``_gram_pair_sums`` for ``x``, from its lag products (``lag_products``).
 
-    Uses sum_{t,s} x_t'x_s x_{t+l}'x_{s+l} = ||X[l:]' X[:n-l]||_F^2 and
-    subtracts the t = s terms, sum_t |x_t|^2 |x_{t+l}|^2 (``sq`` holds the
-    |x_t|^2).  The residue is ``SCALE_RESOLUTION`` of ||X'X||_F^2.  The
-    subtraction cancels when a few rows dominate, so such a panel loses
-    digits here that the Gram route keeps.
+    Uses sum_{t,s} x_t'x_s x_{t+l}'x_{s+l} = ||X[l:]' X[:n-l]||_F^2 minus
+    the t = s terms, sum_t |x_t|^2 |x_{t+l}|^2.  The lag terms keep that
+    difference: t_sum stays within 3e-14 of SUM's null scale with a row
+    scaled by up to 1e12, 1.6e-13 with t(1.5) entries.  The pair sum keeps
+    ||X'X||_F^2 - sum_t |x_t|^4 while u sum_t |x_t|^4 is at most
+    ``_CANCELLATION_TOLERANCE`` of it.  Past that a few rows dominate and
+    it cancels, so the ``_SPLIT_ROWS`` largest rows H are split off from
+    the rest L: PS(X) = PS(L) + PS(H) + 2 ||X_H X_L'||_F^2, PS(H) from H's
+    Gram matrix and PS(L) by the difference on a fresh X_L'X_L, which is
+    off by a few u of the reference of ``SCALE_RESOLUTION`` at most.
     """
+    sq = np.einsum("ti,ti->t", x, x)
     n = sq.shape[0]
     terms = tuple(
         float(np.square(products[l]).sum()) - float(sq[l:] @ sq[: n - l])
         for l in range(1, products.shape[0])
     )
-    frob = float(np.square(products[0]).sum())
-    return frob - float(sq @ sq), SCALE_RESOLUTION * frob, terms
+    quartic = float(sq @ sq)
+    pair_sum = float(np.square(products[0]).sum()) - quartic
+    if UNIT_ROUNDOFF * quartic > _CANCELLATION_TOLERANCE * pair_sum:
+        top = np.argsort(sq)[-_SPLIT_ROWS:]
+        high, low, low_sq = x[top], np.delete(x, top, axis=0), np.delete(sq, top)
+        high_gram = high @ high.T
+        np.fill_diagonal(high_gram, 0.0)
+        pair_sum = (
+            float(np.square(low.T @ low).sum()) - float(low_sq @ low_sq)
+            + float(np.square(high_gram).sum()) + 2.0 * float(np.square(high @ low.T).sum())
+        )
+    return pair_sum, _residue(sq), terms
 
 
 def _shared_moments(panel: TimeSeriesPanel, lags: int) -> _Moments | None:
@@ -472,7 +487,7 @@ def _shared_moments(panel: TimeSeriesPanel, lags: int) -> _Moments | None:
     x = panel.values
     with np.errstate(over="ignore", invalid="ignore"):
         products = lag_products(x, lags)
-        sums = _cross_pair_sums(products, np.einsum("ti,ti->t", x, x))
+        sums = _cross_pair_sums(x, products)
     products.flags.writeable = False
     object.__setattr__(panel, "_moments", _Moments(products, sums))
     return panel._moments

@@ -108,14 +108,14 @@ def sum_test(panel: TimeSeriesPanel, lags: int) -> SumResult:
     cross route shares the K+1 p x p products X'X and X[l:]' X[:n-l] with
     ``max_test``: the first of the two forms them, in O((K+1) n p^2)
     time, and keeps them on the panel with the sums, (K+1) p^2 floats.
-    Both routes give the same numbers up to rounding.
+    Both routes agree up to rounding, also with one dominant row.
 
     Raises ``DataError`` when a sum overflows float64 (entries of about
     1e77 and up), and then when the pair sum behind the studentizer is no
-    larger than the rounding residue of its route, i.e. the rows are
-    mutually orthogonal (see ``panel.SCALE_RESOLUTION``).  The overflow
-    check comes first: without it a 60 x 8 Gaussian panel in units of 1e80
-    was reported as orthogonal, after four ``RuntimeWarning``s.
+    larger than ``panel.SCALE_RESOLUTION`` of its reference, i.e. the rows
+    are mutually orthogonal.  The overflow check comes first: without it a
+    60 x 8 Gaussian panel in units of 1e80 was reported as orthogonal,
+    after four ``RuntimeWarning``s.
     """
     n = panel.n
     _check_sum_rows(n)

@@ -209,12 +209,13 @@ class TestExperimentSubcommands:
         assert lines[0] == "m,rate_max,rate_sum,rate_fc,se_max,se_sum,se_fc"
         assert len(lines) == 4
 
-    @pytest.mark.parametrize("extra, message", [
-        ({"m": [1, 3]}, "power curve is missing block sizes [2]"),
-        ({"m": [1, 2], "n": [30, 40]}, "power-curve cells must share"),
-    ], ids=["gap-in-m", "two-designs"])
+    @pytest.mark.parametrize("extra, argv, message", [
+        ({"m": [1, 3]}, [], "power curve is missing block sizes [2]"),
+        ({"m": [1, 2], "n": [30, 40]}, [], "power-curve cells must share"),
+        ({"m": [1, 2]}, ["--format", "markdown"], "--curve writes CSV only, not --format markdown"),
+    ], ids=["gap-in-m", "two-designs", "markdown"])
     def test_power_curve_design_fails_before_the_run(
-        self, tmp_path, capsys, monkeypatch, extra, message
+        self, tmp_path, capsys, monkeypatch, extra, argv, message
     ):
         def must_not_run(*args):
             raise AssertionError("a replication ran before the curve design was checked")
@@ -223,7 +224,7 @@ class TestExperimentSubcommands:
         cfg = self.write_config(tmp_path, kind="power", scenarios="var1", **extra)
         out_path = tmp_path / "curve.csv"
         code, out, err = run_cli(
-            capsys, "power", "--config", str(cfg), "--out", str(out_path), "--curve"
+            capsys, "power", "--config", str(cfg), "--out", str(out_path), "--curve", *argv
         )
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err
@@ -451,7 +452,7 @@ class TestResidualTestSubcommand:
 
     def test_outlying_month_on_the_cross_route(self, tmp_path, capsys):
         # (K+1) p = 12 < 30, so a fresh window would take SUM's cross route,
-        # whose pair sum cancels next to the month scaled by 1e7.
+        # which splits off the month scaled by 1e7 to keep its pair sum exact.
         returns_path, factors_path = self.write_inputs(tmp_path, t=160, outlier=80)
         code, out, err = run_cli(
             capsys, "residual-test", "--returns", str(returns_path),

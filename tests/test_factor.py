@@ -386,14 +386,10 @@ def assert_close(got, want, what, scale=1.0):
 
 def assert_windows_match(values, window, lags):
     """Every engine window against ``run_all`` on a fresh panel of its rows,
-    with the SUM half of that report taken from the long-double sums.
-
-    A fresh panel on SUM's cross route forms ||X'X||_F^2 - sum_t |x_t|^4,
-    which cancels next to a dominant row (up to 1e-7 of ``trace_sq_hat`` at
-    p = 4, w = 30 with a row scaled by 1e5), while the window's band sums
-    do not.  So ``trace_sq_hat`` and ``t_sum`` are held to the oracle at
-    1e-13, and z, p_sum and the Fisher fields to what the oracle's sums
-    give through the same formulas.
+    with the SUM half of that report taken from the long-double sums:
+    ``trace_sq_hat`` is held to the oracle at 1e-13 and ``t_sum`` to 1e-13
+    of SUM's null scale, and z, p_sum and the Fisher fields to what the
+    oracle's sums give through the same formulas.
     """
     panel = TimeSeriesPanel(values)
     oracle = longdouble_run_pair_sums(values, lags, window)

@@ -533,17 +533,37 @@ def _one_helper_dies(job):
 
 
 def _big_results_then_interrupt(job):
+    started = Path(_RAN_LOG + ".parent")
+    deadline = time.monotonic() + 10
     if _in_worker():
+        # Hold each job until this process has one, so that the helper
+        # cannot claim all 4 and send its results before this process
+        # claims any, which then returns them with no interrupt.
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
         with open(_RAN_LOG, "a") as fh:
             fh.write(f"{job}\n")
         return bytes(BIG_RESULT)
+    started.touch()
     # Wait until the helper has run the other 3 of 4 jobs and so is
     # sending its results, then interrupt this process.
-    deadline = time.monotonic() + 10
     while _ran(Path(_RAN_LOG)) < 3 and time.monotonic() < deadline:
         time.sleep(0.01)
     time.sleep(SLOW_SECONDS)
     raise KeyboardInterrupt
+
+
+def _unpicklable_in_helper(job):
+    if _in_worker():
+        with open(_RAN_LOG, "a") as fh:
+            fh.write(f"{job}\n")
+        return lambda: job
+    # Hold this process's first job until the helper has run one, so that
+    # the helper has results to send whatever its start-up time.
+    deadline = time.monotonic() + 10
+    while _ran(Path(_RAN_LOG)) < 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return job
 
 
 def _ran(path):
@@ -753,6 +773,22 @@ class TestSchedule:
             "the parent waits for the surviving helper's job",
         )
         assert len(raised) == 1 and isinstance(raised[0], BrokenProcessPool), raised
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_unpicklable_results_raise_the_pickling_error(self, monkeypatch, tmp_path):
+        # The helper's results are lambdas, which do not pickle.  Its send
+        # fails, and the pickling error, not a broken pool, is raised, with
+        # the helper's traceback as its cause.
+        this = sys.modules[__name__]
+        log = tmp_path / "ran"
+        monkeypatch.setattr(this, "_RAN_LOG", str(log))
+        with pytest.raises(Exception) as exc:
+            harness.run_jobs(_unpicklable_in_helper, 8, 2)
+        assert not isinstance(exc.value, BrokenProcessPool)
+        assert "pickle" in str(exc.value), exc.value
+        assert isinstance(exc.value.__cause__, harness._RemoteTraceback)
+        assert "in _helper" in str(exc.value.__cause__)
         assert multiprocessing.active_children() == []
 
     @needs_fork

@@ -404,9 +404,8 @@ def test_window_pair_sums_match_the_longdouble_oracle(lags, window, p):
     # before it share the block's Gram band with it but must not see it.
     # A sum that took in one term from outside its run would be off by
     # 1e-3 of the run's pair sum or more, and by far more next to row 40.
-    # At p = 4, (K + 1) p < w puts a fresh window on SUM's cross route,
-    # where ||X'X||_F^2 - sum_t |x_t|^4 cancels next to row 40; the
-    # windows take the band's sums on both routes.
+    # At p = 4, (K + 1) p < w puts a fresh window on SUM's cross route;
+    # the windows take the band's sums on both routes.
     values = np.random.default_rng(window + lags).standard_normal((window + 70, p))
     values[40] *= 1e7
     pieces = list(every_window(TimeSeriesPanel(values), window, lags))

@@ -67,6 +67,32 @@ def sum_test_by_route(monkeypatch, panel, lags, route):
             assert taken == [route]
 
 
+def longdouble_sum_test(x, lags):
+    """sum_test's (trace_sq_hat, t_sum, sigma_s_hat) from a long-double Gram matrix."""
+    xl = x.astype(np.longdouble)
+    gram = xl @ xl.T
+    np.fill_diagonal(gram, 0.0)
+    n = x.shape[0]
+    pairs = n * (n - 1)
+    trace = float((gram * gram).sum() / pairs)
+    terms = sum((gram[: n - l, : n - l] * gram[l:, l:]).sum() for l in range(1, lags + 1))
+    return trace, float(terms / pairs), math.sqrt(2.0 * lags / pairs) * trace
+
+
+def assert_sum_test_matches_the_oracle(monkeypatch, x, lags, t_sum_tol=1e-13):
+    """sum_test on ``x`` by the route its shape takes: ``trace_sq_hat``
+    within 1e-13 of the long-double oracle, ``t_sum`` within ``t_sum_tol``
+    of the null scale ``sigma_s_hat``, and z within 1e-12 of the Gram route's."""
+    route = "cross" if (lags + 1) * x.shape[1] < x.shape[0] else "gram"
+    result = sum_test_by_route(monkeypatch, TimeSeriesPanel(x), lags, route)
+    trace, t_sum, sigma = longdouble_sum_test(x, lags)
+    assert abs(result.trace_sq_hat - trace) / trace < 1e-13, route
+    assert abs(result.t_sum - t_sum) / sigma < t_sum_tol, route
+    monkeypatch.setattr(panel_module, "_cross_route", lambda n, p, lags: False)
+    gram = sum_test_by_route(monkeypatch, TimeSeriesPanel(x), lags, "gram")
+    assert abs(result.z_score - gram.z_score) < 1e-12, route
+
+
 class ProductCountingArray(np.ndarray):
     """A panel's values that count every matrix product formed from them."""
 
@@ -391,7 +417,8 @@ class TestSumTest:
 
     def test_orthogonal_rows_cannot_be_studentized(self, monkeypatch):
         # The tall panel takes the cross-product route, where
-        # ||X'X||_F^2 - |x_6|^4 leaves a positive rounding residue.
+        # ||X'X||_F^2 - |x_6|^4 would leave a positive rounding residue;
+        # row 6 is split off instead.
         one_nonzero_row = np.zeros((12, 3))
         one_nonzero_row[5] = [0.1, 0.3, 0.4]
         for values, route in ((np.eye(4), "gram"), (one_nonzero_row, "cross")):
@@ -400,54 +427,78 @@ class TestSumTest:
 
     def test_rounded_orthogonal_rows_cannot_be_studentized(self, monkeypatch):
         # Rows of a computed orthogonal basis, rotated and scaled over 16
-        # decades: orthogonal only to rounding, on the Gram route.
+        # decades: orthogonal only to rounding.  The Gram route takes them
+        # as they are, the cross route with zero rows after them, so that
+        # (K+1) p < n.
         rng = np.random.default_rng(33)
         for p in (5, 30, 80):
             q, _ = np.linalg.qr(rng.standard_normal((p, p)))
             rotation, _ = np.linalg.qr(rng.standard_normal((p, p)))
             values = (q[: p - 1] * 10.0 ** rng.uniform(-8, 8, (p - 1, 1))) @ rotation
-            with pytest.raises(DataError, match="studentized"):
-                sum_test_by_route(monkeypatch, TimeSeriesPanel(values), 2, "gram")
+            padded = np.vstack([values, np.zeros((2 * p + 2, p))])
+            for rows, route in ((values, "gram"), (padded, "cross")):
+                with pytest.raises(DataError, match="studentized"):
+                    sum_test_by_route(monkeypatch, TimeSeriesPanel(rows), 2, route)
 
-    @pytest.mark.parametrize("scale", [1e7, 1e12])
-    def test_gram_route_dominant_row_is_not_orthogonal(self, monkeypatch, scale):
+    @pytest.mark.parametrize("n, p, lags, scale, t_seed", [
+        pytest.param(60, 30, 2, 1e7, None, id="10000000.0"),
+        pytest.param(60, 30, 2, 1e12, None, id="1000000000000.0"),
+        *(pytest.param(n, p, 1, scale, None, id=f"cross-{n}-{p}-{scale:g}")
+          for n, p in ((400, 20), (300, 60), (100, 30)) for scale in (1e7, 1e12)),
+        pytest.param(300, 60, 1, None, 5, id="cross-300-60-t1.5"),
+        pytest.param(200, 60, 2, None, 20, id="cross-200-60-t1.5"),
+    ])
+    def test_gram_route_dominant_row_is_not_orthogonal(
+        self, monkeypatch, n, p, lags, scale, t_seed
+    ):
         # One row's |x_t|^4 swamps ||X'X||_F^2, which must not make the
-        # other rows' pair sums read as a rounding residue.
-        x = np.random.default_rng(34).standard_normal((60, 30))
+        # other rows' pair sums read as a rounding residue, on the Gram
+        # route (60 x 30) or the cross route, where the difference
+        # ||X'X||_F^2 - sum_t |x_t|^4 cancels unless that row is split
+        # off.  With ``t_seed`` the panel has t(1.5) entries instead, and a
+        # few rows dominate: the difference was off by 3.4e-12 at seed 5,
+        # and by 1.8e-13 at seed 20 even with its largest row split off.
+        # The cross route's lag terms keep their difference, which at seed
+        # 5 leaves 1.3e-13 of the null scale in t_sum, so there t_sum is
+        # held to z's bound.
+        if t_seed is not None:
+            x = np.random.default_rng(t_seed).standard_t(1.5, (n, p))
+            assert_sum_test_matches_the_oracle(monkeypatch, x, lags, t_sum_tol=1e-12)
+            return
+        x = np.random.default_rng(34).standard_normal((n, p))
         x[20] *= scale
-        result = sum_test_by_route(monkeypatch, TimeSeriesPanel(x), 2, "gram")
-        xl = x.astype(np.longdouble)
-        gram = xl @ xl.T
-        np.fill_diagonal(gram, 0.0)
-        want = float((gram * gram).sum() / (60 * 59))
-        assert abs(result.trace_sq_hat - want) / want < 1e-13
+        assert_sum_test_matches_the_oracle(monkeypatch, x, lags)
 
-    @pytest.mark.parametrize("n, p", [(120, 100), (150, 60)])
+    @pytest.mark.parametrize(
+        "n, p", [(120, 100), (150, 60), (400, 20), (300, 60)],
+        ids=["120-100", "150-60", "400-20", "300-60"],
+    )
     @pytest.mark.parametrize("scale", [1e3, 1e4, 1e5])
     def test_gram_route_one_large_row(self, monkeypatch, n, p, scale):
         # One dominant row makes sum_t |x_t|^4 nearly all of ||X X'||_F^2,
         # so a pair sum formed as their difference cancels.  The Gram
-        # route sums squared off-diagonal entries and must stay accurate.
+        # route (the first two shapes) sums squared off-diagonal entries;
+        # the cross route (the last two at K=3) splits the row off.
         x = np.random.default_rng(31).standard_normal((n, p))
         x[n // 3] *= scale
-        result = sum_test_by_route(monkeypatch, TimeSeriesPanel(x), 3, "gram")
-        xl = x.astype(np.longdouble)
-        gram = xl @ xl.T
-        np.fill_diagonal(gram, 0.0)
-        want = float((gram * gram).sum() / (n * (n - 1)))
-        assert abs(result.trace_sq_hat - want) / want < 1e-13
+        assert_sum_test_matches_the_oracle(monkeypatch, x, 3)
 
     def test_tall_panel_peak_memory(self):
         # The Gram route would hold a 2000 x 2000 matrix (about 31 MiB)
-        # and its temporaries; the cross products need p x p.
-        panel = TimeSeriesPanel(np.random.default_rng(30).standard_normal((2000, 50)))
-        tracemalloc.start()
-        try:
-            sum_test(panel, 5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20, f"peak traced allocation {peak / 2**20:.2f} MiB"
+        # and its temporaries; the cross products need p x p.  A row
+        # scaled by 1e7 is split off, with a copy X_L of the other rows and
+        # the 16 x n products X_H X_L'.
+        for scale in (1.0, 1e7):
+            values = np.random.default_rng(30).standard_normal((2000, 50))
+            values[700] *= scale
+            panel = TimeSeriesPanel(values)
+            tracemalloc.start()
+            try:
+                sum_test(panel, 5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20, f"scale {scale}: peak traced allocation {peak / 2**20:.2f} MiB"
 
     def test_wide_panel_max_working_set(self):
         # On a Gram-route shape MAX holds the unit columns, their float32
