@@ -12,7 +12,8 @@
 # byte-identical.  Four failures must each exit with their code of
 # README's exit-code table and print their message: a non-square
 # power-theory matrix (2), a CSV cell that is NaN (3), a missing input
-# file (4) and a power curve asked for in markdown (2).  With --against DIR, every file written here must
+# file (4) and a size run whose --out name is too long to open (4, before
+# the grid runs).  With --against DIR, every file written here must
 # also be byte-identical to the file of the same name in DIR, such as the
 # directory of an earlier run.  A command that runs longer than `limit`
 # (300) seconds, such as one whose worker processes hang, is stopped and named.
@@ -53,6 +54,10 @@ fails() {
 cat > power.json <<'JSON'
 {"kind": "power", "scenarios": ["var1", "varma1"], "n": 40, "p": 8,
  "K": 1, "m": [1, 3], "replications": 6, "master_seed": 1}
+JSON
+cat > curve.json <<'JSON'
+{"kind": "power", "scenarios": "vma1", "n": 40, "p": 8,
+ "K": 1, "m": [1, 2, 3], "replications": 6, "master_seed": 1}
 JSON
 cat > size.json <<'JSON'
 {"kind": "size", "scenarios": ["null-i"], "n": 40, "p": 8,
@@ -111,6 +116,9 @@ run power --config power.json --workers 2 --out power-2.csv
 run power --config power.json --workers 3 --out power-3.csv
 cmp power-2.csv power-3.csv
 cat power-3.csv
+run power --config curve.json --workers 1 --out curve-1.csv --format curve
+run power --config curve.json --workers 2 --out curve-2.csv --format curve
+cmp curve-1.csv curve-2.csv
 run power-theory --a0 a0.csv --a1 a1.csv --n 100 | tee power-theory.txt
 # Each block of 64 windows is one job: the T=60 panel has one block,
 # T=120 two and T=160 three.  One worker and two print the same summary.
@@ -130,8 +138,9 @@ fails 3 "error: non-finite value 'nan' (row 3, column 2)" test-nan.err \
   test --input panel-nan.csv --K 1
 fails 4 "error: [Errno 2] No such file or directory: 'missing.csv'" test-missing.err \
   test --input missing.csv --K 1
-fails 2 "error: --curve writes CSV only, not --format markdown" curve-markdown.err \
-  power --config power.json --out curve.md --curve --format markdown
+long=$(printf 'r%.0s' {1..296}).csv
+fails 4 "error: [Errno 36] File name too long: '$long'" size-long-name.err \
+  size --config size.json --out "$long"
 
 if [[ -n "$against" ]]; then
   for file in *; do

@@ -16,7 +16,6 @@ or usage (ConfigError, or an option argparse refuses); 3 bad input data
 from __future__ import annotations
 
 import argparse
-import errno
 import multiprocessing
 import os
 import sys
@@ -45,22 +44,14 @@ def _cmd_test(args) -> int:
 
 
 def _check_out_path(path: str) -> None:
-    """Raise, before the grid runs, the OSError that writing ``path``
-    would raise after it: for an empty path, a missing, non-directory or
-    unwritable parent, and a path that is a directory or an unwritable file.
-    """
-    parent = os.path.dirname(path) or "."
-    if not path:
-        code, where = errno.ENOENT, path
-    elif not os.path.isdir(parent):
-        code, where = (errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT), parent
-    elif os.path.isdir(path):
-        code, where = errno.EISDIR, path
-    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
-        code, where = errno.EACCES, path
-    else:
-        return
-    raise OSError(code, os.strerror(code), where)
+    """Raise, before the grid runs, any OSError that writing ``path`` would
+    raise after it, by opening it for writing as the write will, but
+    without truncating it; a file this opening created is removed again,
+    also where ``path`` is a symlink to it."""
+    created = not os.path.exists(path)
+    os.close(os.open(path, os.O_WRONLY | os.O_CREAT))
+    if created:
+        os.remove(os.path.realpath(path))
 
 
 def _cmd_experiment(args) -> int:
@@ -77,14 +68,11 @@ def _cmd_experiment(args) -> int:
         )
     if cfg.out_path is None:
         raise ConfigError('no output path: set "out" in the config or pass --out')
-    _check_out_path(cfg.out_path)
-    curve = kind is ExperimentKind.POWER and args.curve
-    if curve and args.format != "csv":
-        raise ConfigError(f"--curve writes CSV only, not --format {args.format}")
-    if curve:
+    if args.format == "curve":
         _check_power_curve(cfg.grid)
+    _check_out_path(cfg.out_path)
     results = run_experiment(cfg)
-    if curve:
+    if args.format == "curve":
         emit_power_curve(results, cfg.out_path)
     else:
         emit_table(results, cfg.out_path, format=args.format)
@@ -146,14 +134,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--header", action="store_true",
                         help="first non-blank CSV line is a header")
     p_test.add_argument("--center", action="store_true",
-                        help="subtract column means before testing; this biases SUM and "
-                             "FC upward once p nears n (README, Input conventions)")
+                        help="subtract column means before testing; SUM corrects for "
+                             "the centring (README, Input conventions)")
     p_test.add_argument("--format", choices=("json", "csv"), default="json")
     p_test.set_defaults(func=_cmd_test)
 
-    for name, helptext in (
-        ("size", "null-hypothesis rejection rates over a config grid"),
-        ("power", "alternative-hypothesis rejection rates over a config grid"),
+    for name, formats, helptext in (
+        ("size", ("csv", "markdown"), "null-hypothesis rejection rates over a config grid"),
+        ("power", ("csv", "markdown", "curve"),
+         "alternative-hypothesis rejection rates over a config grid"),
     ):
         p_run = sub.add_parser(name, help=helptext)
         p_run.add_argument("--config", required=True, help="JSON experiment config")
@@ -163,10 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="override the config worker count: the processes that "
                                 "run replications, this one included")
         p_run.add_argument("--out", default=None, help="override the config output path")
-        p_run.add_argument("--format", choices=("csv", "markdown"), default="csv")
-        if name == "power":
-            p_run.add_argument("--curve", action="store_true",
-                               help="emit a per-m power-curve CSV instead of the flat table")
+        p_run.add_argument("--format", choices=formats, default="csv")
         p_run.set_defaults(func=_cmd_experiment)
 
     p_pt = sub.add_parser("power-theory", help="closed-form sum-test power under a one-lag MA")

@@ -104,10 +104,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ExperimentKind(self.kind))
-        object.__setattr__(self, "grid", tuple(self.grid))
+        try:
+            object.__setattr__(self, "grid", tuple(self.grid))
+        except TypeError:
+            raise ConfigError(f'"grid" must be a sequence of GridCell, got {self.grid!r}') from None
         if not self.grid:
             raise ConfigError('"grid": at least one cell is required')
         for i, cell in enumerate(self.grid):
+            if not isinstance(cell, GridCell):
+                raise ConfigError(f'"grid[{i}]" must be a GridCell, got {cell!r}')
             null_cell = cell.scenario.is_null
             if self.kind is ExperimentKind.SIZE and not null_cell:
                 raise ConfigError(

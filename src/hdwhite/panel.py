@@ -87,6 +87,8 @@ class TimeSeriesPanel:
     values: np.ndarray = field(repr=False)
     # Lagged moments up to some K, set by ``_window_panels`` or ``_shared_moments``.
     _moments: _Moments | None = field(default=None, init=False, repr=False)
+    # Set by ``from_array(center=True)`` alone, for ``sum_test``'s correction.
+    _centred: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         values = check_array("panel", self.values, DataError, copy=True)
@@ -111,9 +113,10 @@ class TimeSeriesPanel:
         """Build a panel from array-like data.
 
         ``center=True`` subtracts each column's mean once, here and only
-        here; all downstream moments use the stored values as-is.  The raw
-        values are checked first, as for ``center=False``; a column whose
-        centring overflows float64 then raises ``DataError`` naming it.
+        here; all downstream moments use the stored values as-is, and
+        ``sum_test`` takes out the bias centring puts in its statistic.
+        The raw values are checked first, as for ``center=False``; a column
+        whose centring overflows float64 then raises ``DataError`` naming it.
         """
         panel = cls(values)
         if center:
@@ -128,6 +131,7 @@ class TimeSeriesPanel:
                     f"centring column {int(np.argmax(overflowed)) + 1} overflows float64; "
                     f"the tests are scale-invariant, so rescale the panel"
                 )
+            object.__setattr__(panel, "_centred", True)
         return panel
 
 

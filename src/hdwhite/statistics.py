@@ -21,6 +21,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distributions import chi2_4_sf, gumbel_sf, std_normal_sf
 from .errors import ConfigError, DataError, check_level, check_probability
 from .panel import TimeSeriesPanel, _max_autocorrelation, _pair_sums, check_lag_budget
@@ -108,7 +110,9 @@ def sum_test(panel: TimeSeriesPanel, lags: int) -> SumResult:
     cross route shares the K+1 p x p products X'X and X[l:]' X[:n-l] with
     ``max_test``: the first of the two forms them, in O((K+1) n p^2)
     time, and keeps them on the panel with the sums, (K+1) p^2 floats.
-    Both routes agree up to rounding, also with one dominant row.
+    Both routes agree up to rounding, also with one dominant row.  On a
+    panel that ``from_array(center=True)`` centred, ``_centring_corrected``
+    then takes out the mean that centring adds.
 
     Raises ``DataError`` when a sum overflows float64 (entries of about
     1e77 and up), and then when the pair sum behind the studentizer is no
@@ -126,6 +130,8 @@ def sum_test(panel: TimeSeriesPanel, lags: int) -> SumResult:
             "sum-test sums overflow float64; the tests are scale-invariant, "
             "so rescale the panel"
         )
+    if panel._centred:
+        off_diagonal, total = _centring_corrected(panel.values, lags, off_diagonal, total)
     pairs = n * (n - 1)
     trace_sq_hat = off_diagonal / pairs
     t_sum = total / pairs
@@ -144,6 +150,29 @@ def sum_test(panel: TimeSeriesPanel, lags: int) -> SumResult:
         p_value=std_normal_sf(z),
         K=int(lags),
     )
+
+
+def _centring_corrected(x, lags: int, off_diagonal: float, total: float):
+    """SUM's pair sum and total on a panel that ``from_array(center=True)``
+    centred, with the mean that centring adds taken out.
+
+    Centred Gaussian rows have Cov(x_t, x_s) = (delta_ts - 1/n) Sigma.
+    Write A = (tr Sigma)^2 and B = tr Sigma^2.  Lag l sums over
+    m_l = (n-l)(n-l-1) ordered pairs, c_l = max(n - 2l, 0) of them l apart,
+    and Isserlis gives its mean E[S_l] = (m_l A + (2 m_l - 2 c_l n) B) / n^2,
+    against 0 before centring.  The estimates, solved together:
+    tr Sigma^ = sum_t |x_t|^2 / (n-1), A^ = (tr Sigma^)^2 - 2 B^ / (n-1) and
+    B^ = trace_sq_hat - A^ / n^2.  Returns the pair sum n(n-1) B^, which
+    studentizes, and the total less sum_l E[S_l] at (A^, B^).
+    """
+    n = x.shape[0]
+    trace = float(np.vdot(x, x)) / (n - 1)
+    b = (off_diagonal / (n * (n - 1)) - trace * trace / n**2) / (1.0 - 2.0 / ((n - 1) * n**2))
+    a = trace * trace - 2.0 * b / (n - 1)
+    pairs = sum((n - lag) * (n - lag - 1) for lag in range(1, lags + 1))
+    apart = sum(max(n - 2 * lag, 0) for lag in range(1, lags + 1))
+    mean = (pairs * a + (2 * pairs - 2 * apart * n) * b) / n**2
+    return n * (n - 1) * b, total - mean
 
 
 def fisher_combine(p_max: float, p_sum: float) -> tuple[float, float]:

@@ -125,6 +125,29 @@ def brute_trace_sq(x: np.ndarray) -> float:
     return total / (n * (n - 1))
 
 
+def isserlis_centred_sum_mean(n: int, lags: int, a: float, b: float) -> float:
+    """The mean of the sum statistic's lag total, sum_l S_l before the
+    division by n(n-1), on n centred Gaussian rows, pair by pair.
+
+    Centred rows have Cov(x_t, x_s) = g(t, s) Sigma with g = delta - 1/n,
+    and Isserlis' theorem gives E[(x_t'x_s)(x_u'x_v)] = g(t, s) g(u, v) A
+    + (g(t, u) g(s, v) + g(t, v) g(s, u)) B for A = (tr Sigma)^2 and
+    B = tr Sigma^2.
+    """
+    def g(t, s):
+        return (t == s) - 1.0 / n
+
+    total = 0.0
+    for l in range(1, lags + 1):
+        for t in range(n - l):
+            for s in range(n - l):
+                if t == s:
+                    continue
+                total += (g(t, s) * g(t + l, s + l) * a
+                          + (g(t, t + l) * g(s, s + l) + g(t, s + l) * g(s, t + l)) * b)
+    return total
+
+
 def longdouble_run_pair_sums(x: np.ndarray, lags: int, window: int):
     """SUM's sums for every run of ``window`` consecutive rows, in long double.
 

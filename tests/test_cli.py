@@ -1,5 +1,6 @@
 """Command-line interface, driven in process through main()."""
 
+import errno
 import json
 import multiprocessing
 import os
@@ -10,10 +11,10 @@ import pytest
 
 from hdwhite import cli
 from hdwhite.cli import main
-from hdwhite.errors import ParseError
+from hdwhite.errors import DataError, ParseError
 from hdwhite.factor import read_factors_csv, read_returns_csv
 from hdwhite.panel import TimeSeriesPanel, read_panel_csv, write_panel_csv
-from hdwhite.statistics import REPORT_COLUMNS
+from hdwhite.statistics import REPORT_COLUMNS, sum_test
 
 # The CPUs this process may run on.
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -107,6 +108,17 @@ class TestTestSubcommand:
             "so rescale the panel\n"
         )
 
+    def test_center_reports_the_corrected_sum(self, tmp_path, capsys):
+        path = tmp_path / "offset.csv"
+        values = np.random.default_rng(7).standard_normal((40, 60)) + 3.0
+        write_panel_csv(TimeSeriesPanel(values), str(path))
+        code, out, _ = run_cli(capsys, "test", "--input", str(path), "--K", "2", "--center")
+        assert code == 0
+        want = sum_test(read_panel_csv(str(path), center=True), 2)
+        assert json.loads(out)["z"] == want.z_score
+        uncorrected = sum_test(TimeSeriesPanel(read_panel_csv(str(path), center=True).values), 2)
+        assert want.z_score != uncorrected.z_score
+
     def test_centring_overflow_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "big.csv"
         values = np.random.default_rng(6).standard_normal((40, 5))
@@ -191,10 +203,12 @@ class TestExperimentSubcommands:
 
     def test_curve_is_power_only(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(["size", "--config", str(cfg), "--out", str(tmp_path / "x.csv"), "--curve"])
-        assert exc.value.code == 2
-        assert "--curve" in capsys.readouterr().err
+        for argv in (["size", "--format", "curve"], ["power", "--curve"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+            assert exc.value.code == 2
+            assert argv[-1] in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_power_curve(self, tmp_path, capsys):
         cfg = self.write_config(
@@ -202,20 +216,19 @@ class TestExperimentSubcommands:
         )
         out_path = tmp_path / "curve.csv"
         code, _, _ = run_cli(
-            capsys, "power", "--config", str(cfg), "--out", str(out_path), "--curve"
+            capsys, "power", "--config", str(cfg), "--out", str(out_path), "--format", "curve"
         )
         assert code == 0
         lines = out_path.read_text().strip().splitlines()
         assert lines[0] == "m,rate_max,rate_sum,rate_fc,se_max,se_sum,se_fc"
         assert len(lines) == 4
 
-    @pytest.mark.parametrize("extra, argv, message", [
-        ({"m": [1, 3]}, [], "power curve is missing block sizes [2]"),
-        ({"m": [1, 2], "n": [30, 40]}, [], "power-curve cells must share"),
-        ({"m": [1, 2]}, ["--format", "markdown"], "--curve writes CSV only, not --format markdown"),
-    ], ids=["gap-in-m", "two-designs", "markdown"])
+    @pytest.mark.parametrize("extra, message", [
+        ({"m": [1, 3]}, "power curve is missing block sizes [2]"),
+        ({"m": [1, 2], "n": [30, 40]}, "power-curve cells must share"),
+    ], ids=["gap-in-m", "two-designs"])
     def test_power_curve_design_fails_before_the_run(
-        self, tmp_path, capsys, monkeypatch, extra, argv, message
+        self, tmp_path, capsys, monkeypatch, extra, message
     ):
         def must_not_run(*args):
             raise AssertionError("a replication ran before the curve design was checked")
@@ -224,7 +237,7 @@ class TestExperimentSubcommands:
         cfg = self.write_config(tmp_path, kind="power", scenarios="var1", **extra)
         out_path = tmp_path / "curve.csv"
         code, out, err = run_cli(
-            capsys, "power", "--config", str(cfg), "--out", str(out_path), "--curve", *argv
+            capsys, "power", "--config", str(cfg), "--out", str(out_path), "--format", "curve"
         )
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err
@@ -241,7 +254,7 @@ class TestExperimentSubcommands:
 
     @pytest.mark.parametrize("where", [
         "missing-parent", "parent-is-file", "path-is-dir", "read-only-parent",
-        "empty", "empty-in-config",
+        "empty", "empty-in-config", "name-too-long",
     ])
     def test_unwritable_output_fails_before_the_run(self, tmp_path, capsys, monkeypatch, where):
         (tmp_path / "plain.txt").write_text("")
@@ -256,6 +269,7 @@ class TestExperimentSubcommands:
             "read-only-parent": locked / "rates.csv",
             "empty": "",
             "empty-in-config": None,
+            "name-too-long": tmp_path / ("r" * 296 + ".csv"),
         }[where]
 
         def must_not_run(cfg):
@@ -264,16 +278,39 @@ class TestExperimentSubcommands:
         monkeypatch.setattr("hdwhite.cli.run_experiment", must_not_run)
         if out_path is None:
             cfg = self.write_config(tmp_path, out="")
-            code, out, err = run_cli(capsys, "size", "--config", str(cfg))
+            argv = []
         else:
             cfg = self.write_config(tmp_path)
-            code, out, err = run_cli(capsys, "size", "--config", str(cfg), "--out", str(out_path))
+            argv = ["--out", str(out_path)]
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err = run_cli(capsys, "size", "--config", str(cfg), *argv)
         assert code == 4
         assert out == ""
         assert err.startswith("error: ")
         if where.startswith("empty"):
             assert err == "error: [Errno 2] No such file or directory: ''\n"
-        assert not (tmp_path / "absent").exists()
+        if where == "name-too-long":
+            assert err.startswith(f"error: [Errno {errno.ENAMETOOLONG}] ")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("kind", ["new", "existing", "dangling-symlink"])
+    def test_a_failed_grid_leaves_the_output_as_it_was(self, tmp_path, capsys, monkeypatch, kind):
+        out_path = tmp_path / "rates.csv"
+        if kind == "existing":
+            out_path.write_bytes(b"old table\n")
+        if kind == "dangling-symlink":
+            out_path.symlink_to(tmp_path / "target.csv")
+        before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.exists()}
+
+        def failing_grid(cfg):
+            raise DataError("the grid failed")
+
+        monkeypatch.setattr("hdwhite.cli.run_experiment", failing_grid)
+        cfg = self.write_config(tmp_path)
+        code, _, err = run_cli(capsys, "size", "--config", str(cfg), "--out", str(out_path))
+        assert code == 3 and err == "error: the grid failed\n"
+        after = {path: path.read_bytes() for path in tmp_path.iterdir() if path.exists()}
+        assert after == {**before, cfg: cfg.read_bytes()}
 
     @pytest.mark.parametrize("extra, message", [
         ({"scenarios": "null-iv"}, '"scenarios[0]": unknown Scenario \'null-iv\''),

@@ -250,6 +250,19 @@ class TestConfigExpansion:
             ExperimentConfig.from_mapping(raw)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("grid, key", [
+        (None, "grid"), (GridCell(Scenario.NULL_I, Innovation.GAUSSIAN, 30, 5, 1), "grid"),
+        (5, "grid"), ([{"scenario": "null-i"}], "grid[0]"),
+        ((GridCell(Scenario.NULL_I, Innovation.GAUSSIAN, 30, 5, 1), "null-i"), "grid[1]"),
+        ([None], "grid[0]"),
+    ], ids=["none", "one-cell", "int", "dict", "string", "none-cell"])
+    def test_direct_config_grid_is_typed(self, grid, key):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(kind=ExperimentKind.SIZE, grid=grid, replications=5,
+                             alpha=0.05, master_seed=1)
+        expected = "a sequence of GridCell" if key == "grid" else "a GridCell"
+        assert str(exc.value).startswith(f'"{key}" must be {expected}, got ')
+
     def test_direct_config_alpha_is_a_float(self):
         cell = GridCell(Scenario.NULL_I, Innovation.GAUSSIAN, 30, 5, 1)
         cfg = ExperimentConfig(ExperimentKind.SIZE, (cell,), 5, np.float32(0.25), 1)

@@ -1,6 +1,7 @@
 """README.md against the command line it documents.
 
-Each subcommand's options appear in its README section; the "Command
+Each subcommand's options, and every choice of those that take one,
+appear in its README section; the "Command
 line" section names no option that does not exist; its exit-code table
 lists the codes ``cli.main`` returns; and every README heading an option's
 help cites exists.
@@ -54,6 +55,33 @@ def test_every_option_appears_in_its_section(name):
     text = section(lambda title: f"`hdwhite {name}`" in title)
     assert text is not None, f"README has no section headed `hdwhite {name}`"
     missing = sorted(options(SUBCOMMANDS[name]) - set(OPTION.findall(text)))
+    assert not missing, f"README's `hdwhite {name}` section omits {', '.join(missing)}"
+
+
+def code_words(text):
+    """The words of ``text``'s code, inline spans and fenced lines (up to a
+    "#" comment) alike, split at whitespace, "|" and ",": `--format
+    json|csv` gives --format, json and csv."""
+    fenced, spans = False, []
+    for line in text.splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced:
+            spans.append(line.split("#", 1)[0])
+        else:
+            spans += re.findall(r"`([^`]+)`", line)
+    return {word for span in spans for word in re.split(r"[\s|,]+", span) if word}
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_every_choice_appears_in_its_section(name):
+    text = section(lambda title: f"`hdwhite {name}`" in title) or ""
+    words = code_words(text)
+    missing = sorted(
+        f"{action.option_strings[0]} {choice}"
+        for action in SUBCOMMANDS[name]._actions if action.choices
+        for choice in action.choices if choice not in words
+    )
     assert not missing, f"README's `hdwhite {name}` section omits {', '.join(missing)}"
 
 

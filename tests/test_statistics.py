@@ -28,6 +28,7 @@ from oracles import (
     brute_max_stat,
     brute_sum_stat,
     brute_trace_sq,
+    isserlis_centred_sum_mean,
     longdouble_autocorrelation,
     longdouble_max_stat,
     per_lag_max_stat,
@@ -579,6 +580,54 @@ class TestSumTest:
         for bad in (0, 9):
             with pytest.raises(ConfigError):
                 sum_test(panel, bad)
+
+
+class TestCentredSum:
+    """SUM on a panel that ``from_array(center=True)`` centred, with the
+    mean that centring adds taken out."""
+
+    @pytest.mark.parametrize("n, p, lags", [(6, 3, 1), (7, 2, 4), (9, 5, 3), (8, 1, 6)])
+    def test_null_mean_counts_every_pair(self, n, p, lags):
+        x = np.random.default_rng(n * lags).standard_normal((n, p)) + 3.0
+        panel = TimeSeriesPanel.from_array(x, center=True)
+        plain = sum_test(TimeSeriesPanel(panel.values), lags)
+        got = sum_test(panel, lags)
+        # The studentizer's B^ and the A^ it implies solve both estimates...
+        b = got.trace_sq_hat
+        trace = float(np.vdot(panel.values, panel.values)) / (n - 1)
+        a = trace * trace - 2.0 * b / (n - 1)
+        assert b == pytest.approx(plain.trace_sq_hat - a / n**2, rel=1e-12)
+        # ... and the mean taken out is Isserlis' at (A^, B^).
+        mean = (plain.t_sum - got.t_sum) * n * (n - 1)
+        assert mean == pytest.approx(isserlis_centred_sum_mean(n, lags, a, b), rel=1e-10)
+
+    def test_only_a_panel_centred_on_construction_is_corrected(self):
+        x = np.random.default_rng(21).standard_normal((60, 40)) + 3.0
+        centred = TimeSeriesPanel.from_array(x, center=True)
+        by_hand = TimeSeriesPanel(centred.values)  # the same bits, not marked
+        got, plain = sum_test(centred, 2), sum_test(by_hand, 2)
+        assert got.z_score < plain.z_score
+        assert plain == sum_test(TimeSeriesPanel.from_array(centred.values), 2)
+        assert max_test(centred, 2) == max_test(by_hand, 2)
+        want_sigma = math.sqrt(2.0 * 2 / (60 * 59)) * got.trace_sq_hat
+        assert got.sigma_s_hat == pytest.approx(want_sigma, rel=1e-12)
+        assert got.z_score == pytest.approx(got.t_sum / got.sigma_s_hat, rel=1e-12)
+
+    @pytest.mark.parametrize("n, p, lags, reps, seed", [
+        (200, 200, 2, 1000, 1), (100, 1000, 1, 600, 2),
+    ])
+    def test_centred_sum_holds_its_size(self, n, p, lags, reps, seed):
+        # iid N(0, I) rows plus 3.0.  Uncorrected, centring moves z up by
+        # about sqrt(K/2) p/n, and SUM rejected about 0.25 of these panels
+        # at (200, 200, 2) and every one at (100, 1000, 1).
+        rng = np.random.default_rng(seed)
+        rejected = sum(
+            sum_test(TimeSeriesPanel.from_array(rng.standard_normal((n, p)) + 3.0, center=True),
+                     lags).p_value < 0.05
+            for _ in range(reps)
+        )
+        se = math.sqrt(0.05 * 0.95 / reps)
+        assert abs(rejected / reps - 0.05) <= 3.0 * se, f"SUM size {rejected / reps}"
 
 
 class TestFisherCombine:
