@@ -9,14 +9,16 @@
 # it writes its inputs there with `python` (numpy) and its outputs beside
 # them, and fails on the first non-zero exit.  Each command that takes
 # --workers runs at two worker counts, whose outputs must be
-# byte-identical.  Four failures must each exit with their code of
+# byte-identical.  Six failures must each exit with their code of
 # README's exit-code table and print their message: a non-square
-# power-theory matrix (2), a CSV cell that is NaN (3), a missing input
-# file (4) and a size run whose --out name is too long to open (4, before
-# the grid runs).  With --against DIR, every file written here must
-# also be byte-identical to the file of the same name in DIR, such as the
-# directory of an earlier run.  A command that runs longer than `limit`
-# (300) seconds, such as one whose worker processes hang, is stopped and named.
+# power-theory matrix (2), a size config whose "out" holds a NUL (2), a
+# CSV cell that is NaN (3), a CSV byte that is not UTF-8 (3), a missing
+# input file (4) and a size run whose --out name is too long to open (4;
+# both size runs fail before the grid runs).  With --against DIR, every
+# file written here must also be byte-identical to the file of the same
+# name in DIR, such as the directory of an earlier run.  A command that
+# runs longer than `limit` (300) seconds, such as one whose worker
+# processes hang, is stopped and named.
 set -euo pipefail
 
 against=
@@ -63,6 +65,10 @@ cat > size.json <<'JSON'
 {"kind": "size", "scenarios": ["null-i"], "n": 40, "p": 8,
  "K": 1, "replications": 6, "master_seed": 1}
 JSON
+cat > size-nul.json <<'JSON'
+{"kind": "size", "scenarios": ["null-i"], "n": 40, "p": 8,
+ "K": 1, "replications": 6, "master_seed": 1, "out": "a\u0000b.csv"}
+JSON
 python - <<'PY'
 import numpy as np
 np.savetxt("a0.csv", np.eye(4), delimiter=",")
@@ -72,6 +78,8 @@ rng = np.random.default_rng(1)
 np.savetxt("panel.csv", rng.standard_normal((30, 4)), delimiter=",")
 with open("panel-nan.csv", "w") as fh:
     fh.write("1.0,2.0\n3.0,4.0\n5.0,nan\n7.0,8.0\n")
+with open("panel-not-utf8.csv", "wb") as fh:
+    fh.write(b"1.0,2.0\n3.0,4.0\n5.0,6\xff.0\n7.0,8.0\n")
 # p=4, T=60 tests its 30 windows by SUM's cross route, in one block
 # of 64; p=12, T=120 tests its 90 by the Gram route, (K+1) p >= 30,
 # and p=4, T=160 its 130 by the cross route, both across a block
@@ -134,8 +142,12 @@ run test --input wide.csv --K 2 | tee test-wide.json
 run test --input outlier.csv --K 1 | tee test-outlier.json
 fails 2 "error: a0 must be square, got shape (2, 3)" power-theory-2x3.err \
   power-theory --a0 a0-2x3.csv --a1 a0-2x3.csv --n 100
+fails 2 "error: output path 'a\\x00b.csv': embedded null byte" size-nul.err \
+  size --config size-nul.json
 fails 3 "error: non-finite value 'nan' (row 3, column 2)" test-nan.err \
   test --input panel-nan.csv --K 1
+fails 3 "error: byte 0xff is not UTF-8 (row 3)" test-not-utf8.err \
+  test --input panel-not-utf8.csv --K 1
 fails 4 "error: [Errno 2] No such file or directory: 'missing.csv'" test-missing.err \
   test --input missing.csv --K 1
 long=$(printf 'r%.0s' {1..296}).csv

@@ -51,7 +51,7 @@ from .harness import (
     ExperimentConfig,
     ExperimentKind,
     GridCell,
-    emit_power_curve,
+    check_output,
     emit_table,
     run_experiment,
 )
@@ -110,10 +110,10 @@ __all__ = [
     "TestReport",
     "TimeSeriesPanel",
     "build_factor_data",
+    "check_output",
     "chi2_4_cdf",
     "chi2_4_quantile",
     "chi2_4_sf",
-    "emit_power_curve",
     "emit_table",
     "fisher_combine",
     "fourth_moment",

@@ -23,8 +23,7 @@ import sys
 from . import __version__
 from .errors import ConfigError, DataError
 from .factor import build_factor_data, ols_residuals, sliding_window_rates
-from .harness import ExperimentConfig, ExperimentKind, emit_power_curve, emit_table, run_experiment
-from .harness import _check_power_curve
+from .harness import ExperimentConfig, ExperimentKind, check_output, emit_table, run_experiment
 from .panel import read_csv_array, read_panel_csv
 from .power import PowerInputs, sum_power
 from .statistics import run_all
@@ -43,17 +42,6 @@ def _cmd_test(args) -> int:
     return 0
 
 
-def _check_out_path(path: str) -> None:
-    """Raise, before the grid runs, any OSError that writing ``path`` would
-    raise after it, by opening it for writing as the write will, but
-    without truncating it; a file this opening created is removed again,
-    also where ``path`` is a symlink to it."""
-    created = not os.path.exists(path)
-    os.close(os.open(path, os.O_WRONLY | os.O_CREAT))
-    if created:
-        os.remove(os.path.realpath(path))
-
-
 def _cmd_experiment(args) -> int:
     kind = ExperimentKind(args.command)
     cfg = ExperimentConfig.from_json_file(
@@ -66,16 +54,9 @@ def _cmd_experiment(args) -> int:
         raise ConfigError(
             f'config "kind" is {cfg.kind.value!r} but the {kind.value} subcommand was invoked'
         )
-    if cfg.out_path is None:
-        raise ConfigError('no output path: set "out" in the config or pass --out')
-    if args.format == "curve":
-        _check_power_curve(cfg.grid)
-    _check_out_path(cfg.out_path)
+    check_output(cfg.grid, cfg.out_path, args.format)
     results = run_experiment(cfg)
-    if args.format == "curve":
-        emit_power_curve(results, cfg.out_path)
-    else:
-        emit_table(results, cfg.out_path, format=args.format)
+    emit_table(results, cfg.out_path, format=args.format)
     print(f"wrote {len(results)} cells to {cfg.out_path}")
     return 0
 

@@ -10,8 +10,9 @@ beside it, and returns their results in job order; the per-cell counts
 are summed from them, so results are byte-identical for any worker
 count.  ``run_jobs`` is the package's one scheduler: the sliding-window
 tests of ``factor`` run on it too.
-Outputs are a flat CSV, a grouped markdown table, and per-m power-curve
-CSVs.
+``emit_table`` writes the results as a flat CSV, a grouped markdown table
+or a per-m power-curve CSV, after ``check_output``, which a caller runs
+before the grid too, so that an output that cannot be written fails first.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import multiprocessing
+import os
 import traceback
 import zlib
 from dataclasses import dataclass
@@ -43,8 +45,8 @@ __all__ = [
     "ExperimentConfig",
     "CellResult",
     "run_experiment",
+    "check_output",
     "emit_table",
-    "emit_power_curve",
 ]
 
 DEFAULT_SIZE_REPLICATIONS = 1000
@@ -244,7 +246,7 @@ class ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"{path} is not valid JSON: {exc}") from None
         return cls.from_mapping(raw, **overrides)
 
@@ -497,41 +499,82 @@ def run_experiment(cfg: ExperimentConfig) -> list[CellResult]:
 
 # -- emission ----------------------------------------------------------------
 
+FORMATS = ("csv", "markdown", "curve")
 RATE_COLUMNS = ("rate_max", "rate_sum", "rate_fc", "se_max", "se_sum", "se_fc")
 RESULT_COLUMNS = ("scenario", "innovation", "n", "p", "K", "m", "replications") + RATE_COLUMNS
 
 
-def _rate_cells(res: CellResult) -> list[str]:
-    return [repr(getattr(res, name)) for name in RATE_COLUMNS]
+def check_output(cells, out_path: str | None, format: str = "csv") -> None:
+    """Raise, before a grid of ``cells`` runs, the error that ``emit_table``
+    would raise on writing its results to ``out_path`` as ``format``.
 
-
-def _result_row(res: CellResult) -> list:
-    c = res.cell
-    return [
-        c.scenario.value, c.innovation.value, c.n, c.p, c.lags,
-        "" if c.m is None else c.m, res.replications_used,
-    ] + _rate_cells(res)
+    ConfigError: no cells, no path, an unknown format, a NUL in the path,
+    or a ``curve`` whose cells do not share (scenario, innovation, n, p,
+    K) or do not cover every block size m = 1..max(m).  An OSError: the
+    path cannot be opened for writing.  It is opened as the writer will
+    open it, but not truncated; a file this opening created is removed
+    again, also where ``out_path`` is a symlink to it.
+    """
+    if not cells:
+        raise ConfigError("refusing to emit an empty result table")
+    if out_path is None:
+        raise ConfigError('no output path: set "out" in the config or pass --out')
+    if format not in FORMATS:
+        raise ConfigError(f'format must be "csv", "markdown" or "curve", got {format!r}')
+    if format == "curve":
+        designs = {(c.scenario, c.innovation, c.n, c.p, c.lags) for c in cells}
+        if len(designs) > 1:
+            pretty = sorted(
+                f"({s.value}, {i.value}, n={n}, p={p}, K={k})" for (s, i, n, p, k) in designs
+            )
+            raise ConfigError(
+                "power-curve cells must share (scenario, innovation, n, p, K); got "
+                + ", ".join(pretty)
+            )
+        if any(c.m is None for c in cells):
+            raise ConfigError("power-curve cells must all carry a block size m")
+        m_values = {c.m for c in cells}
+        missing = sorted(set(range(1, max(m_values) + 1)) - m_values)
+        if missing:
+            raise ConfigError(
+                f"power curve is missing block sizes {missing}; need every m in 1..{max(m_values)}"
+            )
+    created = not os.path.exists(out_path)
+    try:
+        os.close(os.open(out_path, os.O_WRONLY | os.O_CREAT))
+    except ValueError as exc:  # embedded null byte
+        raise ConfigError(f"output path {out_path!r}: {exc}") from None
+    if created:
+        os.remove(os.path.realpath(out_path))
 
 
 def emit_table(results: list[CellResult], out_path: str, format: str = "csv") -> str:
-    """Write results as a flat CSV or a grouped markdown table.
+    """Write results to ``out_path`` as ``format`` (``check_output`` runs
+    first) and return the path.
 
-    The markdown layout mirrors the size-table shape: one block per
-    (scenario, innovation), rows ordered by (n, p), and per tested lag
-    count a MAX/SUM/FC rate column triple.  No timings are emitted, so
-    output files are reproducible byte for byte.
+    ``csv`` is a flat table, one row per cell.  ``markdown`` mirrors the
+    size-table shape: one block per (scenario, innovation), rows ordered
+    by (n, p), and per tested lag count a MAX/SUM/FC rate column triple.
+    ``curve`` is one power-curve design's CSV, one row per block size m in
+    ascending order.  No timings are emitted, so output files are
+    reproducible byte for byte.
     """
-    if not results:
-        raise ConfigError("refusing to emit an empty result table")
-    if format == "csv":
+    check_output([res.cell for res in results], out_path, format)
+    if format != "markdown":
+        curve = format == "curve"
+        if curve:
+            results = sorted(results, key=lambda res: res.cell.m)
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(RESULT_COLUMNS)
+            writer.writerow(("m",) + RATE_COLUMNS if curve else RESULT_COLUMNS)
             for res in results:
-                writer.writerow(_result_row(res))
+                c = res.cell
+                lead = [c.m] if curve else [
+                    c.scenario.value, c.innovation.value, c.n, c.p, c.lags,
+                    "" if c.m is None else c.m, res.replications_used,
+                ]
+                writer.writerow(lead + [repr(getattr(res, name)) for name in RATE_COLUMNS])
         return out_path
-    if format != "markdown":
-        raise ConfigError(f'format must be "csv" or "markdown", got {format!r}')
 
     blocks: dict[tuple, dict] = {}
     for res in results:
@@ -567,45 +610,4 @@ def emit_table(results: list[CellResult], out_path: str, format: str = "csv") ->
         lines.append("")
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
-    return out_path
-
-
-def _check_power_curve(cells) -> None:
-    """Require grid cells that make one power curve: all share (scenario,
-    innovation, n, p, K) and together cover every block size m = 1..max(m).
-    """
-    designs = {(c.scenario, c.innovation, c.n, c.p, c.lags) for c in cells}
-    if len(designs) > 1:
-        pretty = sorted(
-            f"({s.value}, {i.value}, n={n}, p={p}, K={k})" for (s, i, n, p, k) in designs
-        )
-        raise ConfigError(
-            "power-curve cells must share (scenario, innovation, n, p, K); got "
-            + ", ".join(pretty)
-        )
-    if any(c.m is None for c in cells):
-        raise ConfigError("power-curve cells must all carry a block size m")
-    m_values = {c.m for c in cells}
-    missing = sorted(set(range(1, max(m_values) + 1)) - m_values)
-    if missing:
-        raise ConfigError(
-            f"power curve is missing block sizes {missing}; need every m in 1..{max(m_values)}"
-        )
-
-
-def emit_power_curve(results: list[CellResult], out_path: str) -> str:
-    """Write a per-m rejection-rate CSV for one power-curve design.
-
-    All cells must share (scenario, innovation, n, p, K) and together
-    cover every block size m = 1..max(m).
-    """
-    if not results:
-        raise ConfigError("refusing to emit an empty power curve")
-    _check_power_curve([r.cell for r in results])
-    by_m = {r.cell.m: r for r in sorted(results, key=lambda r: r.cell.m)}
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("m",) + RATE_COLUMNS)
-        for m, res in by_m.items():
-            writer.writerow([m] + _rate_cells(res))
     return out_path

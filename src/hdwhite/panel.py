@@ -619,7 +619,8 @@ def read_csv_array(path, header: bool = False, labels: bool = False):
 
     Returns (header names or None, row labels or None, values).  A ragged
     line, or a cell that does not parse as a finite number, raises
-    ParseError with its 1-based file line and column.
+    ParseError with its 1-based file line and column; a byte that is not
+    UTF-8 raises it with its line.
 
     A plain file, with no quote character and only finite numbers in
     ``float``'s ASCII spelling, is parsed by numpy's C reader.  Any other
@@ -700,7 +701,7 @@ def _read_csv_cells(path, header: bool, labels: bool):
     skip = 1 if labels else 0
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        for raw in _csv_records(reader):
+        for raw in _csv_records(reader, path):
             if not any(cell.strip() for cell in raw):
                 continue
             lineno = reader.line_num
@@ -735,13 +736,25 @@ def _read_csv_cells(path, header: bool, labels: bool):
     return names, (row_labels if labels else None), np.array(rows, dtype=np.float64)
 
 
-def _csv_records(reader):
-    """The records of ``reader``; a ``csv.Error`` (a field over
-    ``csv.field_size_limit()``, say) becomes a ParseError at its file line."""
+def _csv_records(reader, path):
+    """The records of ``reader``, which reads ``path``; a ``csv.Error`` (a
+    field over ``csv.field_size_limit()``, say) becomes a ParseError at its
+    file line, and so does a byte that is not UTF-8, at the line of the
+    first such byte in ``path``'s raw bytes (the reader decodes by the
+    block, not by the line)."""
     try:
         yield from reader
     except csv.Error as exc:
         raise ParseError(str(exc), row=reader.line_num) from None
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        row = None  # where the bytes read again decode, as a drained pipe's do
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as first:
+            exc, row = first, len((data[: first.start] + b".").splitlines())
+        raise ParseError(f"byte 0x{exc.object[exc.start]:02x} is not UTF-8", row=row) from None
 
 
 def read_panel_csv(path, header: bool = False, center: bool = False) -> TimeSeriesPanel:

@@ -254,7 +254,7 @@ class TestExperimentSubcommands:
 
     @pytest.mark.parametrize("where", [
         "missing-parent", "parent-is-file", "path-is-dir", "read-only-parent",
-        "empty", "empty-in-config", "name-too-long",
+        "empty", "empty-in-config", "name-too-long", "nul-in-config",
     ])
     def test_unwritable_output_fails_before_the_run(self, tmp_path, capsys, monkeypatch, where):
         (tmp_path / "plain.txt").write_text("")
@@ -270,6 +270,7 @@ class TestExperimentSubcommands:
             "empty": "",
             "empty-in-config": None,
             "name-too-long": tmp_path / ("r" * 296 + ".csv"),
+            "nul-in-config": None,
         }[where]
 
         def must_not_run(cfg):
@@ -277,20 +278,22 @@ class TestExperimentSubcommands:
 
         monkeypatch.setattr("hdwhite.cli.run_experiment", must_not_run)
         if out_path is None:
-            cfg = self.write_config(tmp_path, out="")
+            cfg = self.write_config(tmp_path, out="a\0b.csv" if where == "nul-in-config" else "")
             argv = []
         else:
             cfg = self.write_config(tmp_path)
             argv = ["--out", str(out_path)]
         before = sorted(tmp_path.rglob("*"))
         code, out, err = run_cli(capsys, "size", "--config", str(cfg), *argv)
-        assert code == 4
+        assert code == (2 if where == "nul-in-config" else 4)
         assert out == ""
         assert err.startswith("error: ")
         if where.startswith("empty"):
             assert err == "error: [Errno 2] No such file or directory: ''\n"
         if where == "name-too-long":
             assert err.startswith(f"error: [Errno {errno.ENAMETOOLONG}] ")
+        if where == "nul-in-config":
+            assert err == "error: output path 'a\\x00b.csv': embedded null byte\n"
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("kind", ["new", "existing", "dangling-symlink"])
@@ -583,15 +586,18 @@ MALFORMED = {
     "nan": ([GOOD, GOOD, ["0.1", "0.2", "0.3", "nan"]], 4, 5),
     # Longer than csv.field_size_limit(); the csv module names no column.
     "field-over-limit": ([GOOD, GOOD, ["0.1", "1" * 200_000, "0.3", "0.4"]], 4, None),
+    # A byte that is not UTF-8 (written from the lone surrogate); no column.
+    "not-utf8": ([GOOD, GOOD, ["0.1", "0.2", "0.3\udcff", "0.4"]], 4, None),
 }
 
 
 def render(lines, first, lead):
-    """CSV text: ``first`` as line 1, then each row behind a ``lead`` cell."""
+    """CSV bytes: ``first`` as line 1, then each row behind a ``lead`` cell;
+    a lone surrogate \\udcXX is written as the byte 0xXX."""
     out = [first]
     for cells in lines:
         out.append("" if cells is None else ",".join([lead] + cells))
-    return "\n".join(out) + "\n"
+    return ("\n".join(out) + "\n").encode("utf-8", "surrogateescape")
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -600,9 +606,9 @@ def test_every_reader_reports_the_same_file_location(case, tmp_path, capsys):
     # The same layout twice: headed and dated for the factor readers,
     # all numeric for the panel and matrix readers.
     headed = tmp_path / "headed.csv"
-    headed.write_text(render(lines, "date,mkt,smb,hml,rf", "2020-01-01"))
+    headed.write_bytes(render(lines, "date,mkt,smb,hml,rf", "2020-01-01"))
     numeric = tmp_path / "numeric.csv"
-    numeric.write_text(render(lines, "1.0,2.0,3.0,4.0,5.0", "0.5"))
+    numeric.write_bytes(render(lines, "1.0,2.0,3.0,4.0,5.0", "0.5"))
 
     messages = set()
     for reader, path in (
@@ -623,3 +629,31 @@ def test_every_reader_reports_the_same_file_location(case, tmp_path, capsys):
     assert len(messages) == 1, messages
     location = f"(row {row})" if column is None else f"(row {row}, column {column})"
     assert messages.pop().endswith(location)
+
+
+# Each command's input file, with a byte that is not UTF-8: a 0xff byte,
+# or for residual-test a cp1252 header.  The file that test reads puts
+# its byte past the first blocks the reader decodes.
+NOT_UTF8 = b"1.0,2.0\n3.0,4.0\n5.0,6\xff.0\n7.0,8.0\n"
+
+
+@pytest.mark.parametrize("command, content, code, message", [
+    ("test", b"1.0,2.0\n" * 5000 + NOT_UTF8, 3, "byte 0xff is not UTF-8 (row 5003)"),
+    ("residual-test", "date,Société\nd1,0.1\n".encode("cp1252"), 3,
+     "byte 0xe9 is not UTF-8 (row 1)"),
+    ("power-theory", NOT_UTF8, 3, "byte 0xff is not UTF-8 (row 3)"),
+    ("size", b'{"kind": "size", "out": "\xff.csv"}', 2,
+     "is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 25"),
+], ids=["test", "residual-test", "power-theory", "size"])
+def test_undecodable_input_is_a_typed_error(tmp_path, capsys, command, content, code, message):
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    argv = {
+        "test": ["--input", bad, "--K", "1"],
+        "residual-test": ["--returns", bad, "--factors", bad, "--window", "10", "--K", "1"],
+        "power-theory": ["--a0", bad, "--a1", bad, "--n", "10"],
+        "size": ["--config", bad, "--out", tmp_path / "x.csv"],
+    }[command]
+    status, out, err = run_cli(capsys, command, *map(str, argv))
+    assert status == code and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err

@@ -26,7 +26,6 @@ from hdwhite.harness import (
     ExperimentKind,
     GridCell,
     derive_seed,
-    emit_power_curve,
     emit_table,
     run_experiment,
 )
@@ -344,7 +343,7 @@ class TestRunExperiment:
                 emit_table(results, str(paths[1]), format="markdown")
                 if raw is self.CURVE_GRID:
                     paths.append(tmp_path / f"{workers}-curve.csv")
-                    emit_power_curve(results, str(paths[2]))
+                    emit_table(results, str(paths[2]), format="curve")
                 outputs.append([path.read_bytes() for path in paths])
             assert outputs[1] == outputs[0] and outputs[2] == outputs[0], raw["kind"]
 
@@ -827,10 +826,10 @@ class TestEmitters:
         return run_experiment(small_size_config(replications=8))
 
     def test_empty_results_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="refusing to emit"):
-            emit_table([], str(tmp_path / "out.csv"))
-        with pytest.raises(ConfigError, match="refusing to emit"):
-            emit_power_curve([], str(tmp_path / "out.csv"))
+        for format in harness.FORMATS:
+            with pytest.raises(ConfigError, match="refusing to emit an empty result table"):
+                emit_table([], str(tmp_path / "out.csv"), format=format)
+        assert not (tmp_path / "out.csv").exists()
 
     def test_csv_columns(self, tmp_path):
         path = tmp_path / "rates.csv"
@@ -872,6 +871,68 @@ class TestEmitters:
         with pytest.raises(ConfigError, match="format"):
             emit_table(self.run_small(), str(tmp_path / "x"), format="tsv")
 
+    # Every format's bytes for two fixed result lists: size cells over two
+    # scenario blocks and two lag counts, and one curve design written in
+    # the block-size order 2, 1, 3.
+    GOLDEN_SIZE = [
+        CellResult.from_counts(GridCell("null-i", "gaussian", 30, 5, 1), (1, 2, 0), 6),
+        CellResult.from_counts(GridCell("null-i", "gaussian", 40, 5, 2), (0, 6, 3), 6),
+        CellResult.from_counts(GridCell("null-ii", "shifted-gamma", 30, 5, 2), (5, 1, 2), 6),
+    ]
+    GOLDEN_CURVE = [
+        CellResult.from_counts(GridCell("vma1", "gaussian", 30, 6, 1, m), counts, 7)
+        for m, counts in ((2, (3, 4, 4)), (1, (1, 1, 0)), (3, (7, 6, 7)))
+    ]
+    GOLDEN = {
+        ("size", "csv"):
+            b"scenario,innovation,n,p,K,m,replications,"
+            b"rate_max,rate_sum,rate_fc,se_max,se_sum,se_fc\r\n"
+            b"null-i,gaussian,30,5,1,,6,0.16666666666666666,0.3333333333333333,0.0,"
+            b"0.15214515486254615,0.19245008972987526,0.0\r\n"
+            b"null-i,gaussian,40,5,2,,6,0.0,1.0,0.5,0.0,0.0,0.2041241452319315\r\n"
+            b"null-ii,shifted-gamma,30,5,2,,6,0.8333333333333334,0.16666666666666666,"
+            b"0.3333333333333333,0.15214515486254612,0.15214515486254615,0.19245008972987526\r\n",
+        ("size", "markdown"):
+            b"## null-i, gaussian innovations\n\n"
+            b"| n | p | K=1 MAX | K=1 SUM | K=1 FC | K=2 MAX | K=2 SUM | K=2 FC |\n"
+            b"|---|---|---|---|---|---|---|---|\n"
+            b"| 30 | 5 | 0.167 | 0.333 | 0.000 |  |  |  |\n"
+            b"| 40 | 5 |  |  |  | 0.000 | 1.000 | 0.500 |\n\n"
+            b"## null-ii, shifted-gamma innovations\n\n"
+            b"| n | p | K=1 MAX | K=1 SUM | K=1 FC | K=2 MAX | K=2 SUM | K=2 FC |\n"
+            b"|---|---|---|---|---|---|---|---|\n"
+            b"| 30 | 5 |  |  |  | 0.833 | 0.167 | 0.333 |\n",
+        ("curve", "csv"):
+            b"scenario,innovation,n,p,K,m,replications,"
+            b"rate_max,rate_sum,rate_fc,se_max,se_sum,se_fc\r\n"
+            b"vma1,gaussian,30,6,1,2,7,0.42857142857142855,0.5714285714285714,"
+            b"0.5714285714285714,0.1870439059165649,0.1870439059165649,0.1870439059165649\r\n"
+            b"vma1,gaussian,30,6,1,1,7,0.14285714285714285,0.14285714285714285,0.0,"
+            b"0.13226001425322165,0.13226001425322165,0.0\r\n"
+            b"vma1,gaussian,30,6,1,3,7,1.0,0.8571428571428571,1.0,0.0,0.13226001425322165,0.0\r\n",
+        ("curve", "markdown"):
+            b"## vma1, gaussian innovations\n\n"
+            b"| n | p | m | K=1 MAX | K=1 SUM | K=1 FC |\n"
+            b"|---|---|---|---|---|---|\n"
+            b"| 30 | 6 | 1 | 0.143 | 0.143 | 0.000 |\n"
+            b"| 30 | 6 | 2 | 0.429 | 0.571 | 0.571 |\n"
+            b"| 30 | 6 | 3 | 1.000 | 0.857 | 1.000 |\n",
+        ("curve", "curve"):
+            b"m,rate_max,rate_sum,rate_fc,se_max,se_sum,se_fc\r\n"
+            b"1,0.14285714285714285,0.14285714285714285,0.0,"
+            b"0.13226001425322165,0.13226001425322165,0.0\r\n"
+            b"2,0.42857142857142855,0.5714285714285714,0.5714285714285714,"
+            b"0.1870439059165649,0.1870439059165649,0.1870439059165649\r\n"
+            b"3,1.0,0.8571428571428571,1.0,0.0,0.13226001425322165,0.0\r\n",
+    }
+
+    @pytest.mark.parametrize("results, format", sorted(GOLDEN))
+    def test_golden_bytes(self, tmp_path, results, format):
+        path = tmp_path / "out"
+        written = {"size": self.GOLDEN_SIZE, "curve": self.GOLDEN_CURVE}[results]
+        assert emit_table(written, str(path), format=format) == str(path)
+        assert path.read_bytes() == self.GOLDEN[results, format]
+
     def test_power_curve_layout(self, tmp_path):
         raw = {
             "kind": "power",
@@ -885,7 +946,7 @@ class TestEmitters:
         }
         results = run_experiment(ExperimentConfig.from_mapping(raw))
         path = tmp_path / "curve.csv"
-        emit_power_curve(results, str(path))
+        emit_table(results, str(path), format="curve")
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "m,rate_max,rate_sum,rate_fc,se_max,se_sum,se_fc"
         assert [l.split(",")[0] for l in lines[1:]] == ["1", "2", "3"], (
@@ -905,7 +966,7 @@ class TestEmitters:
         }
         results = run_experiment(ExperimentConfig.from_mapping(raw))
         with pytest.raises(ConfigError, match=r"missing block sizes \[2\]"):
-            emit_power_curve(results, str(tmp_path / "curve.csv"))
+            emit_table(results, str(tmp_path / "curve.csv"), format="curve")
 
     def test_power_curve_mixed_designs(self, tmp_path):
         raw = {
@@ -920,7 +981,7 @@ class TestEmitters:
         }
         results = run_experiment(ExperimentConfig.from_mapping(raw))
         with pytest.raises(ConfigError, match="must share"):
-            emit_power_curve(results, str(tmp_path / "curve.csv"))
+            emit_table(results, str(tmp_path / "curve.csv"), format="curve")
 
 
 class TestCellResult:
