@@ -9,8 +9,11 @@
 # it writes its inputs there with `python` (numpy) and its outputs beside
 # them, and fails on the first non-zero exit.  Each command that takes
 # --workers runs at two worker counts, whose outputs must be
-# byte-identical.  Six failures must each exit with their code of
-# README's exit-code table and print their message: a non-square
+# byte-identical.  A panel with a quoted cell, read from the file and
+# through a pipe (bash's <(cat file)), must print what the plain panel
+# prints, and a size config saved with a UTF-8 byte-order mark must write
+# what the plain config writes.  Six failures must each exit with their
+# code of README's exit-code table and print their message: a non-square
 # power-theory matrix (2), a size config whose "out" holds a NUL (2), a
 # CSV cell that is NaN (3), a CSV byte that is not UTF-8 (3), a missing
 # input file (4) and a size run whose --out name is too long to open (4;
@@ -78,6 +81,14 @@ rng = np.random.default_rng(1)
 np.savetxt("panel.csv", rng.standard_normal((30, 4)), delimiter=",")
 with open("panel-nan.csv", "w") as fh:
     fh.write("1.0,2.0\n3.0,4.0\n5.0,nan\n7.0,8.0\n")
+# One quoted cell sends the reader to its per-cell loop, which reads the
+# input a second time.
+with open("panel.csv") as fh:
+    first, rest = fh.read().split(",", 1)
+with open("panel-quoted.csv", "w") as fh:
+    fh.write(f'"{first}",{rest}')
+with open("size-bom.json", "wb") as fh, open("size.json", "rb") as plain:
+    fh.write(b"\xef\xbb\xbf" + plain.read())
 with open("panel-not-utf8.csv", "wb") as fh:
     fh.write(b"1.0,2.0\n3.0,4.0\n5.0,6\xff.0\n7.0,8.0\n")
 # p=4, T=60 tests its 30 windows by SUM's cross route, in one block
@@ -119,6 +130,8 @@ PY
 run size --config size.json --workers 1 --out size-1.csv
 run size --config size.json --workers 2 --out size-2.csv
 cmp size-1.csv size-2.csv
+run size --config size-bom.json --workers 1 --out size-bom.csv
+cmp size-1.csv size-bom.csv
 # --workers 3 is the main process and two pool workers.
 run power --config power.json --workers 2 --out power-2.csv
 run power --config power.json --workers 3 --out power-3.csv
@@ -140,6 +153,10 @@ done
 run test --input panel.csv --K 2 | tee test-panel.json
 run test --input wide.csv --K 2 | tee test-wide.json
 run test --input outlier.csv --K 1 | tee test-outlier.json
+run test --input panel-quoted.csv --K 2 > test-quoted.json
+run test --input <(cat panel-quoted.csv) --K 2 > test-quoted-pipe.json
+cmp test-panel.json test-quoted.json
+cmp test-panel.json test-quoted-pipe.json
 fails 2 "error: a0 must be square, got shape (2, 3)" power-theory-2x3.err \
   power-theory --a0 a0-2x3.csv --a1 a0-2x3.csv --n 100
 fails 2 "error: output path 'a\\x00b.csv': embedded null byte" size-nul.err \

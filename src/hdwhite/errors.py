@@ -15,13 +15,16 @@ non-finite entry is named by its 1-based row and column),
 ``check_level`` (a number in (0, 1)), ``check_probability`` (a number in
 [0, 1]) and ``Choice`` (a known option name).  Each message names the
 argument, or the config key in quotes.  Callers test only their domain
-rules (row counts, matching shapes, symmetry) after these.
+rules (row counts, matching shapes, symmetry) after these.  Every input
+file is opened by ``open_text``, which alone decides how its bytes decode.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import numbers
+from contextlib import contextmanager
 from enum import Enum
 
 import numpy as np
@@ -167,3 +170,30 @@ class Choice(str, Enum):
     def _missing_(cls, value):
         known = ", ".join(repr(member.value) for member in cls)
         raise ConfigError(f"unknown {cls.__name__} {value!r}; known values are {known}")
+
+
+@contextmanager
+def open_text(path):
+    """Open the input file ``path`` once, as a UTF-8 text handle whose
+    ``seek(0)`` rewinds it; a pipe, which cannot seek, is read into memory
+    once.  A leading byte-order mark is dropped, after each rewind too,
+    and line ends are kept as written (``newline=""``, as csv needs).  A
+    byte that is not UTF-8, met in the ``with`` body, raises ParseError
+    naming it and its 1-based line in the raw bytes (the handle decodes
+    by the block, not by the line).
+    """
+    with open(path, "rb") as raw:
+        if not raw.seekable():
+            raw = io.BytesIO(raw.read())
+        fh = io.TextIOWrapper(raw, encoding="utf-8-sig", newline="")
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raw.seek(0)
+            try:
+                raw.read().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                data, start = exc.object, exc.start
+                row = len((data[:start] + b".").splitlines())
+                raise ParseError(f"byte 0x{data[start]:02x} is not UTF-8", row=row) from None
+            raise

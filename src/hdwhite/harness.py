@@ -33,8 +33,8 @@ import numpy as np
 
 from .dgp import DgpSpec, Innovation, Scenario, gen_alternative_panel, gen_null_panel
 from .errors import (
-    Choice, ConfigError, DataError, NonstationaryDrawError, check_integer, check_level,
-    check_number, check_probability,
+    Choice, ConfigError, DataError, NonstationaryDrawError, ParseError, check_integer,
+    check_level, check_number, check_probability, open_text,
 )
 from .panel import check_lag_budget
 from .statistics import run_all
@@ -243,12 +243,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_file(cls, path: str, **overrides) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+        """Build a config from the JSON file ``path``, read by ``errors.open_text``."""
+        try:
+            with open_text(path) as fh:
+                raw = json.load(fh, object_pairs_hook=_unique_keys)
+        except (json.JSONDecodeError, ParseError) as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
         return cls.from_mapping(raw, **overrides)
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict, refusing a key written twice (``json`` keeps the last)."""
+    mapping = {}
+    for key, value in pairs:
+        if key in mapping:
+            raise ConfigError(f'"{key}": repeated key')
+        mapping[key] = value
+    return mapping
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DataError, DegenerateColumnError, LagError, ParseError, check_array, check_integer,
+    open_text,
 )
 
 # A column whose sample second moment falls at or below this cannot be
@@ -615,7 +616,8 @@ def read_csv_array(path, header: bool = False, labels: bool = False):
     the first column of every data line as a text label (a date, say)
     rather than a number.  Every non-blank line must have the same number
     of fields.  Decimal separator is '.', encoding UTF-8; a leading
-    byte-order mark is dropped.
+    byte-order mark is dropped.  ``path`` may be a pipe, such as bash's
+    ``<(cat file)`` (see ``errors.open_text``).
 
     Returns (header names or None, row labels or None, values).  A ragged
     line, or a cell that does not parse as a finite number, raises
@@ -630,14 +632,16 @@ def read_csv_array(path, header: bool = False, labels: bool = False):
     digits, non-finite or unparsable cells, a width that does not match,
     and files with no data rows.  Both give the same result on every file.
     """
-    parsed = _read_plain_csv(path, header, labels)
-    if parsed is None:
-        parsed = _read_csv_cells(path, header, labels)
+    with open_text(path) as fh:
+        parsed = _read_plain_csv(fh, header, labels)
+        if parsed is None:
+            fh.seek(0)
+            parsed = _read_csv_cells(fh, path, header, labels)
     return parsed
 
 
-def _read_plain_csv(path, header: bool, labels: bool):
-    """The fast step of ``read_csv_array``: numpy's C reader, or None.
+def _read_plain_csv(fh, header: bool, labels: bool):
+    """The fast step of ``read_csv_array``: numpy's C reader on ``fh``, or None.
 
     Python applies the loop's line rules (blank lines, the header, labels)
     and refuses any quote or over-long field; ``np.loadtxt`` parses every
@@ -652,7 +656,7 @@ def _read_plain_csv(path, header: bool, labels: bool):
     rows = 0
     field_limit = csv.field_size_limit()
 
-    def data_lines(fh):
+    def data_lines():
         nonlocal names, commas, rows
         for line in fh:
             # The loop's blank rule, tested in full only when the first
@@ -675,15 +679,14 @@ def _read_plain_csv(path, header: bool, labels: bool):
             rows += 1
             yield line
 
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                values = np.loadtxt(
-                    data_lines(fh), delimiter=",", comments=None, dtype=np.float64, ndmin=2
-                )
-        except (ValueError, Warning):
-            return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt(
+                data_lines(), delimiter=",", comments=None, dtype=np.float64, ndmin=2
+            )
+    except (ValueError, Warning):
+        return None
     # numpy requires the data lines to agree in width.  This holds them to
     # the first line's width, and catches a line numpy skipped as empty (a
     # label with nothing after it), which the loop reports.
@@ -692,16 +695,18 @@ def _read_plain_csv(path, header: bool, labels: bool):
     return names, (row_labels if labels else None), values
 
 
-def _read_csv_cells(path, header: bool, labels: bool):
-    """The per-cell loop of ``read_csv_array``: the reference for what it accepts."""
+def _read_csv_cells(fh, path, header: bool, labels: bool):
+    """The per-cell loop of ``read_csv_array`` on ``fh``, opened from ``path``:
+    the reference for what it accepts.  A ``csv.Error`` (a field over
+    ``csv.field_size_limit()``, say) becomes a ParseError at its line."""
     names: list[str] | None = None
     row_labels: list[str] = []
     rows: list[list[float]] = []
     width: int | None = None
     skip = 1 if labels else 0
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        for raw in _csv_records(reader, path):
+    reader = csv.reader(fh)
+    try:
+        for raw in reader:
             if not any(cell.strip() for cell in raw):
                 continue
             lineno = reader.line_num
@@ -729,32 +734,13 @@ def _read_csv_cells(path, header: bool, labels: bool):
             if labels:
                 row_labels.append(raw[0].strip())
             rows.append(parsed)
+    except csv.Error as exc:
+        raise ParseError(str(exc), row=reader.line_num) from None
     if header and names is None:
         raise DataError(f"{path} is empty")
     if not rows:
         raise DataError(f"{path} has no data rows")
     return names, (row_labels if labels else None), np.array(rows, dtype=np.float64)
-
-
-def _csv_records(reader, path):
-    """The records of ``reader``, which reads ``path``; a ``csv.Error`` (a
-    field over ``csv.field_size_limit()``, say) becomes a ParseError at its
-    file line, and so does a byte that is not UTF-8, at the line of the
-    first such byte in ``path``'s raw bytes (the reader decodes by the
-    block, not by the line)."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ParseError(str(exc), row=reader.line_num) from None
-    except UnicodeDecodeError as exc:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        row = None  # where the bytes read again decode, as a drained pipe's do
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as first:
-            exc, row = first, len((data[: first.start] + b".").splitlines())
-        raise ParseError(f"byte 0x{exc.object[exc.start]:02x} is not UTF-8", row=row) from None
 
 
 def read_panel_csv(path, header: bool = False, center: bool = False) -> TimeSeriesPanel:

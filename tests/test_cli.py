@@ -1,5 +1,6 @@
 """Command-line interface, driven in process through main()."""
 
+import codecs
 import errno
 import json
 import multiprocessing
@@ -330,6 +331,26 @@ class TestExperimentSubcommands:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err
 
+    def test_repeated_config_key_is_refused(self, tmp_path, capsys):
+        # json keeps the last of two equal keys; the config must not run.
+        cfg = self.write_config(tmp_path, K=2)
+        cfg.write_text(cfg.read_text()[:-1] + ', "K": 1}')
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "size", "--config", str(cfg), "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err == 'error: "K": repeated key\n' and not out_path.exists()
+
+    def test_config_with_byte_order_mark_runs(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        tables = []
+        for mark in (b"", codecs.BOM_UTF8):
+            cfg.write_bytes(mark + cfg.read_bytes())
+            out_path = tmp_path / f"rates{len(mark)}.csv"
+            code, _, _ = run_cli(capsys, "size", "--config", str(cfg), "--out", str(out_path))
+            assert code == 0
+            tables.append(out_path.read_bytes())
+        assert tables[0] == tables[1]
+
     def test_invalid_config_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{")
@@ -639,15 +660,22 @@ NOT_UTF8 = b"1.0,2.0\n3.0,4.0\n5.0,6\xff.0\n7.0,8.0\n"
 
 @pytest.mark.parametrize("command, content, code, message", [
     ("test", b"1.0,2.0\n" * 5000 + NOT_UTF8, 3, "byte 0xff is not UTF-8 (row 5003)"),
+    ("test-pipe", b"1.0,2.0\n" * 5000 + NOT_UTF8, 3, "byte 0xff is not UTF-8 (row 5003)"),
     ("residual-test", "date,Société\nd1,0.1\n".encode("cp1252"), 3,
      "byte 0xe9 is not UTF-8 (row 1)"),
     ("power-theory", NOT_UTF8, 3, "byte 0xff is not UTF-8 (row 3)"),
     ("size", b'{"kind": "size", "out": "\xff.csv"}', 2,
-     "is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 25"),
-], ids=["test", "residual-test", "power-theory", "size"])
-def test_undecodable_input_is_a_typed_error(tmp_path, capsys, command, content, code, message):
+     "is not valid JSON: byte 0xff is not UTF-8 (row 1)"),
+], ids=["test", "test-pipe", "residual-test", "power-theory", "size"])
+def test_undecodable_input_is_a_typed_error(
+    tmp_path, capsys, fifo, command, content, code, message
+):
     bad = tmp_path / "bad"
-    bad.write_bytes(content)
+    if command.endswith("-pipe"):
+        fifo(bad, content)
+        command = command.removesuffix("-pipe")
+    else:
+        bad.write_bytes(content)
     argv = {
         "test": ["--input", bad, "--K", "1"],
         "residual-test": ["--returns", bad, "--factors", bad, "--window", "10", "--K", "1"],

@@ -1,6 +1,7 @@
 """Panel construction, lagged sample moments, and CSV round trips."""
 
 import csv
+import os
 import tracemalloc
 from itertools import chain
 
@@ -14,6 +15,7 @@ from hdwhite.errors import (
     DegenerateColumnError,
     LagError,
     ParseError,
+    open_text,
 )
 from hdwhite import panel as panel_module
 from hdwhite.factor import FactorData, read_returns_csv
@@ -510,7 +512,8 @@ def outcome_by_loop(path, header, labels):
 
 
 def takes_c_step(path, header, labels):
-    return panel_module._read_plain_csv(path, header, labels) is not None
+    with open_text(path) as fh:
+        return panel_module._read_plain_csv(fh, header, labels) is not None
 
 
 FLAG_COMBINATIONS = [(False, False), (True, False), (False, True), (True, True)]
@@ -560,6 +563,9 @@ NAMED_FILES = {
     "single-column": ("1\n2\n3\n", [(False, False), (True, False)], True),
     "one-by-one": ("7.25", [(False, False)], True),
     "byte-order-mark": ("\ufeff1,2\r\n3,4\r\n5,6\r\n", FLAG_COMBINATIONS, True),
+    # After the C step's refusal the loop reads the rewound handle, which
+    # must drop the mark again.
+    "byte-order-mark-quoted-cell": ('\ufeff1,"2"\n3,4\n', FLAG_COMBINATIONS, False),
     "whitespace-lines": ("1,2\n  \n\t\n3,4\n", [(False, False), (True, False)], True),
     "lone-cr-ends": ("d,x\r1,2\r3,4\r", [(True, False), (True, True)], True),
     "comma-only-line": ("1,2\n,\n3,4\n", [(False, False), (False, True)], True),
@@ -598,6 +604,25 @@ def test_named_files_agree_with_the_loop(case, tmp_path):
         assert outcome(path, header, labels) == outcome_by_loop(path, header, labels), (
             header, labels,
         )
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_FILES))
+def test_named_files_read_the_same_through_a_pipe(case, tmp_path, monkeypatch, fifo):
+    # A pipe is read once: the loop must not find it drained after the C
+    # step.  The same relative name, in two directories, keeps the messages
+    # that name the path equal.
+    text, flags, _ = NAMED_FILES[case]
+    data, name = text.encode("utf-8"), f"{case}.csv"
+    (tmp_path / "file").mkdir()
+    (tmp_path / "file" / name).write_bytes(data)
+    (tmp_path / "pipe").mkdir()
+    for header, labels in flags:
+        monkeypatch.chdir(tmp_path / "file")
+        from_file = outcome(name, header, labels)
+        monkeypatch.chdir(tmp_path / "pipe")
+        fifo(name, data)
+        assert outcome(name, header, labels) == from_file, (header, labels)
+        os.remove(name)
 
 
 def test_field_over_the_csv_limit_goes_to_the_loop(tmp_path):
